@@ -4,22 +4,28 @@ The trend tau minimizes
 
     sum (y_t - tau_t)^2 + lam * sum (tau_{t+1} - 2 tau_t + tau_{t-1})^2,
 
-solved exactly through the symmetric pentadiagonal normal equations
-(I + lam * D'D) tau = y with a direct banded factorization, followed by
-iterative refinement until the normal-equation residual is at most 1e-8
-relative (or, for extreme lam where that bound is not representable in
-double precision, until the residual reaches the machine floor). The
-buffer add-on is 0 at or below ``gap_low`` percentage points,
+solved through the symmetric pentadiagonal normal equations
+(I + lam * D'D) tau = y. The matrix is factored once per call as L D L'
+(L unit lower triangular with two sub-diagonals, D the positive pivots),
+and the same factor solves for the first trend and for every correction of
+the iterative refinement that follows. The normal-equation residual is
+evaluated with an error-free second difference, and refinement continues
+past the 1e-8 relative tolerance for as long as that residual still falls;
+the iterate with the smallest residual is returned. For extreme lam, where
+the tolerance is not representable in double precision, an iterate at the
+machine floor is accepted instead. A non-positive pivot, a non-finite
+input, or a residual that reaches neither bound raises EstimationError.
+The buffer add-on is 0 at or below ``gap_low`` percentage points,
 ``buffer_max`` at or above ``gap_high``, and linear in between.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import ColumnAbsentError, EstimationError, InvariantError
 from .series import CreditSeries, Quarter
@@ -89,54 +95,96 @@ def _penalty_apply(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ldl_factor(diag: list[float], super1: list[float], super2: list[float]):
+    """L D L' factor of the symmetric pentadiagonal matrix with the given bands.
+
+    Returns the pivots d and the two sub-diagonals of the unit lower
+    triangular L, led by one and two zeros: l1[i] = L[i, i-1] and
+    l2[i] = L[i, i-2], so both line up with row i of a forward sweep.
+    """
+    d: list[float] = []
+    l1, l2 = [0.0], [0.0, 0.0]
+    d_1 = d_2 = 0.0  # pivots of rows i-1 and i-2
+    m1 = m2 = m2_next = 0.0  # L[i, i-1], L[i, i-2] and L[i+1, i-1]
+    for a, b, c in zip(diag, super1 + [0.0], super2 + [0.0, 0.0]):
+        pivot = a - m1 * m1 * d_1 - m2 * m2 * d_2
+        if not pivot > 0.0:
+            raise EstimationError(
+                f"HP normal equations lost positive definiteness at row {len(d)} "
+                f"(pivot {pivot!r}); the smoothing parameter is too large for this series"
+            )
+        m1 = (b - m2_next * m1 * d_1) / pivot
+        m2, m2_next = m2_next, c / pivot
+        d.append(pivot)
+        l1.append(m1)
+        l2.append(m2_next)
+        d_2, d_1 = d_1, pivot
+    return d, l1, l2
+
+
+def _ldl_solve(factor, r: np.ndarray) -> np.ndarray:
+    """Solve L D L' x = r for a factor returned by ``_ldl_factor``."""
+    d, l1, l2 = factor
+    z = []
+    z_1 = z_2 = 0.0
+    for ri, a, b in zip(r.tolist(), l1, l2):
+        z_2, z_1 = z_1, ri - a * z_1 - b * z_2
+        z.append(z_1)
+    # reversed, the padded sub-diagonals yield L[i+1, i] and L[i+2, i] for row i
+    x = []
+    x_1 = x_2 = 0.0
+    for zi, di, a, b in zip(reversed(z), reversed(d), reversed(l1), reversed(l2)):
+        x_2, x_1 = x_1, zi / di - a * x_1 - b * x_2
+        x.append(x_1)
+    return np.array(x[::-1])
+
+
 def hp_filter(y: Sequence[float], lam: float) -> np.ndarray:
     """Trend component of y for smoothing parameter lam (lam = 0 returns y)."""
     ya = np.asarray(y, dtype=float)
     if ya.ndim != 1 or ya.size < 3:
         raise EstimationError(f"need a one-dimensional series of length >= 3, got {ya.shape}")
-    if lam < 0.0:
-        raise EstimationError(f"smoothing parameter must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise EstimationError(f"smoothing parameter must be finite and >= 0, got {lam}")
+    peak = float(np.max(np.abs(ya)))
+    if not math.isfinite(peak):
+        raise EstimationError("series values must be finite")
     if lam == 0.0:
         return ya.copy()
+    # the trend is linear in y, so solving for y scaled by a power of two is
+    # exact and keeps the residual arithmetic clear of overflow for any input
+    shift = math.frexp(peak)[1]
+    ya = np.ldexp(ya, -shift)
 
-    n = ya.size
-    diag = np.zeros(n)
-    diag[: n - 2] += 1.0
-    diag[1 : n - 1] += 4.0
-    diag[2:] += 1.0
-    super1 = np.zeros(n - 1)
-    super1[: n - 2] += -2.0
-    super1[1 : n - 1] += -2.0
-    super2 = np.ones(n - 2)
-
-    # upper banded storage for the SPD matrix I + lam * D'D
-    ab = np.zeros((3, n))
-    ab[0, 2:] = lam * super2
-    ab[1, 1:] = lam * super1
-    ab[2, :] = 1.0 + lam * diag
-
-    trend = solveh_banded(ab, ya)
+    # bands of the SPD matrix I + lam * D'D, D the (n-2) x n second difference
+    ones = np.ones(ya.size - 2)
+    factor = _ldl_factor(
+        (1.0 + lam * np.convolve(ones, [1.0, 4.0, 1.0])).tolist(),
+        (lam * np.convolve(ones, [-2.0, -2.0])).tolist(),
+        (lam * ones).tolist(),
+    )
     scale = float(np.linalg.norm(ya))
-    if scale == 0.0:
-        return trend
+    target = _RESID_TOL * scale
+    trend = _ldl_solve(factor, ya)
     best = trend
-    best_norm = np.inf
+    best_norm = math.inf
     for _ in range(_MAX_REFINEMENTS):
         resid = (ya - trend) - lam * _penalty_apply(trend)
         norm = float(np.linalg.norm(resid))
         if norm < best_norm:
             best, best_norm = trend, norm
-        if norm <= _RESID_TOL * scale:
-            return trend
-        trend = trend + solveh_banded(ab, resid)
+        elif best_norm <= target:
+            # past the tolerance, refine only while the residual still falls
+            break
+        trend = trend + _ldl_solve(factor, resid)
     # representational floor: perturbing the trend by one ulp per component
     # already moves the residual by ~eps * (||y|| + 16 lam ||trend||), so no
     # double-precision vector can meet the strict tolerance past this point
     eps = float(np.finfo(float).eps)
     floor = 8.0 * eps * (scale + 16.0 * lam * float(np.linalg.norm(best)))
-    if best_norm <= floor:
-        return best
-    raise ArithmeticError("normal-equation residual did not converge")
+    if math.isfinite(best_norm) and best_norm <= max(target, floor):
+        return np.ldexp(best, shift)
+    raise EstimationError("HP normal-equation residual did not converge")
 
 
 def buffer_add_on(gap: float, cfg: GapConfig = GapConfig()) -> float:

@@ -17,7 +17,7 @@ deterministic given the scenario, including its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -144,7 +144,3 @@ def scenario_to_text(sc: Scenario) -> str:
             value = repr(value)
         lines.append(f"{f.name}={value}")
     return "\n".join(lines) + "\n"
-
-
-def with_seed(sc: Scenario, seed: int) -> Scenario:
-    return replace(sc, seed=seed)

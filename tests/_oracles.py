@@ -3,13 +3,15 @@
 These deliberately avoid the closed forms used by the package: the OLS
 oracle locates the minimum purely by comparing objective values on a
 shrinking grid, the zeta oracle scans the residual objective on a fixed
-grid, the root oracle uses bisection only, and the chi-squared tail oracle
-integrates the density numerically.
+grid, the root oracle uses bisection only, the chi-squared tail oracle
+integrates the density numerically, and the exact HP oracle eliminates the
+dense normal equations in rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, special
@@ -109,3 +111,33 @@ def dense_hp_oracle(y, lam: float) -> np.ndarray:
     for j in range(n - 2):
         d_mat[j, j], d_mat[j, j + 1], d_mat[j, j + 2] = 1.0, -2.0, 1.0
     return np.linalg.solve(np.eye(n) + lam * (d_mat.T @ d_mat), ya)
+
+
+def exact_hp_oracle(y, lam: float) -> list[Fraction]:
+    """HP trend of the float inputs y, solved exactly in rational arithmetic.
+
+    The dense normal equations (I + lam D'D) tau = y are reduced by plain
+    Gaussian elimination over ``Fraction``, so the result carries no
+    rounding error at all. Cost grows as n^3 with large numerators; keep n
+    small (a few dozen).
+    """
+    ys = [Fraction(float(v)) for v in y]
+    lam_q = Fraction(float(lam))
+    n = len(ys)
+    rows = [[Fraction(int(i == j)) for j in range(n)] + [ys[i]] for i in range(n)]
+    for k in range(n - 2):
+        for i, ci in ((k, 1), (k + 1, -2), (k + 2, 1)):
+            for j, cj in ((k, 1), (k + 1, -2), (k + 2, 1)):
+                rows[i][j] += lam_q * ci * cj
+    for col in range(n):
+        pivot = rows[col][col]
+        for r in range(col + 1, n):
+            factor = rows[r][col] / pivot
+            if factor:
+                for j in range(col, n + 1):
+                    rows[r][j] -= factor * rows[col][j]
+    tau = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = rows[i][n] - sum(rows[i][j] * tau[j] for j in range(i + 1, n))
+        tau[i] = acc / rows[i][i]
+    return tau

@@ -1,10 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import dense_hp_oracle
-from conftest import build_series
+from _oracles import dense_hp_oracle, exact_hp_oracle
+from conftest import build_series, canonical_series
 from steadycredit.basel import (
     GapConfig,
     buffer_add_on,
@@ -13,6 +16,7 @@ from steadycredit.basel import (
     hp_filter,
 )
 from steadycredit.errors import ColumnAbsentError, EstimationError, InvariantError
+from steadycredit.series import Quarter
 
 
 class TestHpFilter:
@@ -59,6 +63,13 @@ class TestHpFilter:
         rhs = a * hp_filter(y, 1600.0) + b * t + c
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
 
+    def test_power_of_two_scaling_is_exact_at_extreme_magnitudes(self):
+        rng = np.random.default_rng(13)
+        y = rng.normal(0, 1, 30).cumsum()
+        trend = hp_filter(y, 400000.0)
+        for k in (-600, 600):
+            assert np.array_equal(hp_filter(np.ldexp(y, k), 400000.0), np.ldexp(trend, k))
+
     def test_huge_lambda_approaches_time_regression_line(self):
         t = np.arange(40.0)
         y = np.sin(t / 3.0) + 0.01 * t + 2.0
@@ -74,6 +85,19 @@ class TestHpFilter:
     def test_negative_lambda_rejected(self):
         with pytest.raises(EstimationError):
             hp_filter([1.0, 2.0, 3.0], -1.0)
+
+    @pytest.mark.parametrize(
+        "y, lam",
+        [
+            ([1.0, 2.0, 3.0], 1e30),
+            ([1.0, 2.0, 4.0], 1e30),
+            ([1.0, math.inf, 3.0, 4.0], 1600.0),
+            ([1e300, 1e-300, 5.0, 7.0], 1e30),
+        ],
+    )
+    def test_degenerate_problem_raises_estimation_error(self, y, lam):
+        with pytest.raises(EstimationError):
+            hp_filter(y, lam)
 
 
 class TestBufferMapping:
@@ -128,6 +152,15 @@ class TestCreditGap:
         for row in report.rows:
             assert row.buffer_add_on == buffer_add_on(row.gap, cfg)
             assert 0.0 <= row.buffer_add_on <= cfg.buffer_max
+
+    def test_canonical_window_gap_matches_exact_oracle(self):
+        series = canonical_series().slice(Quarter(2008, 2), Quarter(2012, 2))
+        report = credit_gap(series)
+        ratio = [row.credit_to_gdp for row in report.rows]
+        trend = exact_hp_oracle(ratio, report.config.lam)
+        assert len(report.rows) == 17
+        for row, tau in zip(report.rows, trend):
+            assert abs(row.gap - float(Fraction(row.credit_to_gdp) - tau)) <= 1e-12
 
     def test_missing_gdp_names_quarter(self):
         series = build_series([100.0, 101.0, 102.0], gdp=[50.0, None, 50.0])

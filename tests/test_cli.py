@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from conftest import canonical_series, steady_scenario
 from steadycredit import synth
 from steadycredit.cli import main
-from steadycredit.series import emit_csv
+from steadycredit.series import CreditSeries, emit_csv
 
 GAPPED_CSV = (
     "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
@@ -23,6 +24,16 @@ GAPPED_CSV = (
 def canonical_csv(tmp_path) -> Path:
     path = tmp_path / "canonical.csv"
     path.write_text(emit_csv(canonical_series()), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def tiny_gdp_csv(tmp_path) -> Path:
+    """Canonical series with one GDP of 1e-300, whose credit-to-GDP ratio overflows."""
+    obs = list(canonical_series().observations)
+    obs[20] = dataclasses.replace(obs[20], gdp=1e-300)
+    path = tmp_path / "tiny_gdp.csv"
+    path.write_text(emit_csv(CreditSeries(tuple(obs))), encoding="utf-8")
     return path
 
 
@@ -188,6 +199,19 @@ class TestOtherCommands:
         assert main(["gap", "--input", str(path)]) == 1
         assert "gdp" in capsys.readouterr().err
 
+    def test_gap_with_overflowing_ratio_fails_cleanly(self, tiny_gdp_csv, capsys):
+        assert main(["gap", "--input", str(tiny_gdp_csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+
+    def test_analyze_records_gap_stage_error(self, tiny_gdp_csv, capsys):
+        assert main(["analyze", "--input", str(tiny_gdp_csv), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["gap"] is None
+        assert [e["stage"] for e in doc["errors"]] == ["gap"]
+
     def test_render_scatter(self, canonical_csv, tmp_path):
         out = tmp_path / "chart.svg"
         assert main(["render", "--input", str(canonical_csv), "--window", "crisis",
@@ -209,3 +233,16 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert "analyze" in proc.stdout
+
+    def test_analyze_with_gdp_imports_no_scipy(self, canonical_csv):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "steadycredit.cli", "analyze",
+             "--input", str(canonical_csv), "--window", "crisis"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["gap"] is not None
+        modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                   if line.startswith("import time:")]
+        assert "steadycredit.basel" in modules
+        assert [m for m in modules if m.split(".")[0] == "scipy"] == []
