@@ -42,6 +42,10 @@ class GapConfig:
     buffer_max: float = 0.025
 
     def __post_init__(self):
+        for name in ("gap_low", "gap_high", "buffer_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvariantError(f"{name} must be finite, got {value}")
         if self.lam < 0.0:
             raise InvariantError(f"smoothing parameter must be >= 0, got {self.lam}")
         if not self.gap_low < self.gap_high:

@@ -1,5 +1,11 @@
 """Command-line front end.
 
+``analyze``, ``render`` and ``ssp`` run one ``report.analyze`` over the
+window and print the whole report, a chart of it, or its ``ssf`` section.
+``rates``, ``ols``, ``cycles`` and ``gap`` compute their single stage on
+their own. Each flag is declared once, as a parent parser that every
+subcommand taking it inherits.
+
 Exit codes: 0 success, 1 validation or data error (one-line diagnostic on
 stderr), 2 usage error.
 """
@@ -14,13 +20,14 @@ from typing import Sequence
 from . import cycles as cycles_mod
 from . import ols as ols_mod
 from . import report as report_mod
-from . import steady_state, synth
+from . import synth
 from .basel import GapConfig, credit_gap, gap_to_csv
 from .errors import SteadyCreditError
 from .rates import (
     MODE_FORCE_BALANCE,
     MODE_PREFER_LOANS,
     RatesConfig,
+    RateSeries,
     credit_growth_rates,
     rates_to_csv,
     select_window,
@@ -53,20 +60,6 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _add_window_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window", dest="named_window", choices=sorted(NAMED_WINDOWS),
-                        help="named analysis window shortcut")
-    parser.add_argument("--from", dest="from_q", metavar="YYYY-Qn",
-                        help="window start quarter")
-    parser.add_argument("--to", dest="to_q", metavar="YYYY-Qn", help="window end quarter")
-    parser.add_argument("--inclusive-from", dest="from_inclusive",
-                        action=argparse.BooleanOptionalAction, default=True,
-                        help="include the start quarter (default: include)")
-    parser.add_argument("--inclusive-to", dest="to_inclusive",
-                        action=argparse.BooleanOptionalAction, default=True,
-                        help="include the end quarter (default: include)")
-
-
 def _resolve_window(args: argparse.Namespace) -> Window | None:
     if args.named_window:
         if args.from_q or args.to_q:
@@ -80,22 +73,37 @@ def _resolve_window(args: argparse.Namespace) -> Window | None:
     return None
 
 
-def _rates_cfg(args: argparse.Namespace) -> RatesConfig:
-    return RatesConfig(f_mode=getattr(args, "f_mode", MODE_PREFER_LOANS))
-
-
 def _gap_cfg(args: argparse.Namespace) -> GapConfig:
     return GapConfig(lam=args.lam, gap_low=args.gap_low,
                      gap_high=args.gap_high, buffer_max=args.buffer_max)
 
 
-def _windowed_rates(args: argparse.Namespace):
+def _windowed_rates(args: argparse.Namespace) -> RateSeries:
     series = _read_series(args.input)
-    rates = credit_growth_rates(series, _rates_cfg(args))
+    rates = credit_growth_rates(series, RatesConfig(f_mode=args.f_mode))
     window = _resolve_window(args)
-    if window is not None:
-        rates = select_window(rates, window)
-    return series, rates, window
+    return rates if window is None else select_window(rates, window)
+
+
+def _windowed_series(args: argparse.Namespace) -> CreditSeries:
+    series = _read_series(args.input)
+    window = _resolve_window(args)
+    if window is None:
+        return series
+    return series.slice(window.start, window.end, window.start_inclusive, window.end_inclusive)
+
+
+def _analyze(args: argparse.Namespace) -> report_mod.AnalysisReport:
+    """The one analysis behind ``analyze``, ``render`` and ``ssp``.
+
+    Commands without the gap flags analyze with the default gap settings.
+    """
+    series = _read_series(args.input)
+    window = _resolve_window(args)
+    rates_cfg = RatesConfig(f_mode=args.f_mode)
+    gap_cfg = _gap_cfg(args) if "lam" in args else GapConfig()
+    return report_mod.analyze(series, window=window, rates_cfg=rates_cfg,
+                              gap_cfg=gap_cfg, sigma_ref=args.sigma_ref)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -105,38 +113,28 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
-    _, rates, _ = _windowed_rates(args)
-    _write_text(args.out, rates_to_csv(rates))
+    _write_text(args.out, rates_to_csv(_windowed_rates(args)))
     return 0
 
 
 def _cmd_ols(args: argparse.Namespace) -> int:
-    _, rates, _ = _windowed_rates(args)
+    rates = _windowed_rates(args)
     fit = ols_mod.fit(rates.d_values(), rates.f_values())
     _write_text(args.json_path, report_mod.dump_json(ols_mod.to_exhibit_json(fit)))
     return 0
 
 
 def _cmd_ssp(args: argparse.Namespace) -> int:
-    _, rates, _ = _windowed_rates(args)
-    doc = {
-        "least_squares": steady_state.to_ssf_json(
-            steady_state.ssp_least_squares(rates, sigma_ref=args.sigma_ref)
-        ),
-        "irr_root": steady_state.to_ssf_json(
-            steady_state.ssp_irr_root(rates, sigma_ref=args.sigma_ref)
-        ),
-    }
-    _write_text(args.json_path, report_mod.dump_json(doc))
+    rep = _analyze(args)
+    for stage, message in rep.errors:
+        if stage in ("ssp-least-squares", "ssp-irr-root"):
+            raise SteadyCreditError(message)
+    _write_text(args.json_path, report_mod.dump_json(report_mod.to_json_dict(rep)["ssf"]))
     return 0
 
 
 def _cmd_cycles(args: argparse.Namespace) -> int:
-    series = _read_series(args.input)
-    window = _resolve_window(args)
-    if window is not None:
-        series = series.slice(window.start, window.end,
-                              window.start_inclusive, window.end_inclusive)
+    series = _windowed_series(args)
     rep = cycles_mod.cycle_stats(series.tcu_values(), quarters=series.quarters())
     if args.csv:
         _write_text(args.csv, cycles_mod.overlays_to_csv(rep, series.tcu_values(),
@@ -146,25 +144,12 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    series = _read_series(args.input)
-    window = _resolve_window(args)
-    if window is not None:
-        series = series.slice(window.start, window.end,
-                              window.start_inclusive, window.end_inclusive)
-    _write_text(args.out, gap_to_csv(credit_gap(series, _gap_cfg(args))))
+    _write_text(args.out, gap_to_csv(credit_gap(_windowed_series(args), _gap_cfg(args))))
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    series = _read_series(args.input)
-    rep = report_mod.analyze(
-        series,
-        window=_resolve_window(args),
-        rates_cfg=_rates_cfg(args),
-        gap_cfg=_gap_cfg(args),
-        sigma_ref=args.sigma_ref,
-    )
-    _write_text(args.json_path, report_mod.to_json(rep))
+    _write_text(args.json_path, report_mod.to_json(_analyze(args)))
     return 0
 
 
@@ -177,15 +162,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    series = _read_series(args.input)
-    rep = report_mod.analyze(
-        series,
-        window=_resolve_window(args),
-        rates_cfg=_rates_cfg(args),
-        sigma_ref=args.sigma_ref,
-    )
-    _write_text(args.out, report_mod.render_svg(rep, args.kind))
+    _write_text(args.out, report_mod.render_svg(_analyze(args), args.kind))
     return 0
+
+
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """Parent parser declaring one flag for the subcommands that inherit it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,83 +181,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("validate", _cmd_validate, "parse and validate a series CSV")
-    p.add_argument("--input", required=True)
-
-    p = command("rates", _cmd_rates, "emit per-interval default and growth rates as CSV")
-    p.add_argument("--input", required=True)
-    _add_window_args(p)
-    p.add_argument("--f-mode", choices=[MODE_PREFER_LOANS, MODE_FORCE_BALANCE],
+    input_ = _flag("--input", required=True)
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--window", dest="named_window", choices=sorted(NAMED_WINDOWS),
+                        help="named analysis window shortcut")
+    window.add_argument("--from", dest="from_q", metavar="YYYY-Qn",
+                        help="window start quarter")
+    window.add_argument("--to", dest="to_q", metavar="YYYY-Qn", help="window end quarter")
+    window.add_argument("--inclusive-from", dest="from_inclusive",
+                        action=argparse.BooleanOptionalAction, default=True,
+                        help="include the start quarter (default: include)")
+    window.add_argument("--inclusive-to", dest="to_inclusive",
+                        action=argparse.BooleanOptionalAction, default=True,
+                        help="include the end quarter (default: include)")
+    f_mode = _flag("--f-mode", choices=[MODE_PREFER_LOANS, MODE_FORCE_BALANCE],
                    default=MODE_PREFER_LOANS)
-    p.add_argument("--out", default=STDOUT)
+    sigma_ref = _flag("--sigma-ref", type=float, default=None,
+                      help="reference residual scale for the chi-squared statistic")
+    gap_default = GapConfig()
+    gap = argparse.ArgumentParser(add_help=False)
+    gap.add_argument("--lambda", dest="lam", type=float, default=gap_default.lam)
+    gap.add_argument("--gap-low", type=float, default=gap_default.gap_low)
+    gap.add_argument("--gap-high", type=float, default=gap_default.gap_high)
+    gap.add_argument("--buffer-max", type=float, default=gap_default.buffer_max)
+    json_ = _flag("--json", dest="json_path", nargs="?", const=STDOUT, default=STDOUT,
+                  metavar="PATH", help="write JSON to PATH (default: stdout)")
+    out = _flag("--out", default=STDOUT)
 
-    p = command("ols", _cmd_ols, "regression of growth rate on default rate")
-    p.add_argument("--input", required=True)
-    _add_window_args(p)
-    p.add_argument("--f-mode", choices=[MODE_PREFER_LOANS, MODE_FORCE_BALANCE],
-                   default=MODE_PREFER_LOANS)
-    p.add_argument("--json", dest="json_path", nargs="?", const=STDOUT, default=STDOUT,
-                   metavar="PATH", help="write JSON to PATH (default: stdout)")
+    def command(name, handler, help_text, *parents):
+        sub.add_parser(name, help=help_text, parents=parents).set_defaults(handler=handler)
 
-    p = command("ssp", _cmd_ssp, "steady-state parameter estimates")
-    p.add_argument("--input", required=True)
-    _add_window_args(p)
-    p.add_argument("--f-mode", choices=[MODE_PREFER_LOANS, MODE_FORCE_BALANCE],
-                   default=MODE_PREFER_LOANS)
-    p.add_argument("--sigma-ref", type=float, default=None,
-                   help="reference residual scale for the chi-squared statistic")
-    p.add_argument("--json", dest="json_path", nargs="?", const=STDOUT, default=STDOUT,
-                   metavar="PATH")
-
-    p = command("cycles", _cmd_cycles, "cycle statistics of the credit stock")
-    p.add_argument("--input", required=True)
-    _add_window_args(p)
-    p.add_argument("--csv", metavar="PATH", help="also write per-point overlays CSV")
-    p.add_argument("--json", dest="json_path", nargs="?", const=STDOUT, default=STDOUT,
-                   metavar="PATH")
-
-    p = command("gap", _cmd_gap, "credit-to-GDP gap and buffer add-on CSV")
-    p.add_argument("--input", required=True)
-    _add_window_args(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=GapConfig().lam)
-    p.add_argument("--gap-low", type=float, default=GapConfig().gap_low)
-    p.add_argument("--gap-high", type=float, default=GapConfig().gap_high)
-    p.add_argument("--buffer-max", type=float, default=GapConfig().buffer_max)
-    p.add_argument("--out", default=STDOUT)
-
-    p = command("analyze", _cmd_analyze, "full analysis report as JSON")
-    p.add_argument("--input", required=True)
-    _add_window_args(p)
-    p.add_argument("--f-mode", choices=[MODE_PREFER_LOANS, MODE_FORCE_BALANCE],
-                   default=MODE_PREFER_LOANS)
-    p.add_argument("--sigma-ref", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=GapConfig().lam)
-    p.add_argument("--gap-low", type=float, default=GapConfig().gap_low)
-    p.add_argument("--gap-high", type=float, default=GapConfig().gap_high)
-    p.add_argument("--buffer-max", type=float, default=GapConfig().buffer_max)
-    p.add_argument("--json", dest="json_path", nargs="?", const=STDOUT, default=STDOUT,
-                   metavar="PATH")
-
-    p = command("simulate", _cmd_simulate, "generate a synthetic series CSV from a scenario")
-    p.add_argument("--scenario", required=True, help="key=value scenario file")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=STDOUT)
-
-    p = command("render", _cmd_render, "render an SVG chart of an analysis window")
-    p.add_argument("--input", required=True)
-    _add_window_args(p)
-    p.add_argument("--f-mode", choices=[MODE_PREFER_LOANS, MODE_FORCE_BALANCE],
-                   default=MODE_PREFER_LOANS)
-    p.add_argument("--sigma-ref", type=float, default=None)
-    p.add_argument("--kind", choices=[report_mod.KIND_TIME_PANEL, report_mod.KIND_SCATTER],
-                   required=True)
-    p.add_argument("--out", default=STDOUT)
-
+    command("validate", _cmd_validate, "parse and validate a series CSV", input_)
+    command("rates", _cmd_rates, "emit per-interval default and growth rates as CSV",
+            input_, window, f_mode, out)
+    command("ols", _cmd_ols, "regression of growth rate on default rate",
+            input_, window, f_mode, json_)
+    command("ssp", _cmd_ssp, "steady-state parameter estimates",
+            input_, window, f_mode, sigma_ref, json_)
+    command("cycles", _cmd_cycles, "cycle statistics of the credit stock",
+            input_, window,
+            _flag("--csv", metavar="PATH", help="also write per-point overlays CSV"), json_)
+    command("gap", _cmd_gap, "credit-to-GDP gap and buffer add-on CSV",
+            input_, window, gap, out)
+    command("analyze", _cmd_analyze, "full analysis report as JSON",
+            input_, window, f_mode, sigma_ref, gap, json_)
+    command("simulate", _cmd_simulate, "generate a synthetic series CSV from a scenario",
+            _flag("--scenario", required=True, help="key=value scenario file"),
+            _flag("--seed", type=int, required=True), out)
+    command("render", _cmd_render, "render an SVG chart of an analysis window",
+            input_, window, f_mode, sigma_ref,
+            _flag("--kind", choices=[report_mod.KIND_TIME_PANEL, report_mod.KIND_SCATTER],
+                  required=True),
+            out)
     return parser
 
 

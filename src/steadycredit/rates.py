@@ -87,13 +87,7 @@ class RateSeries:
 
 def default_rates(series: CreditSeries) -> list[tuple[Quarter, float]]:
     """Default rate of every interval; output length is len(series) - 1."""
-    out = []
-    for prev, cur in zip(series.observations, series.observations[1:]):
-        d = cur.abd / prev.tcu
-        if d >= 1.0:
-            raise InvariantError(f"{cur.quarter}: default rate {d} is not below 1")
-        out.append((cur.quarter, d))
-    return out
+    return [(p.interval_end, p.d) for p in credit_growth_rates(series).points]
 
 
 def credit_growth_rates(series: CreditSeries, cfg: RatesConfig = RatesConfig()) -> RateSeries:

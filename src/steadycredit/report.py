@@ -58,7 +58,9 @@ def analyze(
 
     Rate intervals are selected by their end quarter, so a window starting
     after the first series quarter gains one look-back interval and an
-    n-quarter window carries an n-point sample.
+    n-quarter window carries an n-point sample. OLS is fit once; unless
+    ``sigma_ref`` is given, its residual scale is the chi-squared reference
+    of both steady-state estimators.
     """
     if window is None:
         window = Window(series.first_quarter, series.last_quarter)
@@ -74,6 +76,10 @@ def analyze(
         ols_fit = ols_mod.fit(rates_in.d_values(), rates_in.f_values())
     except SteadyCreditError as exc:
         errors.append(("ols", str(exc)))
+    # Pass on only a positive OLS scale; a zero one is left to the estimators,
+    # which accept it for an exact steady-state fit and reject it otherwise.
+    if sigma_ref is None and ols_fit is not None and ols_fit.s_resid > 0.0:
+        sigma_ref = ols_fit.s_resid
 
     ssp_ls = None
     try:
@@ -216,13 +222,22 @@ def _gap_json(gap: GapReport) -> dict:
     }
 
 
+def _dumps(doc) -> str:
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise SteadyCreditError(
+            "result holds a non-finite number, which JSON cannot represent"
+        ) from None
+
+
 def to_json(report: AnalysisReport, precision: int | None = None) -> str:
-    return json.dumps(to_json_dict(report, precision), indent=2) + "\n"
+    return _dumps(to_json_dict(report, precision))
 
 
 def dump_json(doc, precision: int | None = None) -> str:
     """Serialize any JSON-able document with the package float rounding."""
-    return json.dumps(_rounded(doc, resolve_precision(precision)), indent=2) + "\n"
+    return _dumps(_rounded(doc, resolve_precision(precision)))
 
 
 # --- SVG rendering ---------------------------------------------------------

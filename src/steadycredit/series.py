@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 
@@ -67,6 +68,10 @@ class CreditObservation:
     gdp: float | None = None
 
     def __post_init__(self):
+        for name in ("tcu", "abd", "loans", "gdp"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvariantError(f"{self.quarter}: {name} must be finite, got {value}")
         if not self.tcu > 0:
             raise InvariantError(f"{self.quarter}: tcu must be > 0, got {self.tcu}")
         if self.abd < 0:

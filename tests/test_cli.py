@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import canonical_series, steady_scenario
+from conftest import build_series, canonical_series, steady_scenario
 from steadycredit import synth
-from steadycredit.cli import main
-from steadycredit.series import CreditSeries, emit_csv
+from steadycredit.cli import build_parser, main
+from steadycredit.series import CSV_HEADER, CreditSeries, emit_csv
 
 GAPPED_CSV = (
     "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
@@ -37,6 +37,14 @@ def tiny_gdp_csv(tmp_path) -> Path:
     return path
 
 
+def _replace_cell(path: Path, lineno: int, column: str, value: str) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[lineno - 1].split(",")
+    cells[CSV_HEADER.index(column)] = value
+    lines[lineno - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 @pytest.fixture
 def scenario_file(tmp_path) -> Path:
     path = tmp_path / "h1.cfg"
@@ -60,6 +68,17 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--input", str(tmp_path / "nope.csv")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", CSV_HEADER[1:])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_amount_names_line(self, canonical_csv, column, value, capsys):
+        _replace_cell(canonical_csv, 6, column, value)
+        assert main(["validate", "--input", str(canonical_csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: line 6: ")
+        assert "must be finite" in captured.err
 
 
 class TestUsageErrors:
@@ -206,6 +225,39 @@ class TestOtherCommands:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag", ["--buffer-max=inf", "--gap-low=-inf", "--gap-high=inf"])
+    def test_non_finite_gap_setting_rejected(self, canonical_csv, flag, capsys):
+        assert main(["analyze", "--input", str(canonical_csv), flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "must be finite" in captured.err
+
+    def test_non_finite_result_is_not_written(self, canonical_csv, capsys):
+        _replace_cell(canonical_csv, 6, "tcu_eur", "1e308")
+        assert main(["analyze", "--input", str(canonical_csv), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize("sigma_ref", [[], ["--sigma-ref", "0.004"]])
+    def test_ssp_prints_the_ssf_section_of_analyze(self, canonical_csv, sigma_ref, capsys):
+        args = ["--input", str(canonical_csv), "--window", "crisis", *sigma_ref]
+        assert main(["analyze", *args]) == 0
+        ssf = json.loads(capsys.readouterr().out)["ssf"]
+        assert main(["ssp", *args]) == 0
+        assert capsys.readouterr().out == json.dumps(ssf, indent=2) + "\n"
+
+    def test_ssp_raises_least_squares_error_first(self, tmp_path, capsys):
+        # an exact OLS fit leaves a zero reference scale under non-zero residuals
+        path = tmp_path / "exact.csv"
+        path.write_text(emit_csv(build_series([100.0] * 4, abd=[0.0, 0.0, 25.0, 50.0],
+                                              loans=[None, 0.0, 18.75, 25.0])))
+        assert main(["ssp", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: reference residual scale is zero but residuals are not\n"
+
     def test_analyze_records_gap_stage_error(self, tiny_gdp_csv, capsys):
         assert main(["analyze", "--input", str(tiny_gdp_csv), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -223,6 +275,53 @@ class TestOtherCommands:
         assert main(["render", "--input", str(canonical_csv), "--window", "crisis",
                      "--kind", "exhibit1", "--out", str(out)]) == 0
         ET.fromstring(out.read_text())
+
+
+# (option strings, dest, default, required, choices, nargs, const, type) per flag
+_INPUT = [(("--input",), "input", None, True, None, None, None, None)]
+_WINDOW = [
+    (("--window",), "named_window", None, False, ["crisis", "pre2008"], None, None, None),
+    (("--from",), "from_q", None, False, None, None, None, None),
+    (("--to",), "to_q", None, False, None, None, None, None),
+    (("--inclusive-from", "--no-inclusive-from"), "from_inclusive", True, False, None, 0, None, None),
+    (("--inclusive-to", "--no-inclusive-to"), "to_inclusive", True, False, None, 0, None, None),
+]
+_F_MODE = [(("--f-mode",), "f_mode", "prefer-loans", False,
+            ["prefer-loans", "force-balance-identity"], None, None, None)]
+_SIGMA_REF = [(("--sigma-ref",), "sigma_ref", None, False, None, None, None, float)]
+_GAP = [
+    (("--lambda",), "lam", 400000.0, False, None, None, None, float),
+    (("--gap-low",), "gap_low", 2.0, False, None, None, None, float),
+    (("--gap-high",), "gap_high", 10.0, False, None, None, None, float),
+    (("--buffer-max",), "buffer_max", 0.025, False, None, None, None, float),
+]
+_JSON = [(("--json",), "json_path", "-", False, None, "?", "-", None)]
+_OUT = [(("--out",), "out", "-", False, None, None, None, None)]
+FLAG_TABLE = {
+    "validate": _INPUT,
+    "rates": _INPUT + _WINDOW + _F_MODE + _OUT,
+    "ols": _INPUT + _WINDOW + _F_MODE + _JSON,
+    "ssp": _INPUT + _WINDOW + _F_MODE + _SIGMA_REF + _JSON,
+    "cycles": _INPUT + _WINDOW + [(("--csv",), "csv", None, False, None, None, None, None)] + _JSON,
+    "gap": _INPUT + _WINDOW + _GAP + _OUT,
+    "analyze": _INPUT + _WINDOW + _F_MODE + _SIGMA_REF + _GAP + _JSON,
+    "simulate": [
+        (("--scenario",), "scenario", None, True, None, None, None, None),
+        (("--seed",), "seed", None, True, None, None, None, int),
+    ] + _OUT,
+    "render": _INPUT + _WINDOW + _F_MODE + _SIGMA_REF
+    + [(("--kind",), "kind", None, True, ["exhibit1", "exhibit2"], None, None, None)] + _OUT,
+}
+
+
+def test_every_command_keeps_its_flags():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    table = {
+        name: [(tuple(a.option_strings), a.dest, a.default, a.required, a.choices,
+                a.nargs, a.const, a.type) for a in parser._actions[1:]]
+        for name, parser in subparsers.items()
+    }
+    assert table == FLAG_TABLE
 
 
 class TestInstalledEntryPoint:

@@ -4,13 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import canonical_series, steady_scenario
-from steadycredit import synth
+from conftest import build_series, canonical_series, steady_scenario
+from steadycredit import ols, synth
 from steadycredit.errors import SteadyCreditError
 from steadycredit.report import (
     KIND_SCATTER,
     KIND_TIME_PANEL,
     analyze,
+    dump_json,
     render_svg,
     resolve_precision,
     round_sig,
@@ -68,6 +69,32 @@ class TestAnalyze:
         without = analyze(series, CRISIS)
         assert without.gap is None
         assert "gap" not in {stage for stage, _ in without.errors}
+
+    def test_ols_is_fit_once_per_analysis(self, monkeypatch):
+        calls = []
+        fit = ols.fit
+
+        def counted(x, y):
+            calls.append(len(x))
+            return fit(x, y)
+
+        monkeypatch.setattr(ols, "fit", counted)
+        report = analyze(canonical_series(), CRISIS)
+        assert calls == [17]
+        assert report.errors == ()
+
+    def test_zero_ols_scale_is_left_to_the_estimators(self):
+        # d = f = (0, 0.25, 0.5): the OLS line fits exactly, so its residual
+        # scale is 0.0 while the steady-state residuals are not zero
+        series = build_series([100.0] * 4, abd=[0.0, 0.0, 25.0, 50.0],
+                              loans=[None, 0.0, 18.75, 25.0])
+        report = analyze(series)
+        assert report.ols_fit.s_resid == 0.0
+        message = "reference residual scale is zero but residuals are not"
+        assert report.errors[:2] == (
+            ("ssp-least-squares", message),
+            ("ssp-irr-root", message),
+        )
 
     def test_lookback_interval_counted(self):
         report = canonical_report()
@@ -130,6 +157,11 @@ class TestJson:
         monkeypatch.setenv("STEADYCREDIT_PRECISION", "zero")
         with pytest.raises(SteadyCreditError):
             resolve_precision()
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_number_is_rejected(self, value):
+        with pytest.raises(SteadyCreditError, match="non-finite"):
+            dump_json({"chi2": value})
 
 
 class TestSvg:
