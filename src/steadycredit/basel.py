@@ -22,10 +22,9 @@ The buffer add-on is 0 at or below ``gap_low`` percentage points,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import ColumnAbsentError, EstimationError, InvariantError
 from .series import CreditSeries, Quarter
@@ -71,7 +70,7 @@ class GapReport:
     config: GapConfig
 
 
-def _second_difference_exact(v: np.ndarray) -> np.ndarray:
+def _second_difference_exact(v: list[float]) -> list[float]:
     """v[2:] - 2 v[1:-1] + v[:-2] via error-free two-sum transformations.
 
     For a smooth trend the plain expression cancels almost completely, so
@@ -79,24 +78,25 @@ def _second_difference_exact(v: np.ndarray) -> np.ndarray:
     by a large smoothing parameter that noise would make the
     normal-equation residual unmeasurable.
     """
-    a, b, c = v[2:], -2.0 * v[1:-1], v[:-2]
-    s1 = a + c
-    t1 = s1 - a
-    e1 = (a - (s1 - t1)) + (c - t1)
-    s2 = s1 + b
-    t2 = s2 - s1
-    e2 = (s1 - (s2 - t2)) + (b - t2)
-    return s2 + (e1 + e2)
+    out = []
+    for a, mid, c in zip(v[2:], v[1:-1], v):
+        b = -2.0 * mid
+        s1 = a + c
+        t1 = s1 - a
+        e1 = (a - (s1 - t1)) + (c - t1)
+        s2 = s1 + b
+        t2 = s2 - s1
+        e2 = (s1 - (s2 - t2)) + (b - t2)
+        out.append(s2 + (e1 + e2))
+    return out
 
 
-def _penalty_apply(v: np.ndarray) -> np.ndarray:
+def _penalty_apply(v: list[float]) -> list[float]:
     """D'D v for the (n-2) x n second-difference matrix D."""
     z = _second_difference_exact(v)
-    out = np.zeros_like(v)
-    out[: -2] += z
-    out[1:-1] -= 2.0 * z
-    out[2:] += z
-    return out
+    pad = [0.0, 0.0]
+    # row i collects z[i] - 2 z[i-1] + z[i-2], the terms past either end zero
+    return [a - 2.0 * b + c for a, b, c in zip(z + pad, [0.0] + z + [0.0], pad + z)]
 
 
 def _ldl_factor(diag: list[float], super1: list[float], super2: list[float]):
@@ -126,12 +126,12 @@ def _ldl_factor(diag: list[float], super1: list[float], super2: list[float]):
     return d, l1, l2
 
 
-def _ldl_solve(factor, r: np.ndarray) -> np.ndarray:
+def _ldl_solve(factor, r: list[float]) -> list[float]:
     """Solve L D L' x = r for a factor returned by ``_ldl_factor``."""
     d, l1, l2 = factor
     z = []
     z_1 = z_2 = 0.0
-    for ri, a, b in zip(r.tolist(), l1, l2):
+    for ri, a, b in zip(r, l1, l2):
         z_2, z_1 = z_1, ri - a * z_1 - b * z_2
         z.append(z_1)
     # reversed, the padded sub-diagonals yield L[i+1, i] and L[i+2, i] for row i
@@ -140,54 +140,58 @@ def _ldl_solve(factor, r: np.ndarray) -> np.ndarray:
     for zi, di, a, b in zip(reversed(z), reversed(d), reversed(l1), reversed(l2)):
         x_2, x_1 = x_1, zi / di - a * x_1 - b * x_2
         x.append(x_1)
-    return np.array(x[::-1])
+    return x[::-1]
 
 
-def hp_filter(y: Sequence[float], lam: float) -> np.ndarray:
+def hp_filter(y: Sequence[float], lam: float) -> list[float]:
     """Trend component of y for smoothing parameter lam (lam = 0 returns y)."""
-    ya = np.asarray(y, dtype=float)
-    if ya.ndim != 1 or ya.size < 3:
-        raise EstimationError(f"need a one-dimensional series of length >= 3, got {ya.shape}")
+    try:
+        ys = [float(v) for v in y]
+    except TypeError:
+        raise EstimationError("need a one-dimensional series of length >= 3") from None
+    n = len(ys)
+    if n < 3:
+        raise EstimationError(f"need a one-dimensional series of length >= 3, got {(n,)}")
     if not 0.0 <= lam < math.inf:
         raise EstimationError(f"smoothing parameter must be finite and >= 0, got {lam}")
-    peak = float(np.max(np.abs(ya)))
-    if not math.isfinite(peak):
+    if not all(math.isfinite(v) for v in ys):
         raise EstimationError("series values must be finite")
     if lam == 0.0:
-        return ya.copy()
+        return ys
     # the trend is linear in y, so solving for y scaled by a power of two is
     # exact and keeps the residual arithmetic clear of overflow for any input
-    shift = math.frexp(peak)[1]
-    ya = np.ldexp(ya, -shift)
+    shift = math.frexp(max(abs(v) for v in ys))[1]
+    ys = [math.ldexp(v, -shift) for v in ys]
 
     # bands of the SPD matrix I + lam * D'D, D the (n-2) x n second difference
-    ones = np.ones(ya.size - 2)
+    dtd_diag = [1.0, 5.0] + [6.0] * (n - 4) + [5.0, 1.0] if n > 3 else [1.0, 4.0, 1.0]
+    dtd_super1 = [-2.0] + [-4.0] * (n - 3) + [-2.0]
     factor = _ldl_factor(
-        (1.0 + lam * np.convolve(ones, [1.0, 4.0, 1.0])).tolist(),
-        (lam * np.convolve(ones, [-2.0, -2.0])).tolist(),
-        (lam * ones).tolist(),
+        [1.0 + lam * v for v in dtd_diag],
+        [lam * v for v in dtd_super1],
+        [lam] * (n - 2),
     )
-    scale = float(np.linalg.norm(ya))
+    scale = math.hypot(*ys)
     target = _RESID_TOL * scale
-    trend = _ldl_solve(factor, ya)
+    trend = _ldl_solve(factor, ys)
     best = trend
     best_norm = math.inf
     for _ in range(_MAX_REFINEMENTS):
-        resid = (ya - trend) - lam * _penalty_apply(trend)
-        norm = float(np.linalg.norm(resid))
+        resid = [(v - t) - lam * p for v, t, p in zip(ys, trend, _penalty_apply(trend))]
+        norm = math.hypot(*resid)
         if norm < best_norm:
             best, best_norm = trend, norm
         elif best_norm <= target:
             # past the tolerance, refine only while the residual still falls
             break
-        trend = trend + _ldl_solve(factor, resid)
+        trend = [t + c for t, c in zip(trend, _ldl_solve(factor, resid))]
     # representational floor: perturbing the trend by one ulp per component
     # already moves the residual by ~eps * (||y|| + 16 lam ||trend||), so no
     # double-precision vector can meet the strict tolerance past this point
-    eps = float(np.finfo(float).eps)
-    floor = 8.0 * eps * (scale + 16.0 * lam * float(np.linalg.norm(best)))
+    eps = sys.float_info.epsilon
+    floor = 8.0 * eps * (scale + 16.0 * lam * math.hypot(*best))
     if math.isfinite(best_norm) and best_norm <= max(target, floor):
-        return np.ldexp(best, shift)
+        return [math.ldexp(v, shift) for v in best]
     raise EstimationError("HP normal-equation residual did not converge")
 
 
@@ -209,12 +213,12 @@ def credit_gap(series: CreditSeries, cfg: GapConfig = GapConfig()) -> GapReport:
     missing = [o.quarter for o in series.observations if o.gdp is None]
     if missing:
         raise ColumnAbsentError(f"gdp column absent at {missing[0]}")
-    ratio = np.array([100.0 * o.tcu / (4.0 * o.gdp) for o in series.observations])
+    ratio = [100.0 * o.tcu / (4.0 * o.gdp) for o in series.observations]
     trend = hp_filter(ratio, cfg.lam)
     rows = []
     for o, r, t in zip(series.observations, ratio, trend):
-        gap = float(r - t)
-        rows.append(GapRow(o.quarter, float(r), float(t), gap, buffer_add_on(gap, cfg)))
+        gap = r - t
+        rows.append(GapRow(o.quarter, r, t, gap, buffer_add_on(gap, cfg)))
     return GapReport(tuple(rows), cfg)
 
 

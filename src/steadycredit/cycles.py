@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import EstimationError
 from .series import Quarter
+from .sums import fsum
 
 KIND_MAX = "maximum"
 KIND_MIN = "minimum"
@@ -64,15 +63,15 @@ def find_extrema(
     Endpoints are never classified; interior points that are strictly
     monotone through yield no entry.
     """
-    ya = np.asarray(y, dtype=float)
-    if ya.size < 3:
-        raise EstimationError(f"need at least 3 points, got {ya.size}")
-    if quarters is not None and len(quarters) != ya.size:
+    ys = [float(v) for v in y]
+    if len(ys) < 3:
+        raise EstimationError(f"need at least 3 points, got {len(ys)}")
+    if quarters is not None and len(quarters) != len(ys):
         raise EstimationError("quarters must align with the values")
-    mean = float(ya.mean())
+    mean = fsum(ys) / len(ys)
     out = []
-    for t in range(1, ya.size - 1):
-        left, mid, right = ya[t - 1], ya[t], ya[t + 1]
+    for t in range(1, len(ys) - 1):
+        left, mid, right = ys[t - 1], ys[t], ys[t + 1]
         if abs(mid - left) <= eps or abs(mid - right) <= eps:
             kind = KIND_STEADY
         elif mid > left and mid > right:
@@ -85,8 +84,8 @@ def find_extrema(
             Extremum(
                 index=t,
                 kind=kind,
-                value=float(mid),
-                amplitude=abs(float(mid) - mean),
+                value=mid,
+                amplitude=abs(mid - mean),
                 quarter=quarters[t] if quarters is not None else None,
             )
         )
@@ -100,12 +99,12 @@ def phase_labels(y: Sequence[float], eps: float = 0.0) -> list[str]:
     matching ``find_extrema``); the remaining points get their directed
     phase from the difference sign pairs, with zero curvature as steady.
     """
-    ya = np.asarray(y, dtype=float)
-    if ya.size < 3:
-        raise EstimationError(f"need at least 3 points, got {ya.size}")
+    ys = [float(v) for v in y]
+    if len(ys) < 3:
+        raise EstimationError(f"need at least 3 points, got {len(ys)}")
     labels = []
-    for t in range(1, ya.size - 1):
-        left, mid, right = ya[t - 1], ya[t], ya[t + 1]
+    for t in range(1, len(ys) - 1):
+        left, mid, right = ys[t - 1], ys[t], ys[t + 1]
         if abs(mid - left) <= eps or abs(mid - right) <= eps:
             labels.append("steady")
             continue
@@ -126,14 +125,24 @@ def phase_labels(y: Sequence[float], eps: float = 0.0) -> list[str]:
     return labels
 
 
+def _standard_error(values: list[float], mean: float) -> float:
+    """Sample standard deviation (n - 1 denominator) over sqrt(n).
+
+    A squared deviation beyond the float range is inf, which the JSON
+    writers reject.
+    """
+    n = len(values)
+    var = fsum((v - mean) * (v - mean) for v in values) / (n - 1)
+    return math.sqrt(var) / math.sqrt(n)
+
+
 def _mean_se(values: list[float]) -> tuple[float | None, float | None]:
     if not values:
         return None, None
-    mean = float(np.mean(values))
+    mean = fsum(values) / len(values)
     if len(values) < 2:
         return mean, None
-    se = float(np.std(values, ddof=1)) / math.sqrt(len(values))
-    return mean, se
+    return mean, _standard_error(values, mean)
 
 
 def cycle_stats(
@@ -148,11 +157,9 @@ def cycle_stats(
     the same kind, converted to years; frequency is its reciprocal. With
     no same-kind pair both are reported absent, never silently zero.
     """
-    ya = np.asarray(y, dtype=float)
-    extrema = find_extrema(ya, quarters=quarters, eps=eps)
-    n = ya.size
-    series_mean = float(ya.mean())
-    series_se = float(np.std(ya, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    ys = [float(v) for v in y]
+    extrema = find_extrema(ys, quarters=quarters, eps=eps)
+    series_mean, series_se = _mean_se(ys)
 
     strict = [e for e in extrema if e.kind != KIND_STEADY]
     amp_mean, amp_se = _mean_se([e.amplitude for e in strict])
@@ -162,7 +169,7 @@ def cycle_stats(
         idx = [e.index for e in strict if e.kind == kind]
         gaps.extend(b - a for a, b in zip(idx, idx[1:]))
     if gaps:
-        period_years = float(np.mean(gaps)) / quarters_per_year
+        period_years = sum(gaps) / len(gaps) / quarters_per_year
         frequency = 1.0 / period_years
     else:
         period_years = None
@@ -176,7 +183,7 @@ def cycle_stats(
         peak_amplitude_se=amp_se,
         frequency=frequency,
         period=period_years,
-        phase_labels=tuple(phase_labels(ya, eps=eps)),
+        phase_labels=tuple(phase_labels(ys, eps=eps)),
     )
 
 
@@ -205,14 +212,14 @@ def to_json(report: CycleReport) -> dict:
 def overlays_to_csv(report: CycleReport, y: Sequence[float],
                     quarters: Sequence[Quarter] | None = None) -> str:
     """Per-point CSV of values, phase labels, and detected extrema."""
-    ya = np.asarray(y, dtype=float)
+    ys = [float(v) for v in y]
     kinds = {e.index: e for e in report.extrema}
     lines = ["index,quarter,value,phase,extremum_kind,amplitude"]
-    for t in range(ya.size):
+    for t in range(len(ys)):
         quarter = str(quarters[t]) if quarters is not None else ""
-        phase = report.phase_labels[t - 1] if 1 <= t <= ya.size - 2 else ""
+        phase = report.phase_labels[t - 1] if 1 <= t <= len(ys) - 2 else ""
         e = kinds.get(t)
         kind = e.kind if e else ""
         amp = repr(e.amplitude) if e else ""
-        lines.append(f"{t},{quarter},{ya[t]!r},{phase},{kind},{amp}")
+        lines.append(f"{t},{quarter},{ys[t]!r},{phase},{kind},{amp}")
     return "\n".join(lines) + "\n"

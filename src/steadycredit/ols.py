@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import EstimationError
+from .sums import fsum
 
 
 @dataclass(frozen=True)
@@ -38,32 +37,39 @@ def fit(x: Sequence[float], y: Sequence[float]) -> OlsFit:
 
     Requires n >= 3 and non-constant x.
     """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise EstimationError("x and y must be one-dimensional and of equal length")
-    n = xa.size
+    shape_message = "x and y must be one-dimensional and of equal length"
+    try:
+        xs = [float(v) for v in x]
+        ys = [float(v) for v in y]
+    except TypeError:
+        raise EstimationError(shape_message) from None
+    if len(xs) != len(ys):
+        raise EstimationError(shape_message)
+    n = len(xs)
     if n < 3:
         raise EstimationError(f"need at least 3 points, got {n}")
-    xm = xa - xa.mean()
-    ym = ya - ya.mean()
-    sxx = float(xm @ xm)
-    syy = float(ym @ ym)
-    sxy = float(xm @ ym)
+    x_mean = fsum(xs) / n
+    y_mean = fsum(ys) / n
+    xm = [v - x_mean for v in xs]
+    ym = [v - y_mean for v in ys]
+    sxx = fsum(v * v for v in xm)
+    syy = fsum(v * v for v in ym)
+    sxy = fsum(a * b for a, b in zip(xm, ym))
     if sxx == 0.0:
         raise EstimationError("x is constant; slope and correlation are undefined")
 
     beta2 = sxy / sxx
-    beta1 = float(ya.mean()) - beta2 * float(xa.mean())
-    resid = ya - beta1 - beta2 * xa
-    sse = float(resid @ resid)
-    r = sxy / math.sqrt(sxx * syy) if syy > 0.0 else 0.0
+    beta1 = y_mean - beta2 * x_mean
+    resid = [b - beta1 - beta2 * a for a, b in zip(xs, ys)]
+    sse = fsum(e * e for e in resid)
+    # the product sxx * syy can underflow to zero or overflow where the roots do not
+    r = sxy / (math.sqrt(sxx) * math.sqrt(syy)) if syy > 0.0 else 0.0
     s_ols = math.sqrt(sse / (n - 2))
     return OlsFit(
         n=n,
         beta1=beta1,
         beta2=beta2,
-        sigma_intercept=s_ols * math.sqrt(1.0 / n + xa.mean() ** 2 / sxx),
+        sigma_intercept=s_ols * math.sqrt(1.0 / n + x_mean * x_mean / sxx),
         sigma_slope=s_ols / math.sqrt(sxx),
         x_intercept=(-beta1 / beta2) if beta2 != 0.0 else None,
         r=r,
@@ -77,10 +83,8 @@ def predict(fitted: OlsFit, x: float) -> float:
     return fitted.beta1 + fitted.beta2 * x
 
 
-def residuals(fitted: OlsFit, x: Sequence[float], y: Sequence[float]) -> np.ndarray:
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    return ya - fitted.beta1 - fitted.beta2 * xa
+def residuals(fitted: OlsFit, x: Sequence[float], y: Sequence[float]) -> list[float]:
+    return [float(b) - fitted.beta1 - fitted.beta2 * float(a) for a, b in zip(x, y)]
 
 
 def to_exhibit_json(fitted: OlsFit) -> dict:

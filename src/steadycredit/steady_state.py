@@ -29,14 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from . import ols
 from .errors import EstimationError
 from .rates import RateSeries
 from .series import Quarter
+from .sums import fsum
 
 METHOD_LEAST_SQUARES = "least-squares"
 METHOD_IRR_ROOT = "irr-root"
@@ -85,16 +86,20 @@ def chi_squared(
     observed: Sequence[float], expected: Sequence[float], sigma_ref: float
 ) -> tuple[float, int]:
     """Sum of squared standardized deviations and its degrees of freedom n - 1."""
-    obs = np.asarray(observed, dtype=float)
-    exp = np.asarray(expected, dtype=float)
-    if obs.shape != exp.shape or obs.ndim != 1:
-        raise EstimationError("observed and expected must be one-dimensional, equal length")
-    if obs.size < 2:
-        raise EstimationError(f"need at least 2 values, got {obs.size}")
+    shape_message = "observed and expected must be one-dimensional, equal length"
+    try:
+        obs = [float(v) for v in observed]
+        exp = [float(v) for v in expected]
+    except TypeError:
+        raise EstimationError(shape_message) from None
+    if len(obs) != len(exp):
+        raise EstimationError(shape_message)
+    if len(obs) < 2:
+        raise EstimationError(f"need at least 2 values, got {len(obs)}")
     if not sigma_ref > 0.0:
         raise EstimationError(f"sigma_ref must be positive, got {sigma_ref}")
-    z = (obs - exp) / sigma_ref
-    return float(z @ z), obs.size - 1
+    z = [(o - e) / sigma_ref for o, e in zip(obs, exp)]
+    return fsum(v * v for v in z), len(obs) - 1
 
 
 def _regularized_gamma_p_series(a: float, x: float) -> float:
@@ -157,7 +162,7 @@ def chi2_p_value(chi2: float, dof: int) -> float:
     return regularized_gamma_q(dof / 2.0, chi2 / 2.0)
 
 
-def _resolve_sigma_ref(d: np.ndarray, f: np.ndarray, resid: np.ndarray,
+def _resolve_sigma_ref(d: list[float], f: list[float], sse: float,
                        sigma_ref: float | None) -> float:
     """Default reference scale is the OLS residual s of the same sample.
 
@@ -171,20 +176,19 @@ def _resolve_sigma_ref(d: np.ndarray, f: np.ndarray, resid: np.ndarray,
     try:
         return ols.fit(d, f).s_resid
     except EstimationError:
-        n = resid.size
-        return math.sqrt(float(resid @ resid) / (n - 1))
+        return math.sqrt(sse / (len(d) - 1))
 
 
 def _finalize(rates: RateSeries, zeta: float, method: str,
               sigma_ref: float | None) -> SspEstimate:
-    d = np.asarray(rates.d_values())
-    f = np.asarray(rates.f_values())
-    n = d.size
-    resid = f - (d + zeta) / (1.0 - d)
-    sse = float(resid @ resid)
-    ref = _resolve_sigma_ref(d, f, resid, sigma_ref)
+    d = rates.d_values()
+    f = rates.f_values()
+    n = len(d)
+    expected = [(di + zeta) / (1.0 - di) for di in d]
+    sse = fsum((fi - ei) * (fi - ei) for fi, ei in zip(f, expected))
+    ref = _resolve_sigma_ref(d, f, sse, sigma_ref)
     if ref > 0.0:
-        chi2, dof = chi_squared(f, (d + zeta) / (1.0 - d), ref)
+        chi2, dof = chi_squared(f, expected, ref)
     elif sse == 0.0:
         chi2, dof = 0.0, n - 1  # perfect fit, zero scale: deviation is identically zero
     else:
@@ -205,29 +209,28 @@ def ssp_least_squares(rates: RateSeries, sigma_ref: float | None = None) -> SspE
     """Steady-state parameter minimizing the squared expected-growth residuals."""
     if len(rates) < 2:
         raise EstimationError(f"need at least 2 rate points, got {len(rates)}")
-    d = np.asarray(rates.d_values())
-    f = np.asarray(rates.f_values())
-    w = 1.0 / (1.0 - d) ** 2
-    zeta = float(np.sum((f * (1.0 - d) - d) * w) / np.sum(w))
+    d = rates.d_values()
+    f = rates.f_values()
+    w = [1.0 / ((1.0 - di) * (1.0 - di)) for di in d]
+    zeta = fsum((fi * (1.0 - di) - di) * wi for di, fi, wi in zip(d, f, w)) / fsum(w)
     return _finalize(rates, zeta, METHOD_LEAST_SQUARES, sigma_ref)
 
 
-def _stock_poly(rates: RateSeries) -> np.ndarray:
-    a = (1.0 + np.asarray(rates.f_values())) * (1.0 - np.asarray(rates.d_values()))
-    return np.cumprod(a)
+def _stock_poly(rates: RateSeries) -> list[float]:
+    return list(accumulate(((1.0 + p.f) * (1.0 - p.d) for p in rates.points), mul))
 
 
-def _poly_value(cum: np.ndarray, s: float) -> float:
+def _poly_value(cum: list[float], s: float) -> float:
     # F(s) = sum_k A_k s^k - n, Horner from the highest power
     acc = 0.0
-    for coeff in cum[::-1]:
+    for coeff in reversed(cum):
         acc = (acc + coeff) * s
-    return acc - cum.size
+    return acc - len(cum)
 
 
-def _poly_derivative(cum: np.ndarray, s: float) -> float:
+def _poly_derivative(cum: list[float], s: float) -> float:
     acc = 0.0
-    n = cum.size
+    n = len(cum)
     for k in range(n, 0, -1):
         acc = acc * s + k * cum[k - 1]
     return acc
@@ -238,7 +241,7 @@ def ssp_irr_root(rates: RateSeries, sigma_ref: float | None = None) -> SspEstima
     if len(rates) < 2:
         raise EstimationError(f"need at least 2 rate points, got {len(rates)}")
     cum = _stock_poly(rates)
-    n = cum.size
+    n = len(cum)
 
     lo, f_lo = 0.0, -float(n)  # F(0) = -n, strictly below zero
     hi = 1.0

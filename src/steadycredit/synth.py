@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .errors import InvariantError, ParseError
 from .rates import F_SOURCE_BALANCE, F_SOURCE_LOANS, RatePoint, RateSeries
 from .series import CreditObservation, CreditSeries, Quarter
@@ -62,10 +60,17 @@ class Scenario:
 
 def generate(sc: Scenario) -> tuple[CreditSeries, RateSeries]:
     """Build the series and the ground-truth rates it encodes."""
-    rng = np.random.default_rng(sc.seed)
     zeta = sc.zeta_true if sc.hypothesis == HYPOTHESIS_STEADY_STATE else 0.0
     n_intervals = sc.n_quarters - 1
-    noise = rng.normal(0.0, sc.noise_sigma, n_intervals) if sc.noise_sigma > 0.0 else np.zeros(n_intervals)
+    if sc.noise_sigma > 0.0:
+        # the seeded PCG64 normal stream defines every noisy scenario; numpy is
+        # imported here so that the analysis commands never load it
+        import numpy as np
+
+        rng = np.random.default_rng(sc.seed)
+        noise = rng.normal(0.0, sc.noise_sigma, n_intervals).tolist()
+    else:
+        noise = [0.0] * n_intervals
 
     observations = [CreditObservation(sc.start, sc.tcu0, 0.0, None, None)]
     points = []

@@ -60,7 +60,7 @@ class TestHpFilter:
         t = np.arange(45.0)
         a, b, c = 2.5, -0.3, 7.0
         lhs = hp_filter(a * y + b * t + c, 1600.0)
-        rhs = a * hp_filter(y, 1600.0) + b * t + c
+        rhs = a * np.asarray(hp_filter(y, 1600.0)) + b * t + c
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
 
     def test_power_of_two_scaling_is_exact_at_extreme_magnitudes(self):

@@ -1,17 +1,23 @@
 import dataclasses
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_series, canonical_series, steady_scenario
 from steadycredit import synth
 from steadycredit.cli import build_parser, main
-from steadycredit.series import CSV_HEADER, CreditSeries, emit_csv
+from steadycredit.series import CSV_HEADER, CreditSeries, Quarter, emit_csv
 
 GAPPED_CSV = (
     "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
@@ -240,6 +246,20 @@ class TestOtherCommands:
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith("error: ")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["analyze", "ssp"])
+    def test_huge_credit_stock_leaves_one_line_at_most(self, canonical_csv, command, capsys):
+        # the cycle statistics of this series overflow to inf; only analyze prints them
+        _replace_cell(canonical_csv, 6, "tcu_eur", "1e308")
+        code = main([command, "--input", str(canonical_csv)])
+        captured = capsys.readouterr()
+        if command == "analyze":
+            assert code == 1
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        else:
+            assert code == 0 and captured.err == ""
+            json.loads(captured.out)
+
     @pytest.mark.parametrize("sigma_ref", [[], ["--sigma-ref", "0.004"]])
     def test_ssp_prints_the_ssf_section_of_analyze(self, canonical_csv, sigma_ref, capsys):
         args = ["--input", str(canonical_csv), "--window", "crisis", *sigma_ref]
@@ -324,6 +344,20 @@ def test_every_command_keeps_its_flags():
     assert table == FLAG_TABLE
 
 
+# per command, the arguments that follow --input (--scenario for simulate)
+IMPORT_GRAPH_ARGS = {
+    "analyze": ["--window", "crisis"],
+    "ssp": ["--window", "crisis"],
+    "render": ["--window", "crisis", "--kind", "exhibit2"],
+    "gap": [],
+    "cycles": [],
+    "ols": [],
+    "rates": [],
+    "validate": [],
+    "simulate": ["--seed", "7"],
+}
+
+
 class TestInstalledEntryPoint:
     def test_help_via_subprocess(self):
         proc = subprocess.run(
@@ -333,15 +367,78 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 0
         assert "analyze" in proc.stdout
 
-    def test_analyze_with_gdp_imports_no_scipy(self, canonical_csv):
+    @pytest.mark.parametrize("command", list(IMPORT_GRAPH_ARGS))
+    def test_numpy_loads_only_for_simulate(self, command, canonical_csv, tmp_path):
+        args = IMPORT_GRAPH_ARGS[command]
+        if command == "simulate":
+            scenario = tmp_path / "noisy.cfg"
+            scenario.write_text(synth.scenario_to_text(steady_scenario(noise_sigma=0.004)),
+                                encoding="utf-8")
+            args = ["--scenario", str(scenario), *args]
+        else:
+            args = ["--input", str(canonical_csv), *args]
         proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "steadycredit.cli", "analyze",
-             "--input", str(canonical_csv), "--window", "crisis"],
+            [sys.executable, "-X", "importtime", "-m", "steadycredit.cli", command, *args],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["gap"] is not None
         modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                    if line.startswith("import time:")]
-        assert "steadycredit.basel" in modules
-        assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+        tops = {m.split(".")[0] for m in modules}
+        assert "scipy" not in tops
+        if command == "simulate":
+            # the seeded PCG64 noise stream defines the scenario; the digest pins its bytes
+            assert "numpy" in tops
+            digest = hashlib.blake2b(proc.stdout.encode("utf-8"), digest_size=16).hexdigest()
+            assert digest == "fbc9aa0fe22777f08682a09e2afe317e"
+        else:
+            assert "numpy" not in tops
+        if command == "analyze":
+            assert "steadycredit.basel" in modules
+            assert json.loads(proc.stdout)["gap"] is not None
+
+
+_ODD_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["0.0", "5e-324", "2.2250738585072014e-308", "1e-300", "1e300", "1e308",
+                     "1.7976931348623157e308", "-1.0", "inf", "nan", "", "x"]),
+)
+
+
+@st.composite
+def _register_csv(draw) -> str:
+    """Contiguous quarters of plausible amounts with a few odd cells swapped in."""
+    start = Quarter(draw(st.integers(2005, 2009)), draw(st.integers(1, 4)))
+    n = draw(st.integers(0, 40))
+    with_loans, with_gdp = draw(st.booleans()), draw(st.booleans())
+    rows = [[str(start.shift(i)),
+             repr(draw(st.floats(5e11, 1e12))),
+             repr(draw(st.floats(0.0, 5e9))),
+             repr(draw(st.floats(0.0, 5e10))) if with_loans else "",
+             repr(draw(st.floats(1e11, 5e11))) if with_gdp else ""]
+            for i in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(1, 4))] = draw(_ODD_CELLS)
+    return "\n".join(",".join(row) for row in [list(CSV_HEADER), *rows]) + "\n"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    text=st.one_of(st.text(max_size=200), _register_csv()),
+    flags=st.sampled_from([[], ["--window", "crisis"], ["--f-mode", "force-balance-identity"],
+                           ["--sigma-ref", "1e-300"], ["--lambda", "1e300"]]),
+)
+def test_analyze_contract_holds_for_any_csv(text, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["analyze", "--input", str(path), *flags])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(f"{token} in JSON"))

@@ -162,3 +162,10 @@ class TestExports:
         assert lines[0] == "index,quarter,value,phase,extremum_kind,amplitude"
         assert len(lines) == 4
         assert "max" in lines[2]
+
+    def test_overlays_csv_values_parse_back(self):
+        y = [1.0, 3.0, 2.5]
+        report = cycle_stats(y)
+        rows = [line.split(",") for line in overlays_to_csv(report, y).splitlines()[1:]]
+        assert [float(row[2]) for row in rows] == y
+        assert float(rows[1][5]) == report.extrema[0].amplitude

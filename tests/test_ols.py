@@ -34,6 +34,12 @@ class TestFitBasics:
         with pytest.raises(EstimationError):
             fit([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e100])
+    def test_correlation_survives_extreme_variances(self, scale):
+        # sxx * syy underflows to zero at 1e-160 and overflows at 1e100
+        f = fit([0.0, 0.0, scale, 0.0], [0.0, 0.0, scale, 0.0])
+        assert f.r == pytest.approx(1.0, abs=1e-15)
+
 
 class TestPredict:
     def test_identity_line(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -23,6 +24,7 @@ from steadycredit.series import Quarter, Window
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 CRISIS = Window(Quarter(2008, 2), Quarter(2012, 2), True, True)
+ALL_WINDOWS_DIGEST = "ce5dcb8e0bc9fb659e76e95865fc4475"
 
 
 def canonical_report():
@@ -143,6 +145,17 @@ class TestJson:
     def test_matches_committed_golden(self):
         golden = (GOLDEN_DIR / "canonical_report.json").read_text()
         assert to_json(canonical_report()) == golden
+
+    def test_every_window_matches_committed_digest(self):
+        # blake2b-16 over the reports of all 378 windows of >= 8 quarters of the
+        # canonical series, in sorted order; pins far more output than the golden
+        series = canonical_series()
+        quarters = series.quarters()
+        h = hashlib.blake2b(digest_size=16)
+        for i, start in enumerate(quarters):
+            for end in quarters[i + 7:]:
+                h.update(to_json(analyze(series, Window(start, end))).encode("utf-8"))
+        assert h.hexdigest() == ALL_WINDOWS_DIGEST
 
     def test_precision_rounding(self):
         report = canonical_report()
