@@ -29,8 +29,6 @@ KIND_MAX = "maximum"
 KIND_MIN = "minimum"
 KIND_STEADY = "steady"
 
-PHASES = ("P1", "P2", "P3", "P4", "max", "min", "steady")
-
 
 @dataclass(frozen=True)
 class Extremum:

@@ -16,8 +16,6 @@ the 2012-Q2 reading.
 
 from __future__ import annotations
 
-import json
-
 PRE_CRISIS_WINDOW = {
     "window": {"from": "1996-Q1", "to": "2008-Q2", "from_inclusive": True,
                "to_inclusive": False},
@@ -84,7 +82,3 @@ REFERENCE = {
     "crisis_window": CRISIS_WINDOW,
     "credit_stock_cycles": CREDIT_STOCK_CYCLES,
 }
-
-
-def as_json() -> str:
-    return json.dumps(REFERENCE, indent=2) + "\n"

@@ -22,15 +22,15 @@ start), it finds the unique s > 0 with
 i.e. the discount factor under which the discounted credit stock stays at
 par on average, then zeta = 1/s - 1. Uniform unit factors give s = 1 and
 zeta = 0, and data generated with a constant zeta* is recovered exactly.
-The root is bracketed by bisection and polished by Newton steps.
+Every A_k is positive, so the left side is increasing and convex in s:
+Newton's method started at or right of the root falls monotonically onto
+it, and no bracket or bisection is needed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
 from typing import Sequence
 
 from . import ols
@@ -42,8 +42,6 @@ from .sums import fsum
 METHOD_LEAST_SQUARES = "least-squares"
 METHOD_IRR_ROOT = "irr-root"
 
-_BISECTION_WIDTH = 1e-9
-_NEWTON_TOL = 1e-12
 _MAX_ITER = 200
 _S_HI_CAP = 10.0
 
@@ -98,8 +96,13 @@ def chi_squared(
         raise EstimationError(f"need at least 2 values, got {len(obs)}")
     if not sigma_ref > 0.0:
         raise EstimationError(f"sigma_ref must be positive, got {sigma_ref}")
+    if sigma_ref == math.inf:
+        raise EstimationError(f"sigma_ref must be finite, got {sigma_ref}")
     z = [(o - e) / sigma_ref for o, e in zip(obs, exp)]
-    return fsum(v * v for v in z), len(obs) - 1
+    chi2 = fsum(v * v for v in z)
+    if chi2 == math.inf:
+        raise EstimationError("chi-squared statistic overflows the float range")
+    return chi2, len(obs) - 1
 
 
 def _regularized_gamma_p_series(a: float, x: float) -> float:
@@ -172,6 +175,8 @@ def _resolve_sigma_ref(d: list[float], f: list[float], sse: float,
     if sigma_ref is not None:
         if not sigma_ref > 0.0:
             raise EstimationError(f"sigma_ref must be positive, got {sigma_ref}")
+        if sigma_ref == math.inf:
+            raise EstimationError(f"sigma_ref must be finite, got {sigma_ref}")
         return sigma_ref
     try:
         return ols.fit(d, f).s_resid
@@ -216,61 +221,62 @@ def ssp_least_squares(rates: RateSeries, sigma_ref: float | None = None) -> SspE
     return _finalize(rates, zeta, METHOD_LEAST_SQUARES, sigma_ref)
 
 
-def _stock_poly(rates: RateSeries) -> list[float]:
-    return list(accumulate(((1.0 + p.f) * (1.0 - p.d) for p in rates.points), mul))
+def _irr_value_slope(factors: list[float], s: float) -> tuple[float, float]:
+    """F(s) = sum_k A_k s^k - n and F'(s) in one pass over the factors.
 
-
-def _poly_value(cum: list[float], s: float) -> float:
-    # F(s) = sum_k A_k s^k - n, Horner from the highest power
-    acc = 0.0
-    for coeff in reversed(cum):
-        acc = (acc + coeff) * s
-    return acc - len(cum)
-
-
-def _poly_derivative(cum: list[float], s: float) -> float:
-    acc = 0.0
-    n = len(cum)
-    for k in range(n, 0, -1):
-        acc = acc * s + k * cum[k - 1]
-    return acc
+    Each term is the running product prod_{j<=k} (a_j s), so it under- or
+    overflows only where its own value does, not where A_k alone would.
+    """
+    terms = []
+    weighted = []
+    term = 1.0
+    for k, a in enumerate(factors, 1):
+        term *= a * s
+        terms.append(term)
+        weighted.append(k * term)
+    slope = fsum(weighted) / s
+    if not slope > 0.0:
+        raise EstimationError("discount-factor polynomial leaves the float range")
+    return fsum(terms) - len(terms), slope
 
 
 def ssp_irr_root(rates: RateSeries, sigma_ref: float | None = None) -> SspEstimate:
     """Steady-state parameter from the discounted credit-stock root equation."""
     if len(rates) < 2:
         raise EstimationError(f"need at least 2 rate points, got {len(rates)}")
-    cum = _stock_poly(rates)
-    n = len(cum)
+    factors = [(1.0 + p.f) * (1.0 - p.d) for p in rates.points]
 
-    lo, f_lo = 0.0, -float(n)  # F(0) = -n, strictly below zero
-    hi = 1.0
-    while _poly_value(cum, hi) < 0.0:
-        if hi >= _S_HI_CAP:
-            raise EstimationError(
-                f"no sign change in the discount-factor bracket up to s={_S_HI_CAP}"
-            )
-        hi = min(hi * 2.0, _S_HI_CAP)
-    assert f_lo < 0.0 <= _poly_value(cum, hi)
-
-    iterations = 0
-    while hi - lo > _BISECTION_WIDTH and iterations < _MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        if _poly_value(cum, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-
-    s = 0.5 * (lo + hi)
-    while iterations < _MAX_ITER:
-        fs = _poly_value(cum, s)
-        if abs(fs) < _NEWTON_TOL:
-            break
-        s -= fs / _poly_derivative(cum, s)
-        iterations += 1
+    # Newton starts at the smaller of two upper bounds on the root. Every term
+    # is at most n, so s <= (n / A_k)^(1/k) for each k; and the terms' geometric
+    # mean is at most their mean 1, so log s <= -2 sum_k log A_k / (n (n + 1)).
+    n = len(factors)
+    log_n = math.log(n)
+    log_stock = 0.0
+    log_stock_sum = 0.0
+    bound = math.inf
+    for k, a in enumerate(factors, 1):
+        log_stock += math.log(a)
+        log_stock_sum += log_stock
+        bound = min(bound, (log_n - log_stock) / k)
+    s = math.exp(min(bound, -2.0 * log_stock_sum / (n * (n + 1))))
     if not s > 0.0:
         raise EstimationError("discount-factor root is not positive")
+
+    # F is increasing and convex on s > 0, so the first Newton step lands
+    # right of the root from either side, and from there the iterates fall
+    # monotonically; the first later step that does not fall ends the solve.
+    for i in range(_MAX_ITER):
+        value, slope = _irr_value_slope(factors, s)
+        step = s - value / slope
+        if i and not step < s:
+            break
+        s = step
+    else:
+        raise EstimationError(f"irr-root Newton did not converge in {_MAX_ITER} steps")
+    if s > _S_HI_CAP:
+        raise EstimationError(
+            f"no sign change in the discount-factor bracket up to s={_S_HI_CAP}"
+        )
     return _finalize(rates, 1.0 / s - 1.0, METHOD_IRR_ROOT, sigma_ref)
 
 

@@ -278,6 +278,25 @@ class TestOtherCommands:
         assert captured.out == ""
         assert captured.err == "error: reference residual scale is zero but residuals are not\n"
 
+    @pytest.mark.parametrize("sigma_ref, message", [
+        ("inf", "sigma_ref must be finite, got inf"),
+        ("1e-300", "chi-squared statistic overflows the float range"),
+    ])
+    def test_unusable_reference_scale_is_a_stage_error(self, canonical_csv, sigma_ref,
+                                                       message, capsys):
+        args = ["--input", str(canonical_csv), "--sigma-ref", sigma_ref]
+        assert main(["analyze", *args]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ssf"] == {"least_squares": None, "irr_root": None}
+        assert [e for e in doc["errors"] if e["stage"].startswith("ssp")] == [
+            {"stage": "ssp-least-squares", "message": message},
+            {"stage": "ssp-irr-root", "message": message},
+        ]
+        assert main(["ssp", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_analyze_records_gap_stage_error(self, tiny_gdp_csv, capsys):
         assert main(["analyze", "--input", str(tiny_gdp_csv), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -75,6 +75,14 @@ class TestChiSquared:
         with pytest.raises(EstimationError):
             chi_squared([1.0, 2.0], [1.0, 2.0], 0.0)
 
+    def test_rejects_infinite_scale(self):
+        with pytest.raises(EstimationError, match="must be finite"):
+            chi_squared([1.0, 2.0], [1.0, 2.0], math.inf)
+
+    def test_overflowing_statistic_is_an_estimation_error(self):
+        with pytest.raises(EstimationError, match="overflows"):
+            chi_squared([1.0, 2.0], [0.0, 0.0], 1e-300)
+
 
 class TestChi2PValue:
     def test_zero_statistic_has_unit_tail(self):
@@ -185,6 +193,14 @@ class TestLeastSquares:
         est = ssp_least_squares(rate_series(d, f), sigma_ref=0.5)
         assert est.chi2 < 0.01
 
+    @pytest.mark.parametrize("sigma_ref, message", [(math.inf, "must be finite"),
+                                                    (math.nan, "must be positive"),
+                                                    (0.0, "must be positive")])
+    def test_rejects_reference_scale_outside_the_positive_floats(self, sigma_ref, message):
+        d = np.linspace(0.002, 0.008, 10)
+        with pytest.raises(EstimationError, match=message):
+            ssp_least_squares(rate_series(d, d / (1 - d)), sigma_ref=sigma_ref)
+
 
 class TestIrrRoot:
     def test_unit_factors_give_zero(self):
@@ -194,28 +210,29 @@ class TestIrrRoot:
         assert abs(est.zeta) < 1e-10
         assert est.method == METHOD_IRR_ROOT
 
-    def test_uniform_factors_closed_form(self):
+    @pytest.mark.parametrize("a, n", [(1.02, 3), (1.02, 20001), (0.5, 1100), (0.5, 3000)])
+    def test_uniform_factors_closed_form(self, a, n):
         # uniform per-interval factor a: every discounted term equals (a s)^k,
-        # so the unique root is s = 1/a and zeta = a - 1 exactly
-        a = 1.02
-        d = np.full(3, 0.01)
+        # so the unique root is s = 1/a and zeta = a - 1 exactly; a = 0.5
+        # drives the cumulative factor A_k = a^k below the float range
+        d = np.full(n, 0.01)
         f = a / (1 - d) - 1
         est = ssp_irr_root(rate_series(d, f))
-        assert est.zeta == pytest.approx(a - 1.0, abs=1e-12)
+        assert abs(est.zeta - (a - 1.0)) <= 1e-12
 
     def test_random_factors_match_bisection_oracle(self):
         rng = np.random.default_rng(99)
-        for _ in range(5):
-            a = rng.uniform(0.9, 1.1, 17)
-            d = rng.uniform(0.001, 0.01, 17)
+        for n, spread in [(17, 0.1)] * 5 + [(200, 0.01)] * 5:
+            a = rng.uniform(1.0 - spread, 1.0 + spread, n)
+            d = rng.uniform(0.001, 0.01, n)
             f = a / (1 - d) - 1
             rates = rate_series(d, f)
             est = ssp_irr_root(rates)
             cum = np.cumprod(a)
-            k = np.arange(1, 18)
+            k = np.arange(1, n + 1)
 
             def func(s):
-                return float(np.sum(cum * s**k)) - 17.0
+                return float(np.sum(cum * s**k)) - n
 
             s_oracle = bisection_only_root(func, 1e-6, 10.0)
             assert abs(est.zeta - (1.0 / s_oracle - 1.0)) <= 1e-10
@@ -237,6 +254,14 @@ class TestIrrRoot:
     def test_needs_two_points(self):
         with pytest.raises(EstimationError):
             ssp_irr_root(rate_series([0.004], [0.005]))
+
+    def test_every_term_underflowing_is_an_estimation_error(self):
+        # a first factor of ~1e-32 times a start point of ~1e-300 (forced by
+        # forty factors of 1.5e308) underflows every running product to zero
+        d = [1.0 - 2.0**-53] + [0.0] * 40
+        f = [-1.0 + 2.0**-52] + [1.5e308] * 40
+        with pytest.raises(EstimationError, match="float range"):
+            ssp_irr_root(rate_series(d, f))
 
 
 class TestChiSquaredCalibration:
