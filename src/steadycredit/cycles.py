@@ -51,6 +51,57 @@ class CycleReport:
     phase_labels: tuple[str, ...]  # one per interior point
 
 
+def _classify(
+    y: Sequence[float], eps: float, quarters: Sequence[Quarter] | None = None
+) -> tuple[list[float], list[tuple[str | None, str]]]:
+    """The values as floats, and each interior point's extremum kind and phase.
+
+    The kind is None for a point that is strictly monotone through; such a
+    point gets its directed phase from the difference sign pairs, with zero
+    curvature as steady.
+    """
+    ys = [float(v) for v in y]
+    if len(ys) < 3:
+        raise EstimationError(f"need at least 3 points, got {len(ys)}")
+    if quarters is not None and len(quarters) != len(ys):
+        raise EstimationError("quarters must align with the values")
+    classes: list[tuple[str | None, str]] = []
+    for t in range(1, len(ys) - 1):
+        left, mid, right = ys[t - 1], ys[t], ys[t + 1]
+        if abs(mid - left) <= eps or abs(mid - right) <= eps:
+            classes.append((KIND_STEADY, "steady"))
+        elif mid > left and mid > right:
+            classes.append((KIND_MAX, "max"))
+        elif mid < left and mid < right:
+            classes.append((KIND_MIN, "min"))
+        else:
+            d1 = right - left
+            d2 = right - 2.0 * mid + left
+            if abs(d2) <= eps or abs(d1) <= eps:
+                label = "steady"
+            elif d1 > 0.0:
+                label = "P1" if d2 > 0.0 else "P2"
+            else:
+                label = "P3" if d2 < 0.0 else "P4"
+            classes.append((None, label))
+    return ys, classes
+
+
+def _extrema(ys: list[float], classes: list[tuple[str | None, str]],
+             quarters: Sequence[Quarter] | None, mean: float) -> list[Extremum]:
+    return [
+        Extremum(
+            index=t,
+            kind=kind,
+            value=ys[t],
+            amplitude=abs(ys[t] - mean),
+            quarter=quarters[t] if quarters is not None else None,
+        )
+        for t, (kind, _) in enumerate(classes, 1)
+        if kind is not None
+    ]
+
+
 def find_extrema(
     y: Sequence[float],
     quarters: Sequence[Quarter] | None = None,
@@ -61,86 +112,34 @@ def find_extrema(
     Endpoints are never classified; interior points that are strictly
     monotone through yield no entry.
     """
-    ys = [float(v) for v in y]
-    if len(ys) < 3:
-        raise EstimationError(f"need at least 3 points, got {len(ys)}")
-    if quarters is not None and len(quarters) != len(ys):
-        raise EstimationError("quarters must align with the values")
-    mean = fsum(ys) / len(ys)
-    out = []
-    for t in range(1, len(ys) - 1):
-        left, mid, right = ys[t - 1], ys[t], ys[t + 1]
-        if abs(mid - left) <= eps or abs(mid - right) <= eps:
-            kind = KIND_STEADY
-        elif mid > left and mid > right:
-            kind = KIND_MAX
-        elif mid < left and mid < right:
-            kind = KIND_MIN
-        else:
-            continue
-        out.append(
-            Extremum(
-                index=t,
-                kind=kind,
-                value=mid,
-                amplitude=abs(mid - mean),
-                quarter=quarters[t] if quarters is not None else None,
-            )
-        )
-    return out
+    ys, classes = _classify(y, eps, quarters)
+    return _extrema(ys, classes, quarters, fsum(ys) / len(ys))
 
 
 def phase_labels(y: Sequence[float], eps: float = 0.0) -> list[str]:
     """Phase tag for every interior point, in order.
 
-    Pointwise extrema and plateaus are labeled first (max, min, steady,
-    matching ``find_extrema``); the remaining points get their directed
-    phase from the difference sign pairs, with zero curvature as steady.
+    Pointwise extrema and plateaus are labeled max, min and steady, as
+    ``find_extrema`` classifies them; the remaining points get their
+    directed phase P1-P4, or steady at zero curvature.
     """
-    ys = [float(v) for v in y]
-    if len(ys) < 3:
-        raise EstimationError(f"need at least 3 points, got {len(ys)}")
-    labels = []
-    for t in range(1, len(ys) - 1):
-        left, mid, right = ys[t - 1], ys[t], ys[t + 1]
-        if abs(mid - left) <= eps or abs(mid - right) <= eps:
-            labels.append("steady")
-            continue
-        if mid > left and mid > right:
-            labels.append("max")
-            continue
-        if mid < left and mid < right:
-            labels.append("min")
-            continue
-        d1 = right - left
-        d2 = right - 2.0 * mid + left
-        if abs(d2) <= eps or abs(d1) <= eps:
-            labels.append("steady")
-        elif d1 > 0.0:
-            labels.append("P1" if d2 > 0.0 else "P2")
-        else:
-            labels.append("P3" if d2 < 0.0 else "P4")
-    return labels
+    return [label for _, label in _classify(y, eps)[1]]
 
 
-def _standard_error(values: list[float], mean: float) -> float:
-    """Sample standard deviation (n - 1 denominator) over sqrt(n).
+def _mean_se(values: list[float]) -> tuple[float | None, float | None]:
+    """Mean and standard error: sample sd (n - 1 denominator) over sqrt(n).
 
     A squared deviation beyond the float range is inf, which the JSON
     writers reject.
     """
-    n = len(values)
-    var = fsum((v - mean) * (v - mean) for v in values) / (n - 1)
-    return math.sqrt(var) / math.sqrt(n)
-
-
-def _mean_se(values: list[float]) -> tuple[float | None, float | None]:
     if not values:
         return None, None
-    mean = fsum(values) / len(values)
-    if len(values) < 2:
+    n = len(values)
+    mean = fsum(values) / n
+    if n < 2:
         return mean, None
-    return mean, _standard_error(values, mean)
+    var = fsum((v - mean) * (v - mean) for v in values) / (n - 1)
+    return mean, math.sqrt(var) / math.sqrt(n)
 
 
 def cycle_stats(
@@ -155,9 +154,9 @@ def cycle_stats(
     the same kind, converted to years; frequency is its reciprocal. With
     no same-kind pair both are reported absent, never silently zero.
     """
-    ys = [float(v) for v in y]
-    extrema = find_extrema(ys, quarters=quarters, eps=eps)
+    ys, classes = _classify(y, eps, quarters)
     series_mean, series_se = _mean_se(ys)
+    extrema = _extrema(ys, classes, quarters, series_mean)
 
     strict = [e for e in extrema if e.kind != KIND_STEADY]
     amp_mean, amp_se = _mean_se([e.amplitude for e in strict])
@@ -181,7 +180,7 @@ def cycle_stats(
         peak_amplitude_se=amp_se,
         frequency=frequency,
         period=period_years,
-        phase_labels=tuple(phase_labels(ys, eps=eps)),
+        phase_labels=tuple(label for _, label in classes),
     )
 
 

@@ -8,8 +8,9 @@ For interval k (ending at quarter k of the series, k >= 1):
 
 The (1 - d_k) survival factor in the denominator encodes the
 perfect-information assumption: new credit is not extended to borrowers
-already known to default within the interval. The sliding retrospection
-parameter is fixed at zero in this version.
+already known to default within the interval. The paper's sliding
+retrospection parameter is zero: each rate uses the stock of the quarter
+just before its interval, and no other lag is offered.
 """
 
 from __future__ import annotations
@@ -28,14 +29,11 @@ MODE_FORCE_BALANCE = "force-balance-identity"
 
 @dataclass(frozen=True)
 class RatesConfig:
-    """Rate computation options. ``delta`` must be 0 in this version."""
+    """Rate computation options: which formula supplies f."""
 
-    delta: int = 0
     f_mode: str = MODE_PREFER_LOANS
 
     def __post_init__(self):
-        if self.delta != 0:
-            raise InvariantError(f"sliding time parameter must be 0, got {self.delta}")
         if self.f_mode not in (MODE_PREFER_LOANS, MODE_FORCE_BALANCE):
             raise InvariantError(f"unknown f_mode {self.f_mode!r}")
 

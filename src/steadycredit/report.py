@@ -71,50 +71,32 @@ def analyze(
 
     errors: list[tuple[str, str]] = []
 
-    ols_fit = None
-    try:
-        ols_fit = ols_mod.fit(rates_in.d_values(), rates_in.f_values())
-    except SteadyCreditError as exc:
-        errors.append(("ols", str(exc)))
+    def stage(name, fn, *args, **kwargs):
+        # a failing stage is recorded and leaves its result absent
+        try:
+            return fn(*args, **kwargs)
+        except SteadyCreditError as exc:
+            errors.append((name, str(exc)))
+            return None
+
+    ols_fit = stage("ols", ols_mod.fit, rates_in.d_values(), rates_in.f_values())
     # Pass on only a positive OLS scale; a zero one is left to the estimators,
     # which accept it for an exact steady-state fit and reject it otherwise.
     if sigma_ref is None and ols_fit is not None and ols_fit.s_resid > 0.0:
         sigma_ref = ols_fit.s_resid
+    ssp_ls = stage("ssp-least-squares", steady_state.ssp_least_squares,
+                   rates_in, sigma_ref=sigma_ref)
+    ssp_irr = stage("ssp-irr-root", steady_state.ssp_irr_root,
+                    rates_in, sigma_ref=sigma_ref)
+    sliced = stage("window-slice", series.slice, window.start, window.end,
+                   window.start_inclusive, window.end_inclusive)
 
-    ssp_ls = None
-    try:
-        ssp_ls = steady_state.ssp_least_squares(rates_in, sigma_ref=sigma_ref)
-    except SteadyCreditError as exc:
-        errors.append(("ssp-least-squares", str(exc)))
-
-    ssp_irr = None
-    try:
-        ssp_irr = steady_state.ssp_irr_root(rates_in, sigma_ref=sigma_ref)
-    except SteadyCreditError as exc:
-        errors.append(("ssp-irr-root", str(exc)))
-
-    sliced = None
-    try:
-        sliced = series.slice(window.start, window.end,
-                              window.start_inclusive, window.end_inclusive)
-    except SteadyCreditError as exc:
-        errors.append(("window-slice", str(exc)))
-
-    cycle_report = None
+    cycle_report = gap_report = None
     if sliced is not None:
-        try:
-            cycle_report = cycles_mod.cycle_stats(
-                sliced.tcu_values(), quarters=sliced.quarters()
-            )
-        except SteadyCreditError as exc:
-            errors.append(("cycles", str(exc)))
-
-    gap_report = None
-    if sliced is not None and sliced.has_gdp():
-        try:
-            gap_report = credit_gap(sliced, gap_cfg)
-        except SteadyCreditError as exc:
-            errors.append(("gap", str(exc)))
+        cycle_report = stage("cycles", cycles_mod.cycle_stats,
+                             sliced.tcu_values(), quarters=sliced.quarters())
+        if sliced.has_gdp():
+            gap_report = stage("gap", credit_gap, sliced, gap_cfg)
 
     traj = None
     if ssp_ls is not None:
@@ -340,13 +322,9 @@ def _render_scatter(report: AnalysisReport) -> str:
     curve = " ".join(f"{_px(sx(d))},{_px(sy(f))}" for d, f in zip(curve_d, curve_f))
     body.append(f'<polyline class="ssf" points="{curve}"/>')
 
-    for prev, cur in zip(pts_in, pts_in[1:]):
-        if cur.f > prev.f:
-            cls = "rising"
-        elif cur.f < prev.f:
-            cls = "falling"
-        else:
-            cls = "flat"
+    # each segment is stroked by the direction the trajectory recorded at its end
+    directions = [p.direction for p in report.trajectory.points[1:]]
+    for prev, cur, cls in zip(pts_in, pts_in[1:], directions):
         body.append(
             f'<line class="{cls}" x1="{_px(sx(prev.d))}" y1="{_px(sy(prev.f))}" '
             f'x2="{_px(sx(cur.d))}" y2="{_px(sy(cur.f))}"/>'

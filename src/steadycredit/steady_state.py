@@ -24,7 +24,13 @@ par on average, then zeta = 1/s - 1. Uniform unit factors give s = 1 and
 zeta = 0, and data generated with a constant zeta* is recovered exactly.
 Every A_k is positive, so the left side is increasing and convex in s:
 Newton's method started at or right of the root falls monotonically onto
-it, and no bracket or bisection is needed.
+it, and no bracket or bisection is needed. Each term is carried with its
+own power-of-two exponent, so no intermediate A_k under- or overflows.
+
+Both estimates are tested by chi-squared on dof = n - 1. The degrees of
+freedom are an integer, so the upper-tail p-value is a finite sum of
+Poisson-like terms (plus one erfc for odd dof) and needs no iterative
+incomplete-gamma solver.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ METHOD_IRR_ROOT = "irr-root"
 
 _MAX_ITER = 200
 _S_HI_CAP = 10.0
+_MANTISSA_LO = 2.0**-512
+_MANTISSA_HI = 2.0**512
 
 
 @dataclass(frozen=True)
@@ -105,64 +113,32 @@ def chi_squared(
     return chi2, len(obs) - 1
 
 
-def _regularized_gamma_p_series(a: float, x: float) -> float:
-    # lower series: P(a,x) = x^a e^-x / Gamma(a) * sum x^n / (a (a+1) ... (a+n))
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(1000):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _regularized_gamma_q_contfrac(a: float, x: float) -> float:
-    # upper continued fraction, modified Lentz
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x), absolute accuracy ~1e-14."""
-    if a <= 0.0:
-        raise EstimationError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise EstimationError(f"argument must be non-negative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _regularized_gamma_p_series(a, x)
-    return _regularized_gamma_q_contfrac(a, x)
-
-
 def chi2_p_value(chi2: float, dof: int) -> float:
-    """Upper-tail probability of the chi-squared distribution: Q(dof/2, chi2/2)."""
+    """Upper-tail probability of the chi-squared distribution, Q(dof/2, chi2/2).
+
+    For an integer dof the regularized upper incomplete gamma is a finite sum
+    (Abramowitz & Stegun 26.4.4-5): with x = chi2/2,
+
+        Q = sum_a x^a e^-x / Gamma(a + 1),   a = dof/2 - 1, dof/2 - 2, ... >= 0,
+
+    plus erfc(sqrt(x)) when dof is odd. Each term is formed in logs, so none
+    overflows; the clamp absorbs the sum's rounding above 1.
+    """
     if chi2 < 0.0:
         raise EstimationError(f"chi2 must be non-negative, got {chi2}")
     if dof < 1:
         raise EstimationError(f"dof must be at least 1, got {dof}")
-    return regularized_gamma_q(dof / 2.0, chi2 / 2.0)
+    x = chi2 / 2.0
+    if x == 0.0:
+        return 1.0
+    log_x = math.log(x)
+    terms = [
+        math.exp(a * log_x - x - math.lgamma(a + 1.0))
+        for a in (dof / 2.0 - k for k in range(1, dof // 2 + 1))
+    ]
+    if dof % 2:
+        terms.append(math.erfc(math.sqrt(x)))
+    return min(fsum(terms), 1.0)
 
 
 def _resolve_sigma_ref(d: list[float], f: list[float], sse: float,
@@ -224,14 +200,20 @@ def ssp_least_squares(rates: RateSeries, sigma_ref: float | None = None) -> SspE
 def _irr_value_slope(factors: list[float], s: float) -> tuple[float, float]:
     """F(s) = sum_k A_k s^k - n and F'(s) in one pass over the factors.
 
-    Each term is the running product prod_{j<=k} (a_j s), so it under- or
-    overflows only where its own value does, not where A_k alone would.
+    Each term is the running product prod_{j<=k} (a_j s), carried as a
+    mantissa times 2^exp: the mantissa is renormalized whenever it leaves
+    [2^-512, 2^512], so a deep contraction followed by a recovery loses no
+    term. A stored term under- or overflows only where its own value does.
     """
     terms = []
     weighted = []
-    term = 1.0
+    mantissa, exp = 1.0, 0
     for k, a in enumerate(factors, 1):
-        term *= a * s
+        mantissa *= a * s
+        if not _MANTISSA_LO <= mantissa <= _MANTISSA_HI:
+            mantissa, shift = math.frexp(mantissa)
+            exp += shift
+        term = math.ldexp(mantissa, exp) if exp else mantissa
         terms.append(term)
         weighted.append(k * term)
     slope = fsum(weighted) / s
@@ -326,13 +308,3 @@ def to_ssf_json(estimate: SspEstimate) -> dict:
         "dof": estimate.dof,
         "p_value": chi2_p_value(estimate.chi2, estimate.dof),
     }
-
-
-def trajectory_to_csv(traj: SteadyStateTrajectory) -> str:
-    lines = ["interval_end,f_observed,f_expected,cumulative_index,direction"]
-    for p in traj.points:
-        direction = p.direction if p.direction is not None else ""
-        lines.append(
-            f"{p.quarter},{p.f_observed!r},{p.f_expected!r},{p.cumulative_index!r},{direction}"
-        )
-    return "\n".join(lines) + "\n"

@@ -3,13 +3,15 @@
 These deliberately avoid the closed forms used by the package: the OLS
 oracle locates the minimum purely by comparing objective values on a
 shrinking grid, the zeta oracle scans the residual objective on a fixed
-grid, the root oracle uses bisection only, the chi-squared tail oracle
-integrates the density numerically, and the exact HP oracle eliminates the
-dense normal equations in rational arithmetic.
+grid, the root oracles use bisection only (one of them on log s, with
+every term held in logs), the chi-squared tail oracle integrates the
+density numerically, and the exact HP oracle eliminates the dense normal
+equations in rational arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -86,6 +88,32 @@ def bisection_only_root(func, lo: float, hi: float, width: float = 1e-12) -> flo
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def log_space_irr_root(factors, log_lo: float = -2000.0, log_hi: float = 2000.0) -> float:
+    """Root s of sum_k A_k s^k = n, A_k = a_1 ... a_k, by bisection on log s.
+
+    Every term is held as its logarithm log A_k + k log s and the sum as a
+    log-sum-exp, so no product under- or overflows however deep it runs.
+    Bisection continues until the midpoint no longer moves.
+    """
+    log_stock = list(itertools.accumulate(math.log(a) for a in factors))
+    log_n = math.log(len(log_stock))
+
+    def excess(log_s: float) -> float:
+        logs = [ls + k * log_s for k, ls in enumerate(log_stock, 1)]
+        top = max(logs)
+        return top + math.log(math.fsum(math.exp(v - top) for v in logs)) - log_n
+
+    assert excess(log_lo) < 0.0 < excess(log_hi), "no sign change in bracket"
+    while True:
+        mid = 0.5 * (log_lo + log_hi)
+        if mid in (log_lo, log_hi):
+            return math.exp(mid)
+        if excess(mid) < 0.0:
+            log_lo = mid
+        else:
+            log_hi = mid
 
 
 def chi2_tail_by_quadrature(chi2: float, dof: int) -> float:

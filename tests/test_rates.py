@@ -97,10 +97,6 @@ class TestCreditGrowthRates:
             rebuilt = prev.tcu * (1.0 - point.d) * (1.0 + point.f)
             assert abs(rebuilt - cur.tcu) <= 1e-12 * cur.tcu
 
-    def test_nonzero_delta_rejected(self):
-        with pytest.raises(InvariantError):
-            RatesConfig(delta=1)
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvariantError):
             RatesConfig(f_mode="other")
