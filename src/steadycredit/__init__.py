@@ -9,7 +9,7 @@ credit-to-GDP gap with its countercyclical buffer mapping.
 """
 
 from .basel import GapConfig, GapReport, buffer_add_on, credit_gap, hp_filter
-from .cycles import CycleReport, Extremum, cycle_stats, find_extrema, phase_labels
+from .cycles import CycleReport, Extremum, cycle_stats
 from .errors import (
     ColumnAbsentError,
     ContiguityError,
@@ -19,15 +19,8 @@ from .errors import (
     SteadyCreditError,
     WindowError,
 )
-from .ols import OlsFit, fit, predict
-from .rates import (
-    RatePoint,
-    RateSeries,
-    RatesConfig,
-    credit_growth_rates,
-    default_rates,
-    select_window,
-)
+from .ols import OlsFit, fit
+from .rates import RatePoint, RateSeries, RatesConfig, credit_growth_rates, select_window
 from .report import AnalysisReport, analyze, render_svg, to_json
 from .series import (
     CreditObservation,
@@ -82,17 +75,13 @@ __all__ = [
     "credit_gap",
     "credit_growth_rates",
     "cycle_stats",
-    "default_rates",
     "emit_csv",
     "expected_growth",
-    "find_extrema",
     "fit",
     "generate",
     "hp_filter",
     "parse_csv",
     "parse_scenario",
-    "phase_labels",
-    "predict",
     "render_svg",
     "select_window",
     "ssp_irr_root",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from . import cycles as cycles_mod
@@ -57,7 +56,8 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == STDOUT:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _resolve_window(args: argparse.Namespace) -> Window | None:
@@ -88,9 +88,7 @@ def _windowed_rates(args: argparse.Namespace) -> RateSeries:
 def _windowed_series(args: argparse.Namespace) -> CreditSeries:
     series = _read_series(args.input)
     window = _resolve_window(args)
-    if window is None:
-        return series
-    return series.slice(window.start, window.end, window.start_inclusive, window.end_inclusive)
+    return series if window is None else series.slice(window)
 
 
 def _analyze(args: argparse.Namespace) -> report_mod.AnalysisReport:
@@ -135,7 +133,7 @@ def _cmd_ssp(args: argparse.Namespace) -> int:
 
 def _cmd_cycles(args: argparse.Namespace) -> int:
     series = _windowed_series(args)
-    rep = cycles_mod.cycle_stats(series.tcu_values(), quarters=series.quarters())
+    rep = cycles_mod.cycle_stats(series.tcu_values(), series.quarters())
     if args.csv:
         _write_text(args.csv, cycles_mod.overlays_to_csv(rep, series.tcu_values(),
                                                          series.quarters()))
@@ -154,7 +152,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    text = Path(args.scenario).read_text(encoding="utf-8")
+    with open(args.scenario, encoding="utf-8") as fh:
+        text = fh.read()
     scenario = synth.parse_scenario(text, seed=args.seed)
     series, _ = synth.generate(scenario)
     _write_text(args.out, emit_csv(series))

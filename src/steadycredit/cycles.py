@@ -11,8 +11,6 @@ y(t+1) - 2 y(t) + y(t-1):
     P2  rising, decelerating        P4  falling, decelerating downward
 
 Zero curvature labels the point steady (a straight trend has no phase).
-Comparisons are exact by default; an epsilon can be supplied for noisy
-data.
 """
 
 from __future__ import annotations
@@ -28,6 +26,8 @@ from .sums import fsum
 KIND_MAX = "maximum"
 KIND_MIN = "minimum"
 KIND_STEADY = "steady"
+
+QUARTERS_PER_YEAR = 4
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class CycleReport:
 
 
 def _classify(
-    y: Sequence[float], eps: float, quarters: Sequence[Quarter] | None = None
+    y: Sequence[float], quarters: Sequence[Quarter] | None
 ) -> tuple[list[float], list[tuple[str | None, str]]]:
     """The values as floats, and each interior point's extremum kind and phase.
 
@@ -68,7 +68,7 @@ def _classify(
     classes: list[tuple[str | None, str]] = []
     for t in range(1, len(ys) - 1):
         left, mid, right = ys[t - 1], ys[t], ys[t + 1]
-        if abs(mid - left) <= eps or abs(mid - right) <= eps:
+        if mid - left == 0.0 or mid - right == 0.0:
             classes.append((KIND_STEADY, "steady"))
         elif mid > left and mid > right:
             classes.append((KIND_MAX, "max"))
@@ -77,7 +77,7 @@ def _classify(
         else:
             d1 = right - left
             d2 = right - 2.0 * mid + left
-            if abs(d2) <= eps or abs(d1) <= eps:
+            if d2 == 0.0 or d1 == 0.0:
                 label = "steady"
             elif d1 > 0.0:
                 label = "P1" if d2 > 0.0 else "P2"
@@ -85,45 +85,6 @@ def _classify(
                 label = "P3" if d2 < 0.0 else "P4"
             classes.append((None, label))
     return ys, classes
-
-
-def _extrema(ys: list[float], classes: list[tuple[str | None, str]],
-             quarters: Sequence[Quarter] | None, mean: float) -> list[Extremum]:
-    return [
-        Extremum(
-            index=t,
-            kind=kind,
-            value=ys[t],
-            amplitude=abs(ys[t] - mean),
-            quarter=quarters[t] if quarters is not None else None,
-        )
-        for t, (kind, _) in enumerate(classes, 1)
-        if kind is not None
-    ]
-
-
-def find_extrema(
-    y: Sequence[float],
-    quarters: Sequence[Quarter] | None = None,
-    eps: float = 0.0,
-) -> list[Extremum]:
-    """Classify interior points as maximum, minimum, or steady.
-
-    Endpoints are never classified; interior points that are strictly
-    monotone through yield no entry.
-    """
-    ys, classes = _classify(y, eps, quarters)
-    return _extrema(ys, classes, quarters, fsum(ys) / len(ys))
-
-
-def phase_labels(y: Sequence[float], eps: float = 0.0) -> list[str]:
-    """Phase tag for every interior point, in order.
-
-    Pointwise extrema and plateaus are labeled max, min and steady, as
-    ``find_extrema`` classifies them; the remaining points get their
-    directed phase P1-P4, or steady at zero curvature.
-    """
-    return [label for _, label in _classify(y, eps)[1]]
 
 
 def _mean_se(values: list[float]) -> tuple[float | None, float | None]:
@@ -142,21 +103,26 @@ def _mean_se(values: list[float]) -> tuple[float | None, float | None]:
     return mean, math.sqrt(var) / math.sqrt(n)
 
 
-def cycle_stats(
-    y: Sequence[float],
-    quarters_per_year: int = 4,
-    quarters: Sequence[Quarter] | None = None,
-    eps: float = 0.0,
-) -> CycleReport:
+def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -> CycleReport:
     """Full cycle report of a series.
 
     The period is the mean index distance between consecutive extrema of
     the same kind, converted to years; frequency is its reciprocal. With
     no same-kind pair both are reported absent, never silently zero.
     """
-    ys, classes = _classify(y, eps, quarters)
+    ys, classes = _classify(y, quarters)
     series_mean, series_se = _mean_se(ys)
-    extrema = _extrema(ys, classes, quarters, series_mean)
+    extrema = [
+        Extremum(
+            index=t,
+            kind=kind,
+            value=ys[t],
+            amplitude=abs(ys[t] - series_mean),
+            quarter=quarters[t] if quarters is not None else None,
+        )
+        for t, (kind, _) in enumerate(classes, 1)
+        if kind is not None
+    ]
 
     strict = [e for e in extrema if e.kind != KIND_STEADY]
     amp_mean, amp_se = _mean_se([e.amplitude for e in strict])
@@ -166,7 +132,7 @@ def cycle_stats(
         idx = [e.index for e in strict if e.kind == kind]
         gaps.extend(b - a for a, b in zip(idx, idx[1:]))
     if gaps:
-        period_years = sum(gaps) / len(gaps) / quarters_per_year
+        period_years = sum(gaps) / len(gaps) / QUARTERS_PER_YEAR
         frequency = 1.0 / period_years
     else:
         period_years = None

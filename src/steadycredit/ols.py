@@ -79,10 +79,6 @@ def fit(x: Sequence[float], y: Sequence[float]) -> OlsFit:
     )
 
 
-def predict(fitted: OlsFit, x: float) -> float:
-    return fitted.beta1 + fitted.beta2 * x
-
-
 def residuals(fitted: OlsFit, x: Sequence[float], y: Sequence[float]) -> list[float]:
     return [float(b) - fitted.beta1 - fitted.beta2 * float(a) for a, b in zip(x, y)]
 

@@ -56,10 +56,9 @@ class RatePoint:
 
 @dataclass(frozen=True)
 class RateSeries:
-    """Ordered (d, f) sample; ``window`` spans the interval-end quarters."""
+    """Ordered (d, f) sample over contiguous interval-end quarters."""
 
     points: tuple[RatePoint, ...]
-    window: tuple[Quarter, Quarter]
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -81,11 +80,6 @@ class RateSeries:
 
     def f_values(self) -> list[float]:
         return [p.f for p in self.points]
-
-
-def default_rates(series: CreditSeries) -> list[tuple[Quarter, float]]:
-    """Default rate of every interval; output length is len(series) - 1."""
-    return [(p.interval_end, p.d) for p in credit_growth_rates(series).points]
 
 
 def credit_growth_rates(series: CreditSeries, cfg: RatesConfig = RatesConfig()) -> RateSeries:
@@ -110,7 +104,7 @@ def credit_growth_rates(series: CreditSeries, cfg: RatesConfig = RatesConfig()) 
             f = cur.tcu / surviving - 1.0
             source = F_SOURCE_BALANCE
         points.append(RatePoint(cur.quarter, d, f, source))
-    return RateSeries(tuple(points), (points[0].interval_end, points[-1].interval_end))
+    return RateSeries(tuple(points))
 
 
 def select_window(rates: RateSeries, window: Window) -> RateSeries:
@@ -123,7 +117,7 @@ def select_window(rates: RateSeries, window: Window) -> RateSeries:
     kept = tuple(p for p in rates.points if window.contains(p.interval_end))
     if not kept:
         raise WindowError(f"window {window} selects no rate points")
-    return RateSeries(kept, (kept[0].interval_end, kept[-1].interval_end))
+    return RateSeries(kept)
 
 
 def rates_to_csv(rates: RateSeries) -> str:

@@ -88,13 +88,12 @@ def analyze(
                    rates_in, sigma_ref=sigma_ref)
     ssp_irr = stage("ssp-irr-root", steady_state.ssp_irr_root,
                     rates_in, sigma_ref=sigma_ref)
-    sliced = stage("window-slice", series.slice, window.start, window.end,
-                   window.start_inclusive, window.end_inclusive)
+    sliced = stage("window-slice", series.slice, window)
 
     cycle_report = gap_report = None
     if sliced is not None:
         cycle_report = stage("cycles", cycles_mod.cycle_stats,
-                             sliced.tcu_values(), quarters=sliced.quarters())
+                             sliced.tcu_values(), sliced.quarters())
         if sliced.has_gdp():
             gap_report = stage("gap", credit_gap, sliced, gap_cfg)
 
@@ -119,9 +118,7 @@ def analyze(
     )
 
 
-def resolve_precision(precision: int | None = None) -> int:
-    if precision is not None:
-        return precision
+def resolve_precision() -> int:
     raw = os.environ.get(PRECISION_ENV)
     if raw is None:
         return DEFAULT_PRECISION
@@ -150,9 +147,9 @@ def _rounded(obj, digits: int):
     return obj
 
 
-def to_json_dict(report: AnalysisReport, precision: int | None = None) -> dict:
-    digits = resolve_precision(precision)
-    doc = {
+def to_json_dict(report: AnalysisReport) -> dict:
+    """The report as a JSON-able document, floats unrounded."""
+    return {
         "schema": "steadycredit-analysis/1",
         "window": {
             "from": str(report.window.start),
@@ -182,7 +179,6 @@ def to_json_dict(report: AnalysisReport, precision: int | None = None) -> dict:
         else None,
         "errors": [{"stage": stage, "message": message} for stage, message in report.errors],
     }
-    return _rounded(doc, digits)
 
 
 def _gap_json(gap: GapReport) -> dict:
@@ -204,22 +200,19 @@ def _gap_json(gap: GapReport) -> dict:
     }
 
 
-def _dumps(doc) -> str:
+def dump_json(doc) -> str:
+    """Serialize a JSON-able document, its floats rounded to the package precision."""
+    rounded = _rounded(doc, resolve_precision())
     try:
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        return json.dumps(rounded, indent=2, allow_nan=False) + "\n"
     except ValueError:
         raise SteadyCreditError(
             "result holds a non-finite number, which JSON cannot represent"
         ) from None
 
 
-def to_json(report: AnalysisReport, precision: int | None = None) -> str:
-    return _dumps(to_json_dict(report, precision))
-
-
-def dump_json(doc, precision: int | None = None) -> str:
-    """Serialize any JSON-able document with the package float rounding."""
-    return _dumps(_rounded(doc, resolve_precision(precision)))
+def to_json(report: AnalysisReport) -> str:
+    return dump_json(to_json_dict(report))
 
 
 # --- SVG rendering ---------------------------------------------------------

@@ -151,26 +151,17 @@ class CreditSeries:
     def has_gdp(self) -> bool:
         return all(o.gdp is not None for o in self.observations)
 
-    def slice(
-        self,
-        start: Quarter,
-        end: Quarter,
-        start_inclusive: bool = True,
-        end_inclusive: bool = True,
-    ) -> "CreditSeries":
-        """Sub-series between two quarters with explicit boundary inclusion.
+    def slice(self, window: Window) -> "CreditSeries":
+        """Sub-series of the observations inside the window.
 
-        Both bounds must lie within the series span and the result must itself
-        be a valid series (contiguous, at least two observations).
+        Both window bounds must lie within the series span and the result must
+        itself be a valid series (contiguous, at least two observations).
         """
-        if not start < end:
-            raise WindowError(f"slice start {start} must precede end {end}")
-        if start < self.first_quarter or end > self.last_quarter:
+        if window.start < self.first_quarter or window.end > self.last_quarter:
             raise WindowError(
-                f"slice {start}..{end} outside series span "
+                f"slice {window.start}..{window.end} outside series span "
                 f"{self.first_quarter}..{self.last_quarter}"
             )
-        window = Window(start, end, start_inclusive, end_inclusive)
         kept = tuple(o for o in self.observations if window.contains(o.quarter))
         if not kept:
             raise WindowError(f"slice {window} selects no observations")

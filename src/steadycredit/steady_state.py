@@ -141,19 +141,12 @@ def chi2_p_value(chi2: float, dof: int) -> float:
     return min(fsum(terms), 1.0)
 
 
-def _resolve_sigma_ref(d: list[float], f: list[float], sse: float,
-                       sigma_ref: float | None) -> float:
+def _default_sigma_ref(d: list[float], f: list[float], sse: float) -> float:
     """Default reference scale is the OLS residual s of the same sample.
 
     When the sample cannot be fit by OLS (fewer than 3 points or constant d)
     the estimate's own s_resid is used instead.
     """
-    if sigma_ref is not None:
-        if not sigma_ref > 0.0:
-            raise EstimationError(f"sigma_ref must be positive, got {sigma_ref}")
-        if sigma_ref == math.inf:
-            raise EstimationError(f"sigma_ref must be finite, got {sigma_ref}")
-        return sigma_ref
     try:
         return ols.fit(d, f).s_resid
     except EstimationError:
@@ -167,8 +160,10 @@ def _finalize(rates: RateSeries, zeta: float, method: str,
     n = len(d)
     expected = [(di + zeta) / (1.0 - di) for di in d]
     sse = fsum((fi - ei) * (fi - ei) for fi, ei in zip(f, expected))
-    ref = _resolve_sigma_ref(d, f, sse, sigma_ref)
-    if ref > 0.0:
+    # chi_squared rejects an explicit scale that is not a positive float; only
+    # a default scale may be zero, and then only for an exact fit
+    ref = sigma_ref if sigma_ref is not None else _default_sigma_ref(d, f, sse)
+    if sigma_ref is not None or ref > 0.0:
         chi2, dof = chi_squared(f, expected, ref)
     elif sse == 0.0:
         chi2, dof = 0.0, n - 1  # perfect fit, zero scale: deviation is identically zero

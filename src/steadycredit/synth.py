@@ -93,8 +93,7 @@ def generate(sc: Scenario) -> tuple[CreditSeries, RateSeries]:
         tcu_prev = tcu
 
     series = CreditSeries(tuple(observations))
-    truth = RateSeries(tuple(points), (points[0].interval_end, points[-1].interval_end))
-    return series, truth
+    return series, RateSeries(tuple(points))
 
 
 _INT_FIELDS = {"n_quarters", "d_period_quarters", "seed"}
@@ -127,10 +126,10 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
             elif key == "hypothesis":
                 values[key] = value
             else:
-                raise ParseError(f"unknown scenario key {key!r}", lineno)
-        except (ValueError, ParseError) as exc:
-            if isinstance(exc, ParseError):
-                raise
+                raise ParseError(f"unknown scenario key {key!r}")
+        except ParseError as exc:
+            raise ParseError(str(exc), lineno) from None
+        except ValueError:
             raise ParseError(f"bad value for {key}: {value!r}", lineno) from None
     if seed is not None:
         values["seed"] = seed

@@ -46,7 +46,7 @@ def _rate_series(d, f):
         RatePoint(Quarter(2008, 2).shift(i), float(dv), float(fv), F_SOURCE_BALANCE)
         for i, (dv, fv) in enumerate(zip(d, f))
     )
-    return RateSeries(points, (points[0].interval_end, points[-1].interval_end))
+    return RateSeries(points)
 
 
 def test_criterion_1_noiseless_ssp_recovery():
@@ -123,7 +123,7 @@ def test_criterion_5_cycle_statistics_on_mirror_sinusoid():
     with criterion(5, "cycle statistics on the mirror sinusoid"):
         t = np.arange(17)
         y = 915.4e9 + 39.2e9 * np.sin(2.0 * np.pi * t / 8.0)
-        report = cycle_stats(y, quarters_per_year=4)
+        report = cycle_stats(y)
         assert report.frequency == 0.5
         assert [e.index for e in report.extrema] == [2, 6, 10, 14]
         assert report.peak_amplitude_mean == pytest.approx(39.2e9, rel=0.02)

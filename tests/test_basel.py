@@ -16,7 +16,7 @@ from steadycredit.basel import (
     hp_filter,
 )
 from steadycredit.errors import ColumnAbsentError, EstimationError, InvariantError
-from steadycredit.series import Quarter
+from steadycredit.series import Quarter, Window
 
 
 class TestHpFilter:
@@ -154,7 +154,7 @@ class TestCreditGap:
             assert 0.0 <= row.buffer_add_on <= cfg.buffer_max
 
     def test_canonical_window_gap_matches_exact_oracle(self):
-        series = canonical_series().slice(Quarter(2008, 2), Quarter(2012, 2))
+        series = canonical_series().slice(Window(Quarter(2008, 2), Quarter(2012, 2)))
         report = credit_gap(series)
         ratio = [row.credit_to_gdp for row in report.rows]
         trend = exact_hp_oracle(ratio, report.config.lam)

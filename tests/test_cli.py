@@ -133,6 +133,13 @@ class TestSimulatePipeline:
         assert main(["simulate", "--scenario", str(noisy), "--seed", "2", "--out", str(b)]) == 0
         assert a.read_text() != b.read_text()
 
+    def test_bad_start_names_its_line(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.cfg"
+        text = synth.scenario_to_text(steady_scenario())
+        scenario.write_text(text.replace("start=2008-Q1", "start=2008-Q7"), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(scenario), "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: line 2: bad quarter '2008-Q7', expected YYYY-Qn\n"
+
 
 class TestAnalyze:
     def test_report_with_window_flags(self, canonical_csv, tmp_path):

@@ -10,9 +10,7 @@ from steadycredit.cycles import (
     KIND_MIN,
     KIND_STEADY,
     cycle_stats,
-    find_extrema,
     overlays_to_csv,
-    phase_labels,
     to_json,
 )
 from steadycredit.errors import EstimationError
@@ -25,47 +23,47 @@ SINE_PERIOD = [0.0, SQRT_HALF, 1.0, SQRT_HALF, 0.0, -SQRT_HALF, -1.0, -SQRT_HALF
 
 class TestFindExtrema:
     def test_single_maximum(self):
-        (e,) = find_extrema([1.0, 3.0, 2.0])
+        (e,) = cycle_stats([1.0, 3.0, 2.0]).extrema
         assert e.index == 1 and e.kind == KIND_MAX and e.value == 3.0
 
     def test_single_minimum(self):
-        (e,) = find_extrema([3.0, 1.0, 2.0])
+        (e,) = cycle_stats([3.0, 1.0, 2.0]).extrema
         assert e.index == 1 and e.kind == KIND_MIN
 
     def test_plateau_is_steady(self):
-        found = find_extrema([1.0, 2.0, 2.0, 1.0])
+        found = cycle_stats([1.0, 2.0, 2.0, 1.0]).extrema
         assert [(e.index, e.kind) for e in found] == [(1, KIND_STEADY), (2, KIND_STEADY)]
 
     def test_monotone_interior_yields_nothing(self):
-        assert find_extrema([1.0, 2.0, 3.0, 4.0]) == []
+        assert cycle_stats([1.0, 2.0, 3.0, 4.0]).extrema == ()
 
     def test_short_series_rejected(self):
         with pytest.raises(EstimationError):
-            find_extrema([1.0, 2.0])
+            cycle_stats([1.0, 2.0])
 
     def test_amplitude_is_deviation_from_mean(self):
         values = [1.0, 5.0, 1.0, 5.0, 1.0]
-        found = find_extrema(values)
+        found = cycle_stats(values).extrema
         mean = np.mean(values)
         for e in found:
             assert e.amplitude == abs(e.value - mean)
 
     def test_quarters_attach_when_given(self):
         quarters = [Quarter(2008, 1).shift(i) for i in range(3)]
-        (e,) = find_extrema([1.0, 3.0, 2.0], quarters=quarters)
+        (e,) = cycle_stats([1.0, 3.0, 2.0], quarters).extrema
         assert e.quarter == Quarter(2008, 2)
 
 
 class TestPhaseLabels:
     def test_max_label(self):
-        assert phase_labels([1.0, 3.0, 2.0]) == ["max"]
+        assert cycle_stats([1.0, 3.0, 2.0]).phase_labels == ("max",)
 
     def test_linear_series_is_steady(self):
-        assert phase_labels([1.0, 2.0, 3.0, 4.0, 5.0]) == ["steady"] * 3
+        assert cycle_stats([1.0, 2.0, 3.0, 4.0, 5.0]).phase_labels == ("steady",) * 3
 
     def test_sampled_sine_cycles_through_phases(self):
         y = SINE_PERIOD * 3
-        labels = phase_labels(y)
+        labels = list(cycle_stats(y).phase_labels)
         # interior of the first full cycle, starting at sample 1
         assert labels[:8] == ["P2", "max", "P3", "steady", "P4", "min", "P1", "steady"]
         # each directed phase appears exactly once per cycle
@@ -74,13 +72,14 @@ class TestPhaseLabels:
             assert middle.count(phase) == 1
         assert middle.count("max") == middle.count("min") == 1
 
-    def test_epsilon_flattens_noise(self):
+    def test_near_tie_is_classified_exactly(self):
+        # comparisons are exact: a 1e-12 step is neither a plateau nor flat
         y = [0.0, 1.0, 1.0 + 1e-12, 0.0]
-        assert phase_labels(y, eps=1e-9)[0] != phase_labels(y, eps=0.0)[0]
+        assert cycle_stats(y).phase_labels == ("P2", "max")
 
     def test_short_series_rejected(self):
         with pytest.raises(EstimationError):
-            phase_labels([1.0, 2.0])
+            cycle_stats([1.0])
 
 
 class TestCycleStats:
@@ -88,7 +87,7 @@ class TestCycleStats:
         report = cycle_stats([10.0, 10.0, 10.0])
         assert report.series_mean == 10.0
         assert report.series_se == 0.0
-        assert report.extrema == tuple(find_extrema([10.0, 10.0, 10.0]))
+        assert [e.index for e in report.extrema] == [1]
         assert all(e.kind == KIND_STEADY for e in report.extrema)
         assert report.frequency is None
         assert report.period is None
@@ -97,7 +96,7 @@ class TestCycleStats:
     def test_mirror_sinusoid_statistics(self):
         t = np.arange(17)
         y = 915.4 + 39.2 * np.sin(2.0 * np.pi * t / 8.0)
-        report = cycle_stats(y, quarters_per_year=4)
+        report = cycle_stats(y)
         assert report.frequency == pytest.approx(0.5, abs=1e-12)
         assert report.period == pytest.approx(2.0, abs=1e-12)
         assert [e.index for e in report.extrema] == [2, 6, 10, 14]
@@ -106,7 +105,7 @@ class TestCycleStats:
 
     def test_hand_counted_frequency(self):
         y = [1.0, 2.0, 3.0, 2.0, 1.0, 2.0, 3.0, 2.0, 1.0]
-        report = cycle_stats(y, quarters_per_year=4)
+        report = cycle_stats(y)
         kinds = [(e.index, e.kind) for e in report.extrema]
         assert kinds == [(2, KIND_MAX), (4, KIND_MIN), (6, KIND_MAX)]
         assert report.period == pytest.approx(1.0, abs=1e-12)  # 4 quarters
@@ -124,7 +123,7 @@ class TestInvariants:
     def test_alternation_between_strict_extrema(self, raw):
         # perturb ties away so the series has no plateaus
         y = [v + i * 1e-6 for i, v in enumerate(raw)]
-        found = [e for e in find_extrema(y) if e.kind != KIND_STEADY]
+        found = [e for e in cycle_stats(y).extrema if e.kind != KIND_STEADY]
         for a, b in zip(found, found[1:]):
             assert a.kind != b.kind
 
@@ -135,8 +134,8 @@ class TestInvariants:
     def test_amplitude_translation_covariance(self, raw, shift):
         # integer values keep the shifted comparisons exact
         y = [float(v) for v in raw]
-        base = find_extrema(y)
-        moved = find_extrema([v + shift for v in y])
+        base = cycle_stats(y).extrema
+        moved = cycle_stats([v + shift for v in y]).extrema
         assert len(base) == len(moved)
         for a, b in zip(base, moved):
             assert b.amplitude == pytest.approx(a.amplitude, abs=1e-9)

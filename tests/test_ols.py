@@ -6,7 +6,7 @@ import pytest
 from _oracles import ols_grid_oracle
 from steadycredit import reference
 from steadycredit.errors import EstimationError
-from steadycredit.ols import fit, predict, residuals, to_exhibit_json
+from steadycredit.ols import fit, residuals, to_exhibit_json
 
 
 class TestFitBasics:
@@ -44,18 +44,18 @@ class TestFitBasics:
 class TestPredict:
     def test_identity_line(self):
         f = fit([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-        assert predict(f, 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert f.beta1 + f.beta2 * 0.3 == pytest.approx(0.3, abs=1e-15)
 
     def test_hand_value(self):
         f = fit([0.0, 1.0, 2.0], [0.0, 2.0, 1.0])  # beta1 = beta2 = 0.5
-        assert predict(f, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert f.beta1 + f.beta2 * 1.0 == pytest.approx(1.0, abs=1e-15)
 
     def test_x_intercept_zeroes_prediction(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(0, 1, 20)
         y = 0.04 - 5.5 * x + rng.normal(0, 0.01, 20)
         f = fit(x, y)
-        assert predict(f, f.x_intercept) == pytest.approx(0.0, abs=1e-12)
+        assert f.beta1 + f.beta2 * f.x_intercept == pytest.approx(0.0, abs=1e-12)
 
     def test_published_crisis_fit_vanishes_at_its_intercept(self):
         from steadycredit.ols import OlsFit
@@ -67,7 +67,7 @@ class TestPredict:
             x_intercept=table["x_intercept"], r=table["correlation"],
             r2=table["r2"], sigma_resid=table["sigma"], s_resid=table["s_for_residual"],
         )
-        assert abs(predict(f, table["x_intercept"])) <= 1e-6
+        assert abs(f.beta1 + f.beta2 * table["x_intercept"]) <= 1e-6
 
 
 class TestOracleEquivalence:

@@ -1,10 +1,12 @@
-"""Checks on the package as a whole: the shipped reference document and dead names."""
+"""Checks on the package as a whole: the shipped reference document, the
+exported names and dead names."""
 
 import ast
 import json
 from collections import Counter
 from pathlib import Path
 
+import steadycredit
 from steadycredit import reference
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -15,6 +17,17 @@ EXEMPT = {"__all__", "__version__"}
 def test_reference_document_matches_the_constants():
     doc = json.loads((ROOT / "docs" / "reference_statistics.json").read_text(encoding="utf-8"))
     assert doc == reference.REFERENCE
+
+
+def test_exports_match_the_package_imports():
+    exported = steadycredit.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(steadycredit, name)] == []
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert sorted(name for name in imported - set(exported) if not name.startswith("_")) == []
 
 
 def _definitions(tree: ast.Module):

@@ -11,7 +11,6 @@ from steadycredit.rates import (
     MODE_FORCE_BALANCE,
     RatesConfig,
     credit_growth_rates,
-    default_rates,
     rates_to_csv,
     select_window,
 )
@@ -21,29 +20,29 @@ from steadycredit.series import Quarter, Window
 class TestDefaultRates:
     def test_hand_arithmetic(self):
         series = build_series([1000.0, 995.0], abd=[0.0, 5.0])
-        (quarter, d), = default_rates(series)
-        assert quarter == Quarter(2008, 2)
-        assert d == 5.0 / 1000.0
+        (point,) = credit_growth_rates(series).points
+        assert point.interval_end == Quarter(2008, 2)
+        assert point.d == 5.0 / 1000.0
 
     def test_zero_abd_gives_zero_rate(self):
         series = build_series([1000.0, 1000.0], abd=[0.0, 0.0])
-        assert default_rates(series)[0][1] == 0.0
+        assert credit_growth_rates(series).points[0].d == 0.0
 
     def test_output_length_is_intervals(self):
         series, _ = synth.generate(steady_scenario(n_quarters=12))
-        assert len(default_rates(series)) == 11
+        assert len(credit_growth_rates(series)) == 11
 
     def test_constant_generated_rate_recovered(self):
         scenario = steady_scenario(d_amp=0.0, hypothesis="H0", n_quarters=19)
         series, _ = synth.generate(scenario)
-        for _, d in default_rates(series):
+        for d in credit_growth_rates(series).d_values():
             assert abs(d - 0.004) < 1e-12
 
     @given(st.floats(min_value=0.0, max_value=500.0), st.floats(min_value=0.1, max_value=499.0))
     def test_monotone_in_abd(self, abd, bump):
         lo = build_series([1000.0, 900.0], abd=[0.0, abd])
         hi = build_series([1000.0, 900.0], abd=[0.0, abd + bump])
-        assert default_rates(hi)[0][1] > default_rates(lo)[0][1]
+        assert credit_growth_rates(hi).points[0].d > credit_growth_rates(lo).points[0].d
 
 
 class TestCreditGrowthRates:

@@ -157,19 +157,23 @@ class TestJson:
                 h.update(to_json(analyze(series, Window(start, end))).encode("utf-8"))
         assert h.hexdigest() == ALL_WINDOWS_DIGEST
 
-    def test_precision_rounding(self):
+    def test_precision_rounding(self, monkeypatch):
         report = canonical_report()
-        full = to_json_dict(report, precision=12)
-        coarse = to_json_dict(report, precision=3)
+        full = to_json_dict(report)
+        assert full["ols"]["sigma"] == report.ols_fit.sigma_resid
+        monkeypatch.setenv("STEADYCREDIT_PRECISION", "3")
+        coarse = json.loads(to_json(report))
         assert coarse["ols"]["sigma"] == round_sig(full["ols"]["sigma"], 3)
 
     def test_precision_env_var(self, monkeypatch):
-        report = canonical_report()
         monkeypatch.setenv("STEADYCREDIT_PRECISION", "3")
-        assert to_json(report) == to_json(report, precision=3)
+        doc = {"a": 1.23456, "b": [2.71828, 7], "c": True}
+        assert json.loads(dump_json(doc)) == {"a": 1.23, "b": [2.72, 7], "c": True}
         monkeypatch.setenv("STEADYCREDIT_PRECISION", "zero")
         with pytest.raises(SteadyCreditError):
             resolve_precision()
+        with pytest.raises(SteadyCreditError, match="must be an integer"):
+            dump_json(doc)
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_number_is_rejected(self, value):

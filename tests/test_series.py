@@ -133,38 +133,38 @@ def _long_series() -> CreditSeries:
 class TestSlice:
     def test_crisis_window_has_17_observations(self):
         series = _long_series()
-        sub = series.slice(Quarter(2008, 2), Quarter(2012, 2), True, True)
+        sub = series.slice(Window(Quarter(2008, 2), Quarter(2012, 2), True, True))
         assert len(sub) == 17  # 16 intervals inside the slice itself
         assert sub.first_quarter == Quarter(2008, 2)
         assert sub.last_quarter == Quarter(2012, 2)
 
     def test_exclusive_end_drops_boundary(self):
         series = _long_series()
-        sub = series.slice(Quarter(1996, 1), Quarter(2008, 2), True, False)
+        sub = series.slice(Window(Quarter(1996, 1), Quarter(2008, 2), True, False))
         assert len(sub) == 49
         assert sub.last_quarter == Quarter(2008, 1)
 
     def test_full_span_slice_is_identity(self):
         series = _long_series()
-        sub = series.slice(series.first_quarter, series.last_quarter, True, True)
+        sub = series.slice(Window(series.first_quarter, series.last_quarter, True, True))
         assert sub == series
 
     def test_start_not_before_end_rejected(self):
         series = _long_series()
         with pytest.raises(WindowError):
-            series.slice(Quarter(2010, 1), Quarter(2010, 1))
+            series.slice(Window(Quarter(2010, 1), Quarter(2010, 1)))
         with pytest.raises(WindowError):
-            series.slice(Quarter(2011, 1), Quarter(2010, 1))
+            series.slice(Window(Quarter(2011, 1), Quarter(2010, 1)))
 
     def test_bounds_outside_span_rejected(self):
         series = _long_series()
         with pytest.raises(WindowError):
-            series.slice(Quarter(1990, 1), Quarter(2000, 1))
+            series.slice(Window(Quarter(1990, 1), Quarter(2000, 1)))
 
     def test_empty_selection_rejected(self):
         series = _long_series()
         with pytest.raises(WindowError):
-            series.slice(Quarter(2010, 1), Quarter(2010, 2), False, False)
+            series.slice(Window(Quarter(2010, 1), Quarter(2010, 2), False, False))
 
     @given(st.data())
     def test_slice_never_fabricates_observations(self, data):
@@ -172,10 +172,10 @@ class TestSlice:
         n = len(series)
         i = data.draw(st.integers(min_value=0, max_value=n - 3))
         j = data.draw(st.integers(min_value=i + 2, max_value=n - 1))
-        sub = series.slice(
+        sub = series.slice(Window(
             series.observations[i].quarter, series.observations[j].quarter,
             data.draw(st.booleans()), True,
-        )
+        ))
         pool = set(series.observations)
         assert all(o in pool for o in sub.observations)
 

@@ -35,7 +35,7 @@ def rate_series(d_values, f_values, start=Quarter(2008, 2)) -> RateSeries:
         RatePoint(start.shift(i), d, f, F_SOURCE_BALANCE)
         for i, (d, f) in enumerate(zip(d_values, f_values))
     )
-    return RateSeries(points, (points[0].interval_end, points[-1].interval_end))
+    return RateSeries(points)
 
 
 def h1_rates(zeta: float, n: int = 17, d_base=0.004, d_amp=0.002, period=8) -> RateSeries:

@@ -96,7 +96,7 @@ class TestGenerate:
         tcu = np.asarray(series.tcu_values())
         assert np.max(np.abs(tcu - 915.4e9)) <= 1e-9 * 915.4e9
         abd = [o.abd for o in series.observations[1:]]
-        report = cycle_stats(abd, quarters_per_year=4)
+        report = cycle_stats(abd)
         assert report.frequency == pytest.approx(0.5, abs=1e-12)
         assert report.peak_amplitude_mean == pytest.approx(39.2e9, rel=0.02)
 
@@ -153,3 +153,7 @@ class TestScenarioConfig:
     def test_bad_value_reports_line(self):
         with pytest.raises(ParseError, match="line 1"):
             synth.parse_scenario("n_quarters=eighteen\n")
+
+    def test_bad_start_reports_line(self):
+        with pytest.raises(ParseError, match=r"^line 3: bad quarter '2008-Q7', expected YYYY-Qn$"):
+            synth.parse_scenario("# run\n\nstart=2008-Q7\n")
