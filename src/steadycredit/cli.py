@@ -47,9 +47,13 @@ class UsageError(Exception):
     """Bad flag combination; maps to exit code 2."""
 
 
-def _read_series(path: str) -> CreditSeries:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_csv(fh)
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SteadyCreditError(
+            f"{path}: not UTF-8 text, {exc.reason} at byte offset {exc.start}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -79,14 +83,14 @@ def _gap_cfg(args: argparse.Namespace) -> GapConfig:
 
 
 def _windowed_rates(args: argparse.Namespace) -> RateSeries:
-    series = _read_series(args.input)
+    series = parse_csv(_read_text(args.input))
     rates = credit_growth_rates(series, RatesConfig(f_mode=args.f_mode))
     window = _resolve_window(args)
     return rates if window is None else select_window(rates, window)
 
 
 def _windowed_series(args: argparse.Namespace) -> CreditSeries:
-    series = _read_series(args.input)
+    series = parse_csv(_read_text(args.input))
     window = _resolve_window(args)
     return series if window is None else series.slice(window)
 
@@ -96,7 +100,7 @@ def _analyze(args: argparse.Namespace) -> report_mod.AnalysisReport:
 
     Commands without the gap flags analyze with the default gap settings.
     """
-    series = _read_series(args.input)
+    series = parse_csv(_read_text(args.input))
     window = _resolve_window(args)
     rates_cfg = RatesConfig(f_mode=args.f_mode)
     gap_cfg = _gap_cfg(args) if "lam" in args else GapConfig()
@@ -105,7 +109,7 @@ def _analyze(args: argparse.Namespace) -> report_mod.AnalysisReport:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    series = _read_series(args.input)
+    series = parse_csv(_read_text(args.input))
     print(f"OK: {len(series)} observations, {series.first_quarter}..{series.last_quarter}")
     return 0
 
@@ -152,9 +156,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    with open(args.scenario, encoding="utf-8") as fh:
-        text = fh.read()
-    scenario = synth.parse_scenario(text, seed=args.seed)
+    scenario = synth.parse_scenario(_read_text(args.scenario), seed=args.seed)
     series, _ = synth.generate(scenario)
     _write_text(args.out, emit_csv(series))
     return 0
@@ -246,10 +248,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except SteadyCreditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SteadyCreditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,16 +6,19 @@ from the same windowed rate sample. Component failures (for example a
 regression on fewer than three points) are collected per stage instead of
 aborting the whole report.
 
-Serialized floats are rounded to a configurable number of significant
-digits (``STEADYCREDIT_PRECISION``, default 6) so repeated runs emit
-byte-identical documents.
+``dump_json`` writes every JSON document of the package in one walk. It
+rounds each float to ``STEADYCREDIT_PRECISION`` significant digits
+(default 6), so repeated runs emit byte-identical documents, and refuses a
+float that is non-finite after rounding, naming its key path.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import cycles as cycles_mod
 from . import ols as ols_mod
@@ -119,9 +122,7 @@ def analyze(
 
 
 def resolve_precision() -> int:
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION
+    raw = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION))
     try:
         value = int(raw)
     except ValueError:
@@ -129,22 +130,6 @@ def resolve_precision() -> int:
     if value < 1:
         raise SteadyCreditError(f"{PRECISION_ENV} must be >= 1, got {value}")
     return value
-
-
-def round_sig(value: float, digits: int) -> float:
-    return float(f"{value:.{digits}g}")
-
-
-def _rounded(obj, digits: int):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return round_sig(obj, digits)
-    if isinstance(obj, dict):
-        return {k: _rounded(v, digits) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(v, digits) for v in obj]
-    return obj
 
 
 def to_json_dict(report: AnalysisReport) -> dict:
@@ -164,51 +149,65 @@ def to_json_dict(report: AnalysisReport) -> dict:
             "irr_root": steady_state.to_ssf_json(report.ssp_irr) if report.ssp_irr else None,
         },
         "cycles": cycles_mod.to_json(report.cycles) if report.cycles else None,
-        "gap": _gap_json(report.gap) if report.gap else None,
-        "trajectory": [
-            {
-                "quarter": str(p.quarter),
-                "f_observed": p.f_observed,
-                "f_expected": p.f_expected,
-                "cumulative_index": p.cumulative_index,
-                "direction": p.direction,
-            }
-            for p in report.trajectory.points
-        ]
-        if report.trajectory
+        "gap": {
+            "lambda": report.gap.config.lam,
+            "gap_low": report.gap.config.gap_low,
+            "gap_high": report.gap.config.gap_high,
+            "buffer_max": report.gap.config.buffer_max,
+            "rows": [_row(r) for r in report.gap.rows],
+        }
+        if report.gap
         else None,
+        "trajectory": [_row(p) for p in report.trajectory.points] if report.trajectory else None,
         "errors": [{"stage": stage, "message": message} for stage, message in report.errors],
     }
 
 
-def _gap_json(gap: GapReport) -> dict:
-    return {
-        "lambda": gap.config.lam,
-        "gap_low": gap.config.gap_low,
-        "gap_high": gap.config.gap_high,
-        "buffer_max": gap.config.buffer_max,
-        "rows": [
-            {
-                "quarter": str(r.quarter),
-                "credit_to_gdp": r.credit_to_gdp,
-                "trend": r.trend,
-                "gap": r.gap,
-                "buffer_add_on": r.buffer_add_on,
-            }
-            for r in gap.rows
-        ],
-    }
+def _row(record) -> dict:
+    """A trajectory point or gap row keyed by its field names, its quarter as text."""
+    return {**vars(record), "quarter": str(record.quarter)}
+
+
+class _NonFinite(Exception):
+    """A float ``_write`` cannot write; ``args`` is its key path."""
+
+
+def _write(value, indent: str, spec: str, parts: list[str]) -> None:
+    """Append the JSON text of ``value``, nested at ``indent``, to ``parts``."""
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif isinstance(value, float):
+        value = float(format(value, spec))
+        if not math.isfinite(value):
+            raise _NonFinite()
+        parts.append(repr(value))
+    elif isinstance(value, (dict, list, tuple)) and value:
+        is_dict, inner = isinstance(value, dict), indent + "  "
+        sep = ("{\n" if is_dict else "[\n") + inner
+        for key, item in value.items() if is_dict else enumerate(value):
+            parts.append(sep + _quote(key) + ": " if is_dict else sep)
+            try:
+                _write(item, inner, spec, parts)
+            except _NonFinite as exc:
+                raise _NonFinite(key, *exc.args) from None
+            sep = ",\n" + inner
+        parts.append("\n" + indent + ("}" if is_dict else "]"))
+    elif type(value) is int:
+        parts.append(repr(value))
+    else:  # None, a bool, an empty container; a TypeError for what JSON cannot hold
+        parts.append(json.dumps(value))
 
 
 def dump_json(doc) -> str:
-    """Serialize a JSON-able document, its floats rounded to the package precision."""
-    rounded = _rounded(doc, resolve_precision())
+    """Serialize a JSON-able document as two-space-indented ASCII JSON."""
+    parts: list[str] = []
     try:
-        return json.dumps(rounded, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        raise SteadyCreditError(
-            "result holds a non-finite number, which JSON cannot represent"
-        ) from None
+        _write(doc, "", f".{resolve_precision()}g", parts)
+    except _NonFinite as exc:
+        path = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in exc.args)
+        raise SteadyCreditError("result holds a non-finite number, which JSON cannot "
+                                f"represent: {path.removeprefix('.') or 'the document'}") from None
+    return "".join(parts) + "\n"
 
 
 def to_json(report: AnalysisReport) -> str:

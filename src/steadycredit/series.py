@@ -182,16 +182,14 @@ def _parse_amount(field: str, column: str, line: int, required: bool) -> float |
         raise ParseError(f"column {column}: not a number: {text!r}", line) from None
 
 
-def parse_csv(source: str | io.TextIOBase) -> CreditSeries:
+def parse_csv(text: str) -> CreditSeries:
     """Parse the quarterly CSV format into a validated series.
 
     Expected header: ``quarter,tcu_eur,abd_eur,loans_eur,gdp_eur``. Amounts
     are decimal euros, scientific notation accepted; ``loans_eur`` and
     ``gdp_eur`` may be empty. Errors carry 1-based line numbers.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:

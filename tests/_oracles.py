@@ -5,13 +5,15 @@ oracle locates the minimum purely by comparing objective values on a
 shrinking grid, the zeta oracle scans the residual objective on a fixed
 grid, the root oracles use bisection only (one of them on log s, with
 every term held in logs), the chi-squared tail oracle integrates the
-density numerically, and the exact HP oracle eliminates the dense normal
-equations in rational arithmetic.
+density numerically, the exact HP oracle eliminates the dense normal
+equations in rational arithmetic, and the JSON oracle rounds a copy of the
+document before handing it to ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -169,3 +171,25 @@ def exact_hp_oracle(y, lam: float) -> list[Fraction]:
         acc = rows[i][n] - sum(rows[i][j] * tau[j] for j in range(i + 1, n))
         tau[i] = acc / rows[i][i]
     return tau
+
+
+def round_sig(value: float, digits: int) -> float:
+    """``value`` rounded to ``digits`` significant digits."""
+    return float(f"{value:.{digits}g}")
+
+
+def rounded_json_dumps(doc, digits: int) -> str:
+    """Round every float of a copy of ``doc``, then ``json.dumps`` it indented.
+
+    Raises ``ValueError`` on a float that is non-finite after rounding.
+    """
+    def rounded(obj):
+        if isinstance(obj, float):
+            return round_sig(obj, digits)
+        if isinstance(obj, dict):
+            return {k: rounded(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [rounded(v) for v in obj]
+        return obj
+
+    return json.dumps(rounded(doc), indent=2, allow_nan=False) + "\n"

@@ -140,6 +140,16 @@ class TestSimulatePipeline:
         assert main(["simulate", "--scenario", str(scenario), "--seed", "1"]) == 1
         assert capsys.readouterr().err == "error: line 2: bad quarter '2008-Q7', expected YYYY-Qn\n"
 
+    def test_non_utf8_scenario_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"n_quarters=18\nhypothesis=H1 \xff\n")
+        assert main(["simulate", "--scenario", str(path), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: not UTF-8 text, invalid start byte at byte offset 28\n"
+        )
+
 
 class TestAnalyze:
     def test_report_with_window_flags(self, canonical_csv, tmp_path):
@@ -185,6 +195,17 @@ class TestAnalyze:
         assert a.read_bytes() == b.read_bytes()
         assert hashlib.sha256(canonical_csv.read_bytes()).hexdigest() == before
 
+    def test_non_utf8_input_names_the_file(self, canonical_csv, capsys):
+        data = canonical_csv.read_bytes()
+        offset = data.index(b"2006-Q1")
+        canonical_csv.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        assert main(["analyze", "--input", str(canonical_csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {canonical_csv}: not UTF-8 text, invalid start byte at byte offset {offset}\n"
+        )
+
     def test_precision_env_var(self, canonical_csv, tmp_path, monkeypatch, capsys):
         out_default = tmp_path / "p6.json"
         assert main(["analyze", "--input", str(canonical_csv), "--window", "crisis",
@@ -216,6 +237,18 @@ class TestOtherCommands:
         doc = json.loads(capsys.readouterr().out)
         assert "frequency_cycles_per_year" in doc
         assert overlay.read_text().splitlines()[0].startswith("index,quarter")
+
+    @pytest.mark.parametrize("command, digest", [
+        ("ols", "ae5e8d3ca2bd91b3901da03a4cc4fcf0"),
+        ("ssp", "0b5b7853d0f0e0e0cea7294b757facdc"),
+        ("cycles", "cc2f81043549d5848d9e2163023e300f"),
+    ])
+    def test_json_output_matches_committed_digest(self, canonical_csv, command, digest,
+                                                  capsys):
+        # blake2b-16 of the whole-series JSON; the analyze report has its own golden
+        assert main([command, "--input", str(canonical_csv), "--json"]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.blake2b(out, digest_size=16).hexdigest() == digest
 
     def test_gap_csv(self, canonical_csv, tmp_path):
         out = tmp_path / "gap.csv"
@@ -251,7 +284,8 @@ class TestOtherCommands:
         assert main(["analyze", "--input", str(canonical_csv), "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith("error: ")
+        assert captured.err == ("error: result holds a non-finite number, which JSON "
+                                "cannot represent: cycles.series_se\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["analyze", "ssp"])

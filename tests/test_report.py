@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import round_sig, rounded_json_dumps
 from conftest import build_series, canonical_series, steady_scenario
 from steadycredit import ols, synth
 from steadycredit.errors import SteadyCreditError
@@ -15,7 +20,6 @@ from steadycredit.report import (
     dump_json,
     render_svg,
     resolve_precision,
-    round_sig,
     to_json,
     to_json_dict,
 )
@@ -25,6 +29,22 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 CRISIS = Window(Quarter(2008, 2), Quarter(2012, 2), True, True)
 ALL_WINDOWS_DIGEST = "ce5dcb8e0bc9fb659e76e95865fc4475"
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+                     float("inf"), float("-inf"), float("nan")]),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.text(st.characters(exclude_categories=())), _FLOATS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
 
 
 def canonical_report():
@@ -179,6 +199,32 @@ class TestJson:
     def test_non_finite_number_is_rejected(self, value):
         with pytest.raises(SteadyCreditError, match="non-finite"):
             dump_json({"chi2": value})
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"a": [1.0, {"b": float("nan")}]}, "a[1].b"),
+        ([0.5, [float("inf")]], "[1][0]"),
+        ({"huge": 1.7e308}, "huge"),  # rounds to 2e+308 at one digit
+        (float("-inf"), "the document"),
+    ])
+    def test_non_finite_error_names_key_path(self, doc, path, monkeypatch):
+        monkeypatch.setenv("STEADYCREDIT_PRECISION", "1")
+        with pytest.raises(SteadyCreditError) as info:
+            dump_json(doc)
+        assert str(info.value) == (
+            f"result holds a non-finite number, which JSON cannot represent: {path}"
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_JSON_VALUES, digits=st.integers(1, 17))
+    def test_matches_rounding_oracle(self, doc, digits):
+        with mock.patch.dict(os.environ, {"STEADYCREDIT_PRECISION": str(digits)}):
+            try:
+                expected = rounded_json_dumps(doc, digits)
+            except ValueError:
+                with pytest.raises(SteadyCreditError, match="non-finite"):
+                    dump_json(doc)
+            else:
+                assert dump_json(doc) == expected
 
 
 class TestSvg:

@@ -92,6 +92,12 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="line 3"):
             parse_csv(text)
 
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_any_line_ending_parses_alike(self, newline):
+        # lines split as in a file opened with newline="", so a lone \r ends a row
+        text = emit_csv(synth.generate(steady_scenario(seed=9))[0])
+        assert parse_csv(text.replace("\n", newline)) == parse_csv(text)
+
     def test_missing_required_amount_rejected(self):
         text = (
             "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
