@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ColumnAbsentError, EstimationError, InvariantError
 from .series import CreditSeries, Quarter
@@ -33,14 +32,18 @@ _RESID_TOL = 1e-8
 _MAX_REFINEMENTS = 12
 
 
-@dataclass(frozen=True)
-class GapConfig:
+class _GapConfigFields(NamedTuple):
     lam: float = 400_000.0
     gap_low: float = 2.0
     gap_high: float = 10.0
     buffer_max: float = 0.025
 
-    def __post_init__(self):
+
+class GapConfig(_GapConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("gap_low", "gap_high", "buffer_max"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -53,10 +56,10 @@ class GapConfig:
             )
         if not self.buffer_max > 0.0:
             raise InvariantError(f"buffer_max must be positive, got {self.buffer_max}")
+        return self
 
 
-@dataclass(frozen=True)
-class GapRow:
+class GapRow(NamedTuple):
     quarter: Quarter
     credit_to_gdp: float  # percent
     trend: float  # percent
@@ -64,8 +67,7 @@ class GapRow:
     buffer_add_on: float  # fraction in [0, buffer_max]
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     rows: tuple[GapRow, ...]
     config: GapConfig
 

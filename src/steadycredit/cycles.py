@@ -16,8 +16,7 @@ Zero curvature labels the point steady (a straight trend has no phase).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EstimationError
 from .series import Quarter
@@ -30,8 +29,7 @@ KIND_STEADY = "steady"
 QUARTERS_PER_YEAR = 4
 
 
-@dataclass(frozen=True)
-class Extremum:
+class Extremum(NamedTuple):
     index: int
     kind: str
     value: float
@@ -39,8 +37,7 @@ class Extremum:
     quarter: Quarter | None = None
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     extrema: tuple[Extremum, ...]
     series_mean: float
     series_se: float
@@ -113,13 +110,8 @@ def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -
     ys, classes = _classify(y, quarters)
     series_mean, series_se = _mean_se(ys)
     extrema = [
-        Extremum(
-            index=t,
-            kind=kind,
-            value=ys[t],
-            amplitude=abs(ys[t] - series_mean),
-            quarter=quarters[t] if quarters is not None else None,
-        )
+        Extremum(t, kind, ys[t], abs(ys[t] - series_mean),
+                 quarters[t] if quarters is not None else None)
         for t, (kind, _) in enumerate(classes, 1)
         if kind is not None
     ]
@@ -138,16 +130,8 @@ def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -
         period_years = None
         frequency = None
 
-    return CycleReport(
-        extrema=tuple(extrema),
-        series_mean=series_mean,
-        series_se=series_se,
-        peak_amplitude_mean=amp_mean,
-        peak_amplitude_se=amp_se,
-        frequency=frequency,
-        period=period_years,
-        phase_labels=tuple(label for _, label in classes),
-    )
+    return CycleReport(tuple(extrema), series_mean, series_se, amp_mean, amp_se,
+                       frequency, period_years, tuple(label for _, label in classes))
 
 
 def to_json(report: CycleReport) -> dict:

@@ -11,15 +11,13 @@ the textbook n - 2 denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EstimationError
 from .sums import fsum
 
 
-@dataclass(frozen=True)
-class OlsFit:
+class OlsFit(NamedTuple):
     n: int
     beta1: float
     beta2: float

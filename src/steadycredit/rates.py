@@ -15,7 +15,7 @@ just before its interval, and no other lag is offered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EstimationError, InvariantError, WindowError
 from .series import CreditSeries, Quarter, Window
@@ -27,42 +27,55 @@ MODE_PREFER_LOANS = "prefer-loans"
 MODE_FORCE_BALANCE = "force-balance-identity"
 
 
-@dataclass(frozen=True)
-class RatesConfig:
-    """Rate computation options: which formula supplies f."""
-
+class _RatesConfigFields(NamedTuple):
     f_mode: str = MODE_PREFER_LOANS
 
-    def __post_init__(self):
+
+class RatesConfig(_RatesConfigFields):
+    """Rate computation options: which formula supplies f."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.f_mode not in (MODE_PREFER_LOANS, MODE_FORCE_BALANCE):
             raise InvariantError(f"unknown f_mode {self.f_mode!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class _RatePointFields(NamedTuple):
     interval_end: Quarter
     d: float
     f: float
     f_source: str
 
-    def __post_init__(self):
+
+class RatePoint(_RatePointFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.d < 1.0:
             raise InvariantError(f"{self.interval_end}: d must be in [0,1), got {self.d}")
         if not self.f > -1.0:
             raise InvariantError(f"{self.interval_end}: f must be > -1, got {self.f}")
         if self.f_source not in (F_SOURCE_LOANS, F_SOURCE_BALANCE):
             raise InvariantError(f"unknown f_source {self.f_source!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class RateSeries:
-    """Ordered (d, f) sample over contiguous interval-end quarters."""
-
+class _RateSeriesFields(NamedTuple):
     points: tuple[RatePoint, ...]
 
-    def __post_init__(self):
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
+
+class RateSeries(_RateSeriesFields):
+    """Ordered (d, f) sample over contiguous interval-end quarters."""
+
+    __slots__ = ()
+
+    def __new__(cls, points):
+        pts = tuple(points)
+        self = super().__new__(cls, pts)
         if not pts:
             raise InvariantError("rate series must not be empty")
         base = pts[0].interval_end.index
@@ -71,6 +84,7 @@ class RateSeries:
                 raise InvariantError(
                     f"rate points must be contiguous, broken at {p.interval_end}"
                 )
+        return self
 
     def __len__(self) -> int:
         return len(self.points)

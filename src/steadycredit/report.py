@@ -14,11 +14,10 @@ float that is non-finite after rounding, naming its key path.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 from . import cycles as cycles_mod
 from . import ols as ols_mod
@@ -35,8 +34,7 @@ KIND_TIME_PANEL = "exhibit1"
 KIND_SCATTER = "exhibit2"
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     window: Window
     n: int
     ols_fit: ols_mod.OlsFit | None
@@ -106,19 +104,8 @@ def analyze(
     else:
         errors.append(("trajectory", "no steady-state estimate available"))
 
-    return AnalysisReport(
-        window=window,
-        n=len(rates_in),
-        ols_fit=ols_fit,
-        ssp_ls=ssp_ls,
-        ssp_irr=ssp_irr,
-        cycles=cycle_report,
-        gap=gap_report,
-        trajectory=traj,
-        rates_in=rates_in,
-        rates_out=rates_out,
-        errors=tuple(errors),
-    )
+    return AnalysisReport(window, len(rates_in), ols_fit, ssp_ls, ssp_irr, cycle_report,
+                          gap_report, traj, rates_in, rates_out, tuple(errors))
 
 
 def resolve_precision() -> int:
@@ -165,7 +152,7 @@ def to_json_dict(report: AnalysisReport) -> dict:
 
 def _row(record) -> dict:
     """A trajectory point or gap row keyed by its field names, its quarter as text."""
-    return {**vars(record), "quarter": str(record.quarter)}
+    return {**record._asdict(), "quarter": str(record.quarter)}
 
 
 class _NonFinite(Exception):
@@ -181,9 +168,10 @@ def _write(value, indent: str, spec: str, parts: list[str]) -> None:
         if not math.isfinite(value):
             raise _NonFinite()
         parts.append(repr(value))
-    elif isinstance(value, (dict, list, tuple)) and value:
-        is_dict, inner = isinstance(value, dict), indent + "  "
-        sep = ("{\n" if is_dict else "[\n") + inner
+    elif type(value) in (dict, list, tuple):  # a record is a tuple, but no JSON array
+        is_dict, inner = type(value) is dict, indent + "  "
+        brackets = "{}" if is_dict else "[]"
+        sep = brackets[0] + "\n" + inner
         for key, item in value.items() if is_dict else enumerate(value):
             parts.append(sep + _quote(key) + ": " if is_dict else sep)
             try:
@@ -191,11 +179,13 @@ def _write(value, indent: str, spec: str, parts: list[str]) -> None:
             except _NonFinite as exc:
                 raise _NonFinite(key, *exc.args) from None
             sep = ",\n" + inner
-        parts.append("\n" + indent + ("}" if is_dict else "]"))
+        parts.append("\n" + indent + brackets[1] if value else brackets)
     elif type(value) is int:
         parts.append(repr(value))
-    else:  # None, a bool, an empty container; a TypeError for what JSON cannot hold
-        parts.append(json.dumps(value))
+    elif value is None or type(value) is bool:
+        parts.append("null" if value is None else "true" if value else "false")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def dump_json(doc) -> str:

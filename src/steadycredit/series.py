@@ -3,7 +3,9 @@
 A series is an ordered, gap-free list of end-of-quarter observations of the
 total credit used (TCU), the new adjusted bad debt exposure (ABD), and the
 optional gross loans disbursed and nominal GDP columns. All types are
-immutable after construction and all operations are pure.
+immutable after construction and all operations are pure: observations are
+a frozen dataclass, so ``dataclasses.replace`` validates anew, and the other
+types are named tuples that validate their fields in ``__new__``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContiguityError, InvariantError, ParseError, WindowError
 
@@ -21,18 +24,23 @@ CSV_HEADER = ("quarter", "tcu_eur", "abd_eur", "loans_eur", "gdp_eur")
 _QUARTER_RE = re.compile(r"^(\d{4})-Q([1-4])$")
 
 
-@dataclass(frozen=True, order=True)
-class Quarter:
-    """A calendar quarter, ordered lexicographically by (year, q)."""
-
+class _QuarterFields(NamedTuple):
     year: int
     q: int
 
-    def __post_init__(self):
+
+class Quarter(_QuarterFields):
+    """A calendar quarter, ordered lexicographically by (year, q)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.year, int) or not isinstance(self.q, int):
             raise InvariantError(f"quarter fields must be integers, got {self.year!r}-Q{self.q!r}")
         if self.q not in (1, 2, 3, 4):
             raise InvariantError(f"quarter number must be in 1..4, got {self.q}")
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "Quarter":
@@ -82,22 +90,28 @@ class CreditObservation:
             raise InvariantError(f"{self.quarter}: gdp must be > 0, got {self.gdp}")
 
 
-@dataclass(frozen=True)
-class Window:
-    """Half-open or closed span of quarters used to select an analysis sample."""
-
+class _WindowFields(NamedTuple):
     start: Quarter
     end: Quarter
     start_inclusive: bool = True
     end_inclusive: bool = True
 
-    def __post_init__(self):
+
+class Window(_WindowFields):
+    """Half-open or closed span of quarters used to select an analysis sample."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.start < self.end:
             raise WindowError(f"window start {self.start} must precede end {self.end}")
+        return self
 
     def contains(self, quarter: Quarter) -> bool:
-        after_start = quarter >= self.start if self.start_inclusive else quarter > self.start
-        before_end = quarter <= self.end if self.end_inclusive else quarter < self.end
+        start, end, start_inclusive, end_inclusive = self
+        after_start = quarter >= start if start_inclusive else quarter > start
+        before_end = quarter <= end if end_inclusive else quarter < end
         return after_start and before_end
 
     def __str__(self) -> str:
@@ -106,15 +120,18 @@ class Window:
         return f"{lo}{self.start}..{self.end}{hi}"
 
 
-@dataclass(frozen=True)
-class CreditSeries:
-    """Contiguous quarterly observations; at least one interval."""
-
+class _CreditSeriesFields(NamedTuple):
     observations: tuple[CreditObservation, ...]
 
-    def __post_init__(self):
-        obs = tuple(self.observations)
-        object.__setattr__(self, "observations", obs)
+
+class CreditSeries(_CreditSeriesFields):
+    """Contiguous quarterly observations; at least one interval."""
+
+    __slots__ = ()
+
+    def __new__(cls, observations):
+        obs = tuple(observations)
+        self = super().__new__(cls, obs)
         if len(obs) < 2:
             raise InvariantError(f"series needs at least 2 observations, got {len(obs)}")
         base = obs[0].quarter.index
@@ -130,6 +147,7 @@ class CreditSeries:
                 raise InvariantError(
                     f"{cur.quarter}: abd {cur.abd} must be strictly below previous tcu {prev.tcu}"
                 )
+        return self
 
     def __len__(self) -> int:
         return len(self.observations)

@@ -36,8 +36,7 @@ incomplete-gamma solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import ols
 from .errors import EstimationError
@@ -54,8 +53,7 @@ _MANTISSA_LO = 2.0**-512
 _MANTISSA_HI = 2.0**512
 
 
-@dataclass(frozen=True)
-class SspEstimate:
+class SspEstimate(NamedTuple):
     zeta: float
     s: float
     method: str
@@ -66,8 +64,7 @@ class SspEstimate:
     n: int
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     quarter: Quarter
     f_observed: float
     f_expected: float
@@ -75,8 +72,7 @@ class TrajectoryPoint:
     direction: str | None  # rising/falling/flat vs previous observed f; None at start
 
 
-@dataclass(frozen=True)
-class SteadyStateTrajectory:
+class SteadyStateTrajectory(NamedTuple):
     points: tuple[TrajectoryPoint, ...]
     zeta: float
 
@@ -277,15 +273,8 @@ def trajectory(rates: RateSeries, zeta: float) -> SteadyStateTrajectory:
             direction = "falling"
         else:
             direction = "flat"
-        points.append(
-            TrajectoryPoint(
-                quarter=p.interval_end,
-                f_observed=p.f,
-                f_expected=expected_growth(p.d, zeta),
-                cumulative_index=index,
-                direction=direction,
-            )
-        )
+        points.append(TrajectoryPoint(p.interval_end, p.f, expected_growth(p.d, zeta),
+                                      index, direction))
         prev_f = p.f
     return SteadyStateTrajectory(tuple(points), zeta)
 

@@ -17,7 +17,7 @@ deterministic given the scenario, including its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import InvariantError, ParseError
 from .rates import F_SOURCE_BALANCE, F_SOURCE_LOANS, RatePoint, RateSeries
@@ -27,8 +27,7 @@ HYPOTHESIS_NULL = "H0"
 HYPOTHESIS_STEADY_STATE = "H1"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _ScenarioFields(NamedTuple):
     n_quarters: int
     start: Quarter
     tcu0: float
@@ -40,7 +39,12 @@ class Scenario:
     hypothesis: str
     seed: int
 
-    def __post_init__(self):
+
+class Scenario(_ScenarioFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_quarters < 3:
             raise InvariantError(f"need at least 3 quarters, got {self.n_quarters}")
         if not self.tcu0 > 0.0:
@@ -56,6 +60,7 @@ class Scenario:
             raise InvariantError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.hypothesis not in (HYPOTHESIS_NULL, HYPOTHESIS_STEADY_STATE):
             raise InvariantError(f"hypothesis must be H0 or H1, got {self.hypothesis!r}")
+        return self
 
 
 def generate(sc: Scenario) -> tuple[CreditSeries, RateSeries]:
@@ -133,7 +138,7 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
             raise ParseError(f"bad value for {key}: {value!r}", lineno) from None
     if seed is not None:
         values["seed"] = seed
-    required = {f.name for f in fields(Scenario)}
+    required = set(Scenario._fields)
     missing = sorted(required - values.keys())
     if missing:
         raise ParseError(f"scenario is missing keys: {', '.join(missing)}")
@@ -142,9 +147,8 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
 
 def scenario_to_text(sc: Scenario) -> str:
     lines = []
-    for f in fields(Scenario):
-        value = getattr(sc, f.name)
+    for name, value in sc._asdict().items():
         if isinstance(value, float):
             value = repr(value)
-        lines.append(f"{f.name}={value}")
+        lines.append(f"{name}={value}")
     return "\n".join(lines) + "\n"

@@ -1,13 +1,21 @@
 """Checks on the package as a whole: the shipped reference document, the
-exported names and dead names."""
+exported names, dead names and the construction contract of its records."""
 
 import ast
+import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import steadycredit
 from steadycredit import reference
+from steadycredit.basel import GapConfig
+from steadycredit.errors import ContiguityError, InvariantError, WindowError
+from steadycredit.rates import RatePoint, RateSeries, RatesConfig
+from steadycredit.series import CreditObservation, CreditSeries, Quarter, Window
+from steadycredit.synth import Scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "steadycredit"
@@ -69,3 +77,84 @@ def test_every_module_level_name_is_used():
             if name not in EXEMPT and total[name] - _uses(node)[name] == 0:
                 unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_credit_observation_is_the_one_dataclass():
+    # dataclasses.replace on observations is how the tests and the benchmark
+    # add a GDP column to a generated series
+    decorated = [(path.name, node.name)
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ClassDef)
+                 for dec in node.decorator_list
+                 if "dataclass" in ast.unparse(dec)]
+    assert decorated == [("series.py", "CreditObservation")]
+    obs = CreditObservation(Quarter(2008, 1), 100.0, 1.0)
+    replaced = dataclasses.replace(obs, gdp=1.0)
+    assert type(replaced) is CreditObservation and replaced.gdp == 1.0
+    with pytest.raises(InvariantError, match="gdp must be > 0, got 0.0"):
+        dataclasses.replace(obs, gdp=0.0)
+
+
+_Q = Quarter(2008, 1)
+_OBS = [CreditObservation(Quarter(2008, q), 100.0, 1.0) for q in (1, 2, 3)]
+_POINT = RatePoint(_Q, 0.01, 0.02, "loans-formula")
+_SCENARIO = dict(n_quarters=8, start=_Q, tcu0=1e9, d_base=0.01, d_amp=0.005,
+                 d_period_quarters=4, zeta_true=0.001, noise_sigma=0.0,
+                 hypothesis="H1", seed=1)
+
+# (class, valid arguments in field order, field, bad value, error, message)
+_BAD_ARGUMENTS = [
+    (Quarter, dict(year=2008, q=1), "q", 5,
+     InvariantError, "quarter number must be in 1..4, got 5"),
+    (Quarter, dict(year=2008, q=1), "year", 2008.0,
+     InvariantError, "quarter fields must be integers, got 2008.0-Q1"),
+    (Window, dict(start=_Q, end=Quarter(2009, 1), start_inclusive=True, end_inclusive=False),
+     "end", _Q, WindowError, "window start 2008-Q1 must precede end 2008-Q1"),
+    (CreditSeries, dict(observations=_OBS[:2]), "observations", _OBS[:1],
+     InvariantError, "series needs at least 2 observations, got 1"),
+    (CreditSeries, dict(observations=_OBS[:2]), "observations", _OBS[::2],
+     ContiguityError, "missing quarter 2008-Q2 before 2008-Q3"),
+    (RatesConfig, dict(f_mode="prefer-loans"), "f_mode", "nope",
+     InvariantError, "unknown f_mode 'nope'"),
+    (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "d", 1.0,
+     InvariantError, "2008-Q1: d must be in [0,1), got 1.0"),
+    (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "f", -1.0,
+     InvariantError, "2008-Q1: f must be > -1, got -1.0"),
+    (RateSeries, dict(points=[_POINT]), "points", [],
+     InvariantError, "rate series must not be empty"),
+    (RateSeries, dict(points=[_POINT]), "points", [_POINT, _POINT],
+     InvariantError, "rate points must be contiguous, broken at 2008-Q1"),
+    (GapConfig, dict(lam=1600.0, gap_low=2.0, gap_high=10.0, buffer_max=0.025), "lam", -1.0,
+     InvariantError, "smoothing parameter must be >= 0, got -1.0"),
+    (GapConfig, dict(lam=1600.0, gap_low=2.0, gap_high=10.0, buffer_max=0.025),
+     "gap_high", float("inf"), InvariantError, "gap_high must be finite, got inf"),
+    (Scenario, _SCENARIO, "noise_sigma", -0.5,
+     InvariantError, "noise_sigma must be >= 0, got -0.5"),
+    (Scenario, _SCENARIO, "hypothesis", "H2",
+     InvariantError, "hypothesis must be H0 or H1, got 'H2'"),
+]
+
+
+@pytest.mark.parametrize("cls, valid, field, bad, error, message", _BAD_ARGUMENTS,
+                         ids=[f"{case[0].__name__}-{case[2]}" for case in _BAD_ARGUMENTS])
+def test_constructors_validate_positional_and_keyword_arguments(
+        cls, valid, field, bad, error, message):
+    assert cls(*valid.values()) == cls(**valid)
+    args = {**valid, field: bad}
+    for construct in (lambda: cls(*args.values()), lambda: cls(**args)):
+        with pytest.raises(error) as info:
+            construct()
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_constructor_defaults():
+    gap = GapConfig()
+    assert (gap.lam, gap.gap_low, gap.gap_high, gap.buffer_max) == (400_000.0, 2.0, 10.0, 0.025)
+    assert RatesConfig().f_mode == "prefer-loans"
+    window = Window(_Q, Quarter(2009, 1))
+    assert window.start_inclusive is True and window.end_inclusive is True
+    obs = CreditObservation(_Q, 100.0, 1.0)
+    assert obs.loans is None and obs.gdp is None
+    assert type(CreditSeries(list(_OBS)).observations) is tuple
+    assert type(RateSeries([_POINT]).points) is tuple

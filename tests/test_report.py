@@ -214,6 +214,11 @@ class TestJson:
             f"result holds a non-finite number, which JSON cannot represent: {path}"
         )
 
+    def test_a_record_is_not_written(self):
+        for record in (Quarter(2008, 1), canonical_report().ols_fit):
+            with pytest.raises(TypeError):
+                dump_json({"q": record})
+
     @settings(max_examples=400, deadline=None)
     @given(doc=_JSON_VALUES, digits=st.integers(1, 17))
     def test_matches_rounding_oracle(self, doc, digits):

@@ -45,6 +45,15 @@ class TestQuarter:
         assert Quarter.from_index(quarter.index) == quarter
         assert quarter.shift(k).index == quarter.index + k
 
+    @given(st.tuples(st.integers(1900, 2100), st.integers(1, 4)),
+           st.tuples(st.integers(1900, 2100), st.integers(1, 4)))
+    def test_order_equality_and_hash_follow_year_then_quarter(self, a, b):
+        qa, qb = Quarter(*a), Quarter(*b)
+        assert (qa < qb, qa <= qb, qa == qb, qa != qb, qa >= qb, qa > qb) == (
+            a < b, a <= b, a == b, a != b, a >= b, a > b)
+        assert hash(qa) == hash(a) and len({qa, qb}) == len({a, b})
+        assert qa.index == a[0] * 4 + a[1] - 1
+
     def test_rejects_bad_quarter_number(self):
         with pytest.raises(InvariantError):
             Quarter(2008, 5)
@@ -197,3 +206,14 @@ class TestWindow:
     def test_degenerate_window_rejected(self):
         with pytest.raises(WindowError):
             Window(Quarter(2008, 2), Quarter(2008, 2))
+
+    @given(st.integers(1900, 2100), st.integers(1, 4), st.integers(1, 40),
+           st.integers(-45, 45), st.booleans(), st.booleans())
+    def test_contains_matches_index_range(self, year, q, span, offset,
+                                          start_inclusive, end_inclusive):
+        start = Quarter(year, q)
+        window = Window(start, start.shift(span), start_inclusive, end_inclusive)
+        lo = start.index + (0 if start_inclusive else 1)
+        hi = start.index + span - (0 if end_inclusive else 1)
+        quarter = start.shift(offset)
+        assert window.contains(quarter) == (lo <= quarter.index <= hi)
