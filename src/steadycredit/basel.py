@@ -26,7 +26,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .errors import ColumnAbsentError, EstimationError, InvariantError
-from .series import CreditSeries, Quarter
+from .series import CreditSeries, Quarter, Validated
 
 _RESID_TOL = 1e-8
 _MAX_REFINEMENTS = 12
@@ -39,7 +39,7 @@ class _GapConfigFields(NamedTuple):
     buffer_max: float = 0.025
 
 
-class GapConfig(_GapConfigFields):
+class GapConfig(Validated, _GapConfigFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):

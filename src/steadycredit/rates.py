@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import EstimationError, InvariantError, WindowError
-from .series import CreditSeries, Quarter, Window
+from .series import CreditSeries, Quarter, Validated, Window
 
 F_SOURCE_LOANS = "loans-formula"
 F_SOURCE_BALANCE = "balance-identity"
@@ -31,7 +31,7 @@ class _RatesConfigFields(NamedTuple):
     f_mode: str = MODE_PREFER_LOANS
 
 
-class RatesConfig(_RatesConfigFields):
+class RatesConfig(Validated, _RatesConfigFields):
     """Rate computation options: which formula supplies f."""
 
     __slots__ = ()
@@ -50,7 +50,7 @@ class _RatePointFields(NamedTuple):
     f_source: str
 
 
-class RatePoint(_RatePointFields):
+class RatePoint(Validated, _RatePointFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -68,7 +68,7 @@ class _RateSeriesFields(NamedTuple):
     points: tuple[RatePoint, ...]
 
 
-class RateSeries(_RateSeriesFields):
+class RateSeries(Validated, _RateSeriesFields):
     """Ordered (d, f) sample over contiguous interval-end quarters."""
 
     __slots__ = ()
@@ -128,7 +128,9 @@ def select_window(rates: RateSeries, window: Window) -> RateSeries:
     quarter's credit stock as denominator, so a window of n quarters drawn
     from a longer series yields an n-point sample.
     """
-    kept = tuple(p for p in rates.points if window.contains(p.interval_end))
+    lo, hi = window.index_range()
+    base = rates.points[0].interval_end.index
+    kept = rates.points[max(lo - base, 0):max(hi - base + 1, 0)]
     if not kept:
         raise WindowError(f"window {window} selects no rate points")
     return RateSeries(kept)

@@ -9,7 +9,9 @@ aborting the whole report.
 ``dump_json`` writes every JSON document of the package in one walk. It
 rounds each float to ``STEADYCREDIT_PRECISION`` significant digits
 (default 6), so repeated runs emit byte-identical documents, and refuses a
-float that is non-finite after rounding, naming its key path.
+float that is non-finite after rounding, naming its key path. A float is
+written as the ``repr`` of its rounded value; at 15 digits or fewer a
+fixed-notation rounding is that ``repr`` already and is written as it is.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ def analyze(
         window = Window(series.first_quarter, series.last_quarter)
     full = credit_growth_rates(series, rates_cfg)
     rates_in = select_window(full, window)
-    in_set = {p.interval_end for p in rates_in.points}
-    rates_out = tuple(p for p in full.points if p.interval_end not in in_set)
+    skip = rates_in.points[0].interval_end.index - full.points[0].interval_end.index
+    rates_out = full.points[:skip] + full.points[skip + len(rates_in):]  # around rates_in
 
     errors: list[tuple[str, str]] = []
 
@@ -159,40 +161,48 @@ class _NonFinite(Exception):
     """A float ``_write`` cannot write; ``args`` is its key path."""
 
 
-def _write(value, indent: str, spec: str, parts: list[str]) -> None:
+def _write(value, indent: str, spec: str, short: bool, parts: list[str]) -> None:
     """Append the JSON text of ``value``, nested at ``indent``, to ``parts``."""
-    if isinstance(value, str):
-        parts.append(_quote(value))
-    elif isinstance(value, float):
-        value = float(format(value, spec))
-        if not math.isfinite(value):
-            raise _NonFinite()
-        parts.append(repr(value))
-    elif type(value) in (dict, list, tuple):  # a record is a tuple, but no JSON array
-        is_dict, inner = type(value) is dict, indent + "  "
+    kind = type(value)
+    if kind is float:
+        text = format(value, spec)
+        # with short (<= 15 digits) a fixed-notation text is the float's repr
+        if not (short and "." in text and "e" not in text):
+            value = float(text)
+            if not math.isfinite(value):
+                raise _NonFinite()
+            text = repr(value)
+        parts.append(text)
+    elif kind is dict or kind is list or kind is tuple:  # a record is a tuple, but no JSON array
+        is_dict, inner = kind is dict, indent + "  "
         brackets = "{}" if is_dict else "[]"
         sep = brackets[0] + "\n" + inner
         for key, item in value.items() if is_dict else enumerate(value):
             parts.append(sep + _quote(key) + ": " if is_dict else sep)
             try:
-                _write(item, inner, spec, parts)
+                _write(item, inner, spec, short, parts)
             except _NonFinite as exc:
                 raise _NonFinite(key, *exc.args) from None
             sep = ",\n" + inner
         parts.append("\n" + indent + brackets[1] if value else brackets)
-    elif type(value) is int:
+    elif kind is str or isinstance(value, str):
+        parts.append(_quote(value))
+    elif kind is int:
         parts.append(repr(value))
-    elif value is None or type(value) is bool:
+    elif value is None or kind is bool:
         parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, float):  # a subclass, such as numpy.float64
+        _write(float(value), indent, spec, short, parts)
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def dump_json(doc) -> str:
     """Serialize a JSON-able document as two-space-indented ASCII JSON."""
+    digits = resolve_precision()
     parts: list[str] = []
     try:
-        _write(doc, "", f".{resolve_precision()}g", parts)
+        _write(doc, "", f".{digits}g", digits <= 15, parts)
     except _NonFinite as exc:
         path = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in exc.args)
         raise SteadyCreditError("result holds a non-finite number, which JSON cannot "

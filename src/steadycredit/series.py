@@ -5,7 +5,8 @@ total credit used (TCU), the new adjusted bad debt exposure (ABD), and the
 optional gross loans disbursed and nominal GDP columns. All types are
 immutable after construction and all operations are pure: observations are
 a frozen dataclass, so ``dataclasses.replace`` validates anew, and the other
-types are named tuples that validate their fields in ``__new__``.
+types are named tuples that validate their fields in ``__new__``, also in
+``_make`` and ``_replace``. A window selects the index range of its quarters.
 """
 
 from __future__ import annotations
@@ -24,12 +25,22 @@ CSV_HEADER = ("quarter", "tcu_eur", "abd_eur", "loans_eur", "gdp_eur")
 _QUARTER_RE = re.compile(r"^(\d{4})-Q([1-4])$")
 
 
+class Validated:
+    """Base of a validated named tuple; ``_make`` and ``_replace`` run ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _QuarterFields(NamedTuple):
     year: int
     q: int
 
 
-class Quarter(_QuarterFields):
+class Quarter(Validated, _QuarterFields):
     """A calendar quarter, ordered lexicographically by (year, q)."""
 
     __slots__ = ()
@@ -97,7 +108,7 @@ class _WindowFields(NamedTuple):
     end_inclusive: bool = True
 
 
-class Window(_WindowFields):
+class Window(Validated, _WindowFields):
     """Half-open or closed span of quarters used to select an analysis sample."""
 
     __slots__ = ()
@@ -108,11 +119,14 @@ class Window(_WindowFields):
             raise WindowError(f"window start {self.start} must precede end {self.end}")
         return self
 
-    def contains(self, quarter: Quarter) -> bool:
+    def index_range(self) -> tuple[int, int]:
+        """Quarter indices of the first and last quarter inside the window."""
         start, end, start_inclusive, end_inclusive = self
-        after_start = quarter >= start if start_inclusive else quarter > start
-        before_end = quarter <= end if end_inclusive else quarter < end
-        return after_start and before_end
+        return start.index + (not start_inclusive), end.index - (not end_inclusive)
+
+    def contains(self, quarter: Quarter) -> bool:
+        lo, hi = self.index_range()
+        return lo <= quarter.index <= hi
 
     def __str__(self) -> str:
         lo = "[" if self.start_inclusive else "("
@@ -124,7 +138,7 @@ class _CreditSeriesFields(NamedTuple):
     observations: tuple[CreditObservation, ...]
 
 
-class CreditSeries(_CreditSeriesFields):
+class CreditSeries(Validated, _CreditSeriesFields):
     """Contiguous quarterly observations; at least one interval."""
 
     __slots__ = ()
@@ -180,7 +194,9 @@ class CreditSeries(_CreditSeriesFields):
                 f"slice {window.start}..{window.end} outside series span "
                 f"{self.first_quarter}..{self.last_quarter}"
             )
-        kept = tuple(o for o in self.observations if window.contains(o.quarter))
+        lo, hi = window.index_range()
+        base = self.first_quarter.index
+        kept = self.observations[max(lo - base, 0):max(hi - base + 1, 0)]
         if not kept:
             raise WindowError(f"slice {window} selects no observations")
         if len(kept) < 2:

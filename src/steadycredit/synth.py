@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import InvariantError, ParseError
 from .rates import F_SOURCE_BALANCE, F_SOURCE_LOANS, RatePoint, RateSeries
-from .series import CreditObservation, CreditSeries, Quarter
+from .series import CreditObservation, CreditSeries, Quarter, Validated
 
 HYPOTHESIS_NULL = "H0"
 HYPOTHESIS_STEADY_STATE = "H1"
@@ -40,7 +40,7 @@ class _ScenarioFields(NamedTuple):
     seed: int
 
 
-class Scenario(_ScenarioFields):
+class Scenario(Validated, _ScenarioFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):

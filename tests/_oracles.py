@@ -6,8 +6,9 @@ shrinking grid, the zeta oracle scans the residual objective on a fixed
 grid, the root oracles use bisection only (one of them on log s, with
 every term held in logs), the chi-squared tail oracle integrates the
 density numerically, the exact HP oracle eliminates the dense normal
-equations in rational arithmetic, and the JSON oracle rounds a copy of the
-document before handing it to ``json.dumps``.
+equations in rational arithmetic, the JSON oracle rounds a copy of the
+document before handing it to ``json.dumps``, and the window oracle
+compares each quarter with the window's bounds instead of using indices.
 """
 
 from __future__ import annotations
@@ -193,3 +194,12 @@ def rounded_json_dumps(doc, digits: int) -> str:
         return obj
 
     return json.dumps(rounded(doc), indent=2, allow_nan=False) + "\n"
+
+
+def window_filter_oracle(window, quarters) -> list[bool]:
+    """For each quarter, whether it lies inside ``window``, compared with
+    each bound in turn."""
+    start, end, start_inclusive, end_inclusive = window
+    return [(q >= start if start_inclusive else q > start)
+            and (q <= end if end_inclusive else q < end)
+            for q in quarters]

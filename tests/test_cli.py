@@ -250,6 +250,20 @@ class TestOtherCommands:
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.blake2b(out, digest_size=16).hexdigest() == digest
 
+    @pytest.mark.parametrize("digits, digest", [
+        ("15", "a0f64918496338e3e017ba842afd8741"),
+        ("16", "875080727a3a4df5f19cf58ca59f129d"),
+        ("17", "602e7dceb106dc9d4f88f26b0f499cd6"),
+    ])
+    def test_analyze_json_at_full_precision_matches_committed_digest(
+            self, canonical_csv, digits, digest, monkeypatch, capsys):
+        # the writer writes a fixed-notation float of at most 15 digits as
+        # formatted and parses the rest; pins both sides of that limit
+        monkeypatch.setenv("STEADYCREDIT_PRECISION", digits)
+        assert main(["analyze", "--input", str(canonical_csv), "--json"]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.blake2b(out, digest_size=16).hexdigest() == digest
+
     def test_gap_csv(self, canonical_csv, tmp_path):
         out = tmp_path / "gap.csv"
         assert main(["gap", "--input", str(canonical_csv), "--out", str(out)]) == 0

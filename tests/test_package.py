@@ -142,10 +142,23 @@ def test_constructors_validate_positional_and_keyword_arguments(
         cls, valid, field, bad, error, message):
     assert cls(*valid.values()) == cls(**valid)
     args = {**valid, field: bad}
-    for construct in (lambda: cls(*args.values()), lambda: cls(**args)):
+    for construct in (lambda: cls(*args.values()), lambda: cls(**args),
+                      lambda: cls._make(args.values()),
+                      lambda: cls(**valid)._replace(**{field: bad})):
         with pytest.raises(error) as info:
             construct()
         assert type(info.value) is error and str(info.value) == message
+
+
+def test_make_and_replace_validate():
+    with pytest.raises(InvariantError, match="quarter number must be in 1..4, got 7"):
+        Quarter._make((2008, 7))
+    window = Window(_Q, Quarter(2009, 1))
+    with pytest.raises(WindowError, match="window start 2008-Q1 must precede end 2007-Q1"):
+        window._replace(end=Quarter(2007, 1))
+    moved = window._replace(end=Quarter(2010, 1), end_inclusive=False)
+    assert type(moved) is Window and moved == (_Q, Quarter(2010, 1), True, False)
+    assert type(Quarter._make((2008, 4))) is Quarter
 
 
 def test_constructor_defaults():

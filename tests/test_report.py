@@ -1,18 +1,21 @@
 import hashlib
 import json
+import math
 import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import round_sig, rounded_json_dumps
+from _oracles import round_sig, rounded_json_dumps, window_filter_oracle
 from conftest import build_series, canonical_series, steady_scenario
 from steadycredit import ols, synth
-from steadycredit.errors import SteadyCreditError
+from steadycredit.errors import SteadyCreditError, WindowError
+from steadycredit.rates import credit_growth_rates, select_window
 from steadycredit.report import (
     KIND_SCATTER,
     KIND_TIME_PANEL,
@@ -23,7 +26,7 @@ from steadycredit.report import (
     to_json,
     to_json_dict,
 )
-from steadycredit.series import Quarter, Window
+from steadycredit.series import CreditSeries, Quarter, Window
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -49,6 +52,19 @@ _JSON_VALUES = st.recursive(
 
 def canonical_report():
     return analyze(canonical_series(), CRISIS)
+
+
+def all_windows_digest(start_inclusive: bool, end_inclusive: bool) -> str:
+    """blake2b-16 over the reports of all 378 windows of >= 8 quarters of the
+    canonical series, in sorted order, with the given inclusion flags."""
+    series = canonical_series()
+    quarters = series.quarters()
+    h = hashlib.blake2b(digest_size=16)
+    for i, start in enumerate(quarters):
+        for end in quarters[i + 7:]:
+            window = Window(start, end, start_inclusive, end_inclusive)
+            h.update(to_json(analyze(series, window)).encode("utf-8"))
+    return h.hexdigest()
 
 
 class TestAnalyze:
@@ -167,15 +183,17 @@ class TestJson:
         assert to_json(canonical_report()) == golden
 
     def test_every_window_matches_committed_digest(self):
-        # blake2b-16 over the reports of all 378 windows of >= 8 quarters of the
-        # canonical series, in sorted order; pins far more output than the golden
-        series = canonical_series()
-        quarters = series.quarters()
-        h = hashlib.blake2b(digest_size=16)
-        for i, start in enumerate(quarters):
-            for end in quarters[i + 7:]:
-                h.update(to_json(analyze(series, Window(start, end))).encode("utf-8"))
-        assert h.hexdigest() == ALL_WINDOWS_DIGEST
+        # pins far more output than the golden
+        assert all_windows_digest(True, True) == ALL_WINDOWS_DIGEST
+
+    @pytest.mark.parametrize("start_inclusive, end_inclusive, digest", [
+        (True, False, "0672ba222709b774ebd967e8b94ccf66"),
+        (False, True, "9ccec66483622912a7e0c2358c80d9ad"),
+        (False, False, "fba5c9d2f4d1325b1e174799bb51873a"),
+    ])
+    def test_every_open_window_matches_committed_digest(self, start_inclusive, end_inclusive,
+                                                        digest):
+        assert all_windows_digest(start_inclusive, end_inclusive) == digest
 
     def test_precision_rounding(self, monkeypatch):
         report = canonical_report()
@@ -204,6 +222,7 @@ class TestJson:
         ({"a": [1.0, {"b": float("nan")}]}, "a[1].b"),
         ([0.5, [float("inf")]], "[1][0]"),
         ({"huge": 1.7e308}, "huge"),  # rounds to 2e+308 at one digit
+        ({"n": [True, np.float64(1.7e308)]}, "n[1]"),
         (float("-inf"), "the document"),
     ])
     def test_non_finite_error_names_key_path(self, doc, path, monkeypatch):
@@ -219,6 +238,20 @@ class TestJson:
             with pytest.raises(TypeError):
                 dump_json({"q": record})
 
+    @pytest.mark.parametrize("digits", [1, 6, 14, 15, 16, 17])
+    def test_float_boundaries_match_rounding_oracle(self, digits, monkeypatch):
+        # the ends of the fixed notation of format 'g' and of repr, and the
+        # 15-digit limit of the writer's shortcut past the float parse
+        monkeypatch.setenv("STEADYCREDIT_PRECISION", str(digits))
+        edge = 10.0**digits
+        values = [9.99995e-5, 1e-4, math.nextafter(edge, 0.0), edge,
+                  math.nextafter(edge, math.inf), 99999.95, 100.0, -0.0, 5e-324,
+                  2.2250738585072014e-308]
+        values += [-v for v in values]
+        doc = {"float": values, "float64": [np.float64(v) for v in values],
+               "other": [True, False, 0, 1, None, "1.5"]}
+        assert dump_json(doc) == rounded_json_dumps(doc, digits)
+
     @settings(max_examples=400, deadline=None)
     @given(doc=_JSON_VALUES, digits=st.integers(1, 17))
     def test_matches_rounding_oracle(self, doc, digits):
@@ -230,6 +263,55 @@ class TestJson:
                     dump_json(doc)
             else:
                 assert dump_json(doc) == expected
+
+
+_WINDOW_SERIES, _ = synth.generate(steady_scenario(n_quarters=12, start=Quarter(2008, 1)))
+
+
+class TestWindowSelection:
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.integers(-6, 16), span=st.integers(1, 20),
+           start_inclusive=st.booleans(), end_inclusive=st.booleans())
+    @example(start=0, span=11, start_inclusive=True, end_inclusive=True)
+    @example(start=0, span=3, start_inclusive=False, end_inclusive=False)
+    @example(start=-2, span=3, start_inclusive=False, end_inclusive=True)
+    def test_selection_matches_quarter_filter_oracle(self, start, span, start_inclusive,
+                                                     end_inclusive):
+        series = _WINDOW_SERIES
+        first, last = series.first_quarter, series.last_quarter
+        window = Window(first.shift(start), first.shift(start + span),
+                        start_inclusive, end_inclusive)
+        pool = [first.shift(k) for k in range(-8, 24)]
+        assert [window.contains(q) for q in pool] == window_filter_oracle(window, pool)
+
+        full = credit_growth_rates(series)
+        inside = window_filter_oracle(window, [p.interval_end for p in full.points])
+        if any(inside):
+            assert select_window(full, window).points == tuple(
+                p for p, keep in zip(full.points, inside) if keep)
+            assert analyze(series, window).rates_out == tuple(
+                p for p, keep in zip(full.points, inside) if not keep)
+        else:
+            for select in (lambda: select_window(full, window), lambda: analyze(series, window)):
+                with pytest.raises(WindowError) as info:
+                    select()
+                assert str(info.value) == f"window {window} selects no rate points"
+
+        kept = tuple(o for o, keep in zip(series.observations,
+                                          window_filter_oracle(window, series.quarters()))
+                     if keep)
+        if window.start < first or window.end > last:
+            message = f"slice {window.start}..{window.end} outside series span {first}..{last}"
+        elif not kept:
+            message = f"slice {window} selects no observations"
+        elif len(kept) < 2:
+            message = f"slice {window} selects a single observation; need at least 2"
+        else:
+            assert series.slice(window) == CreditSeries(kept)
+            return
+        with pytest.raises(WindowError) as info:
+            series.slice(window)
+        assert str(info.value) == message
 
 
 class TestSvg:
