@@ -26,25 +26,21 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .errors import ColumnAbsentError, EstimationError, InvariantError
-from .series import CreditSeries, Quarter, Validated
+from .series import CreditSeries, Quarter, validated
 
 _RESID_TOL = 1e-8
 _MAX_REFINEMENTS = 12
 
 
-class _GapConfigFields(NamedTuple):
+@validated
+class GapConfig(NamedTuple):
     lam: float = 400_000.0
     gap_low: float = 2.0
     gap_high: float = 10.0
     buffer_max: float = 0.025
 
-
-class GapConfig(Validated, _GapConfigFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name in ("gap_low", "gap_high", "buffer_max"):
+    def _checked(self):
+        for name in ("lam", "gap_low", "gap_high", "buffer_max"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InvariantError(f"{name} must be finite, got {value}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import EstimationError, InvariantError, WindowError
-from .series import CreditSeries, Quarter, Validated, Window
+from .series import CreditSeries, Quarter, Window, validated
 
 F_SOURCE_LOANS = "loans-formula"
 F_SOURCE_BALANCE = "balance-identity"
@@ -27,34 +27,26 @@ MODE_PREFER_LOANS = "prefer-loans"
 MODE_FORCE_BALANCE = "force-balance-identity"
 
 
-class _RatesConfigFields(NamedTuple):
-    f_mode: str = MODE_PREFER_LOANS
-
-
-class RatesConfig(Validated, _RatesConfigFields):
+@validated
+class RatesConfig(NamedTuple):
     """Rate computation options: which formula supplies f."""
 
-    __slots__ = ()
+    f_mode: str = MODE_PREFER_LOANS
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if self.f_mode not in (MODE_PREFER_LOANS, MODE_FORCE_BALANCE):
             raise InvariantError(f"unknown f_mode {self.f_mode!r}")
         return self
 
 
-class _RatePointFields(NamedTuple):
+@validated
+class RatePoint(NamedTuple):
     interval_end: Quarter
     d: float
     f: float
     f_source: str
 
-
-class RatePoint(Validated, _RatePointFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if not 0.0 <= self.d < 1.0:
             raise InvariantError(f"{self.interval_end}: d must be in [0,1), got {self.d}")
         if not self.f > -1.0:
@@ -64,18 +56,16 @@ class RatePoint(Validated, _RatePointFields):
         return self
 
 
-class _RateSeriesFields(NamedTuple):
-    points: tuple[RatePoint, ...]
-
-
-class RateSeries(Validated, _RateSeriesFields):
+@validated
+class RateSeries(NamedTuple):
     """Ordered (d, f) sample over contiguous interval-end quarters."""
 
-    __slots__ = ()
+    points: tuple[RatePoint, ...]
 
-    def __new__(cls, points):
-        pts = tuple(points)
-        self = super().__new__(cls, pts)
+    def _checked(self):
+        pts = self.points
+        if type(pts) is not tuple:
+            return RateSeries(tuple(pts))
         if not pts:
             raise InvariantError("rate series must not be empty")
         base = pts[0].interval_end.index

@@ -5,8 +5,9 @@ total credit used (TCU), the new adjusted bad debt exposure (ABD), and the
 optional gross loans disbursed and nominal GDP columns. All types are
 immutable after construction and all operations are pure: observations are
 a frozen dataclass, so ``dataclasses.replace`` validates anew, and the other
-types are named tuples that validate their fields in ``__new__``, also in
-``_make`` and ``_replace``. A window selects the index range of its quarters.
+types are named tuples under ``@validated``, which run their ``_checked``
+method on every construction, ``_make`` and ``_replace`` included. A window
+selects the index range of its quarters.
 """
 
 from __future__ import annotations
@@ -25,28 +26,26 @@ CSV_HEADER = ("quarter", "tcu_eur", "abd_eur", "loans_eur", "gdp_eur")
 _QUARTER_RE = re.compile(r"^(\d{4})-Q([1-4])$")
 
 
-class Validated:
-    """Base of a validated named tuple; ``_make`` and ``_replace`` run ``__new__``."""
+def validated(cls):
+    """Make a named tuple run ``_checked`` on construction, ``_make`` and ``_replace``."""
+    new = cls.__new__
 
-    __slots__ = ()
+    def __new__(c, *args, **kwargs):
+        return new(c, *args, **kwargs)._checked()
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda c, iterable: c(*iterable))
+    return cls
 
 
-class _QuarterFields(NamedTuple):
+@validated
+class Quarter(NamedTuple):
+    """A calendar quarter, ordered lexicographically by (year, q)."""
+
     year: int
     q: int
 
-
-class Quarter(Validated, _QuarterFields):
-    """A calendar quarter, ordered lexicographically by (year, q)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if not isinstance(self.year, int) or not isinstance(self.q, int):
             raise InvariantError(f"quarter fields must be integers, got {self.year!r}-Q{self.q!r}")
         if self.q not in (1, 2, 3, 4):
@@ -101,20 +100,16 @@ class CreditObservation:
             raise InvariantError(f"{self.quarter}: gdp must be > 0, got {self.gdp}")
 
 
-class _WindowFields(NamedTuple):
+@validated
+class Window(NamedTuple):
+    """Half-open or closed span of quarters used to select an analysis sample."""
+
     start: Quarter
     end: Quarter
     start_inclusive: bool = True
     end_inclusive: bool = True
 
-
-class Window(Validated, _WindowFields):
-    """Half-open or closed span of quarters used to select an analysis sample."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if not self.start < self.end:
             raise WindowError(f"window start {self.start} must precede end {self.end}")
         return self
@@ -134,18 +129,16 @@ class Window(Validated, _WindowFields):
         return f"{lo}{self.start}..{self.end}{hi}"
 
 
-class _CreditSeriesFields(NamedTuple):
-    observations: tuple[CreditObservation, ...]
-
-
-class CreditSeries(Validated, _CreditSeriesFields):
+@validated
+class CreditSeries(NamedTuple):
     """Contiguous quarterly observations; at least one interval."""
 
-    __slots__ = ()
+    observations: tuple[CreditObservation, ...]
 
-    def __new__(cls, observations):
-        obs = tuple(observations)
-        self = super().__new__(cls, obs)
+    def _checked(self):
+        obs = self.observations
+        if type(obs) is not tuple:
+            return CreditSeries(tuple(obs))
         if len(obs) < 2:
             raise InvariantError(f"series needs at least 2 observations, got {len(obs)}")
         base = obs[0].quarter.index

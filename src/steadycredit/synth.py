@@ -21,13 +21,17 @@ from typing import NamedTuple
 
 from .errors import InvariantError, ParseError
 from .rates import F_SOURCE_BALANCE, F_SOURCE_LOANS, RatePoint, RateSeries
-from .series import CreditObservation, CreditSeries, Quarter, Validated
+from .series import CreditObservation, CreditSeries, Quarter, validated
 
 HYPOTHESIS_NULL = "H0"
 HYPOTHESIS_STEADY_STATE = "H1"
 
+_INT_FIELDS = {"n_quarters", "d_period_quarters", "seed"}
+_FLOAT_FIELDS = ("tcu0", "d_base", "d_amp", "zeta_true", "noise_sigma")
 
-class _ScenarioFields(NamedTuple):
+
+@validated
+class Scenario(NamedTuple):
     n_quarters: int
     start: Quarter
     tcu0: float
@@ -39,12 +43,11 @@ class _ScenarioFields(NamedTuple):
     hypothesis: str
     seed: int
 
-
-class Scenario(Validated, _ScenarioFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvariantError(f"{name} must be finite, got {value}")
         if self.n_quarters < 3:
             raise InvariantError(f"need at least 3 quarters, got {self.n_quarters}")
         if not self.tcu0 > 0.0:
@@ -99,10 +102,6 @@ def generate(sc: Scenario) -> tuple[CreditSeries, RateSeries]:
 
     series = CreditSeries(tuple(observations))
     return series, RateSeries(tuple(points))
-
-
-_INT_FIELDS = {"n_quarters", "d_period_quarters", "seed"}
-_FLOAT_FIELDS = {"tcu0", "d_base", "d_amp", "zeta_true", "noise_sigma"}
 
 
 def parse_scenario(text: str, seed: int | None = None) -> Scenario:

@@ -140,6 +140,15 @@ class TestSimulatePipeline:
         assert main(["simulate", "--scenario", str(scenario), "--seed", "1"]) == 1
         assert capsys.readouterr().err == "error: line 2: bad quarter '2008-Q7', expected YYYY-Qn\n"
 
+    def test_non_finite_scenario_value_names_its_key(self, tmp_path, capsys):
+        scenario = tmp_path / "nan.cfg"
+        text = synth.scenario_to_text(steady_scenario())
+        scenario.write_text(text.replace("noise_sigma=0.0", "noise_sigma=nan"), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(scenario), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: noise_sigma must be finite, got nan\n"
+
     def test_non_utf8_scenario_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
         path.write_bytes(b"n_quarters=18\nhypothesis=H1 \xff\n")
@@ -285,7 +294,8 @@ class TestOtherCommands:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: ")
 
-    @pytest.mark.parametrize("flag", ["--buffer-max=inf", "--gap-low=-inf", "--gap-high=inf"])
+    @pytest.mark.parametrize("flag", ["--buffer-max=inf", "--gap-low=-inf", "--gap-high=inf",
+                                      "--lambda=nan", "--lambda=inf"])
     def test_non_finite_gap_setting_rejected(self, canonical_csv, flag, capsys):
         assert main(["analyze", "--input", str(canonical_csv), flag]) == 1
         captured = capsys.readouterr()

@@ -4,6 +4,7 @@ exported names, dead names and the construction contract of its records."""
 import ast
 import dataclasses
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -129,15 +130,23 @@ _BAD_ARGUMENTS = [
      InvariantError, "smoothing parameter must be >= 0, got -1.0"),
     (GapConfig, dict(lam=1600.0, gap_low=2.0, gap_high=10.0, buffer_max=0.025),
      "gap_high", float("inf"), InvariantError, "gap_high must be finite, got inf"),
+    (GapConfig, dict(lam=1600.0, gap_low=2.0, gap_high=10.0, buffer_max=0.025), "lam", math.nan,
+     InvariantError, "lam must be finite, got nan"),
     (Scenario, _SCENARIO, "noise_sigma", -0.5,
      InvariantError, "noise_sigma must be >= 0, got -0.5"),
+    (Scenario, _SCENARIO, "noise_sigma", math.nan,
+     InvariantError, "noise_sigma must be finite, got nan"),
+    (Scenario, _SCENARIO, "d_base", math.inf,
+     InvariantError, "d_base must be finite, got inf"),
     (Scenario, _SCENARIO, "hypothesis", "H2",
      InvariantError, "hypothesis must be H0 or H1, got 'H2'"),
 ]
 
 
+# a NaN case shares its field with a range case, so its id names the value too
 @pytest.mark.parametrize("cls, valid, field, bad, error, message", _BAD_ARGUMENTS,
-                         ids=[f"{case[0].__name__}-{case[2]}" for case in _BAD_ARGUMENTS])
+                         ids=[f"{cls.__name__}-{field}" + ("-nan" if bad != bad else "")
+                              for cls, _, field, bad, *_ in _BAD_ARGUMENTS])
 def test_constructors_validate_positional_and_keyword_arguments(
         cls, valid, field, bad, error, message):
     assert cls(*valid.values()) == cls(**valid)
@@ -169,5 +178,25 @@ def test_constructor_defaults():
     assert window.start_inclusive is True and window.end_inclusive is True
     obs = CreditObservation(_Q, 100.0, 1.0)
     assert obs.loans is None and obs.gdp is None
-    assert type(CreditSeries(list(_OBS)).observations) is tuple
-    assert type(RateSeries([_POINT]).points) is tuple
+    for observations in (list(_OBS), iter(_OBS)):
+        assert type(CreditSeries(observations).observations) is tuple
+    for points in ([_POINT], iter([_POINT])):
+        assert type(RateSeries(points).points) is tuple
+
+
+_VALIDATED = [Quarter, Window, CreditSeries, RatesConfig, RatePoint, RateSeries, GapConfig,
+              Scenario]
+
+
+@pytest.mark.parametrize("cls", _VALIDATED, ids=[cls.__name__ for cls in _VALIDATED])
+def test_validated_record_is_one_named_tuple_class(cls):
+    assert cls.__mro__ == (cls, tuple, object)
+    assert "_checked" in vars(cls)
+
+
+def test_no_fields_twin_classes():
+    classes = [(path.name, node.name)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+    assert [c for c in classes if c[1].endswith("Fields") or c[1] == "Validated"] == []
