@@ -108,7 +108,8 @@ def credit_growth_rates(series: CreditSeries, cfg: RatesConfig = RatesConfig()) 
             f = cur.tcu / surviving - 1.0
             source = F_SOURCE_BALANCE
         points.append(RatePoint(cur.quarter, d, f, source))
-    return RateSeries(tuple(points))
+    # one point per interval of a checked series is a contiguous sample
+    return tuple.__new__(RateSeries, (tuple(points),))
 
 
 def select_window(rates: RateSeries, window: Window) -> RateSeries:
@@ -116,14 +117,19 @@ def select_window(rates: RateSeries, window: Window) -> RateSeries:
 
     An interval ending at the window's first quarter uses the preceding
     quarter's credit stock as denominator, so a window of n quarters drawn
-    from a longer series yields an n-point sample.
+    from a longer series yields an n-point sample. A window that keeps every
+    point returns ``rates`` itself.
     """
     lo, hi = window.index_range()
-    base = rates.points[0].interval_end.index
-    kept = rates.points[max(lo - base, 0):max(hi - base + 1, 0)]
+    points = rates.points
+    base = points[0].interval_end.index
+    kept = points[max(lo - base, 0):max(hi - base + 1, 0)]
     if not kept:
         raise WindowError(f"window {window} selects no rate points")
-    return RateSeries(kept)
+    if len(kept) == len(points):
+        return rates
+    # a contiguous run of a checked sample is valid as it is
+    return tuple.__new__(RateSeries, (kept,))
 
 
 def rates_to_csv(rates: RateSeries) -> str:

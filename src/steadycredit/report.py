@@ -25,7 +25,7 @@ from . import cycles as cycles_mod
 from . import ols as ols_mod
 from . import steady_state
 from .basel import GapConfig, GapReport, credit_gap
-from .errors import SteadyCreditError
+from .errors import SteadyCreditError, WindowError
 from .rates import RatePoint, RateSeries, RatesConfig, credit_growth_rates, select_window
 from .series import CreditSeries, Window
 
@@ -46,8 +46,19 @@ class AnalysisReport(NamedTuple):
     gap: GapReport | None
     trajectory: steady_state.SteadyStateTrajectory | None
     rates_in: RateSeries
-    rates_out: tuple[RatePoint, ...]
+    series: CreditSeries
+    rates_cfg: RatesConfig
     errors: tuple[tuple[str, str], ...]
+
+    @property
+    def rates_out(self) -> tuple[RatePoint, ...]:
+        """The series' rate points outside the window, computed on demand."""
+        inside = self.rates_in.points
+        if len(inside) == len(self.series) - 1:
+            return ()
+        full = credit_growth_rates(self.series, self.rates_cfg).points
+        skip = inside[0].interval_end.index - full[0].interval_end.index
+        return full[:skip] + full[skip + len(inside):]
 
 
 def analyze(
@@ -61,16 +72,22 @@ def analyze(
 
     Rate intervals are selected by their end quarter, so a window starting
     after the first series quarter gains one look-back interval and an
-    n-quarter window carries an n-point sample. OLS is fit once; unless
-    ``sigma_ref`` is given, its residual scale is the chi-squared reference
-    of both steady-state estimators.
+    n-quarter window carries an n-point sample. Rates are computed over the
+    window's quarters and that look-back quarter only; each depends on its
+    two quarters alone, so they equal the whole series' points. OLS is fit
+    once; unless ``sigma_ref`` is given, its residual scale is the
+    chi-squared reference of both steady-state estimators.
     """
     if window is None:
         window = Window(series.first_quarter, series.last_quarter)
-    full = credit_growth_rates(series, rates_cfg)
-    rates_in = select_window(full, window)
-    skip = rates_in.points[0].interval_end.index - full.points[0].interval_end.index
-    rates_out = full.points[:skip] + full.points[skip + len(rates_in):]  # around rates_in
+    lo, hi = window.index_range()
+    base = series.first_quarter.index
+    observations = series.observations[max(lo - base - 1, 0):max(hi - base + 1, 0)]
+    if len(observations) < 2:
+        raise WindowError(f"window {window} selects no rate points")
+    # a contiguous run of a checked series is valid as it is
+    rated = tuple.__new__(CreditSeries, (observations,))
+    rates_in = select_window(credit_growth_rates(rated, rates_cfg), window)
 
     errors: list[tuple[str, str]] = []
 
@@ -107,7 +124,7 @@ def analyze(
         errors.append(("trajectory", "no steady-state estimate available"))
 
     return AnalysisReport(window, len(rates_in), ols_fit, ssp_ls, ssp_irr, cycle_report,
-                          gap_report, traj, rates_in, rates_out, tuple(errors))
+                          gap_report, traj, rates_in, series, rates_cfg, tuple(errors))
 
 
 def resolve_precision() -> int:
@@ -154,7 +171,7 @@ def to_json_dict(report: AnalysisReport) -> dict:
 
 def _row(record) -> dict:
     """A trajectory point or gap row keyed by its field names, its quarter as text."""
-    return {**record._asdict(), "quarter": str(record.quarter)}
+    return dict(zip(record._fields, record), quarter=str(record.quarter))
 
 
 class _NonFinite(Exception):

@@ -7,7 +7,8 @@ immutable after construction and all operations are pure: observations are
 a frozen dataclass, so ``dataclasses.replace`` validates anew, and the other
 types are named tuples under ``@validated``, which run their ``_checked``
 method on every construction, ``_make`` and ``_replace`` included. A window
-selects the index range of its quarters.
+selects the index range of its quarters; a slice of a checked series is a
+contiguous run of it, so it is built without checking it again.
 """
 
 from __future__ import annotations
@@ -46,10 +47,12 @@ class Quarter(NamedTuple):
     q: int
 
     def _checked(self):
-        if not isinstance(self.year, int) or not isinstance(self.q, int):
-            raise InvariantError(f"quarter fields must be integers, got {self.year!r}-Q{self.q!r}")
-        if self.q not in (1, 2, 3, 4):
-            raise InvariantError(f"quarter number must be in 1..4, got {self.q}")
+        year, q = self
+        # a bool is an int subclass, but Quarter(2008, True) is no quarter
+        if not (isinstance(year, int) and isinstance(q, int)) or bool in (type(year), type(q)):
+            raise InvariantError(f"quarter fields must be integers, got {year!r}-Q{q!r}")
+        if q not in (1, 2, 3, 4):
+            raise InvariantError(f"quarter number must be in 1..4, got {q}")
         return self
 
     @classmethod
@@ -72,7 +75,7 @@ class Quarter(NamedTuple):
         return Quarter.from_index(self.index + quarters)
 
     def __str__(self) -> str:
-        return f"{self.year}-Q{self.q}"
+        return f"{self[0]}-Q{self[1]}"
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,8 @@ class CreditSeries(NamedTuple):
             raise WindowError(f"slice {window} selects no observations")
         if len(kept) < 2:
             raise WindowError(f"slice {window} selects a single observation; need at least 2")
-        return CreditSeries(kept)
+        # a contiguous run of a checked series is valid as it is
+        return tuple.__new__(CreditSeries, (kept,))
 
 
 def _parse_amount(field: str, column: str, line: int, required: bool) -> float | None:

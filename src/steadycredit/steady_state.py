@@ -192,18 +192,26 @@ def _irr_value_slope(factors: list[float], s: float) -> tuple[float, float]:
     """F(s) = sum_k A_k s^k - n and F'(s) in one pass over the factors.
 
     Each term is the running product prod_{j<=k} (a_j s), carried as a
-    mantissa times 2^exp: the mantissa is renormalized whenever it leaves
-    [2^-512, 2^512], so a deep contraction followed by a recovery loses no
-    term. A stored term under- or overflows only where its own value does.
+    mantissa times 2^exp. ``s`` is split the same way once, and each step
+    multiplies by a_j times the mantissa of s, so a tiny s underflows no
+    step. A product that leaves [2^-512, 2^512] is formed again from its
+    parts' mantissas and renormalized, so a deep contraction followed by a
+    recovery loses no term. Scaling by powers of two is exact, so in the
+    float range every term is the one the plain product gives; a stored term
+    under- or overflows only where its own value does.
     """
+    s_mantissa, s_exp = math.frexp(s)
     terms = []
     weighted = []
     mantissa, exp = 1.0, 0
     for k, a in enumerate(factors, 1):
-        mantissa *= a * s
-        if not _MANTISSA_LO <= mantissa <= _MANTISSA_HI:
-            mantissa, shift = math.frexp(mantissa)
-            exp += shift
+        product = mantissa * (a * s_mantissa)
+        if not _MANTISSA_LO <= product <= _MANTISSA_HI:
+            (m, e), (m_step, e_step) = math.frexp(mantissa), math.frexp(a * s_mantissa)
+            product, shift = math.frexp(m * m_step)
+            exp += e + e_step + shift
+        mantissa = product
+        exp += s_exp
         term = math.ldexp(mantissa, exp) if exp else mantissa
         terms.append(term)
         weighted.append(k * term)

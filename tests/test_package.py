@@ -110,6 +110,10 @@ _BAD_ARGUMENTS = [
      InvariantError, "quarter number must be in 1..4, got 5"),
     (Quarter, dict(year=2008, q=1), "year", 2008.0,
      InvariantError, "quarter fields must be integers, got 2008.0-Q1"),
+    (Quarter, dict(year=2008, q=1), "q", True,
+     InvariantError, "quarter fields must be integers, got 2008-QTrue"),
+    (Quarter, dict(year=2008, q=1), "year", True,
+     InvariantError, "quarter fields must be integers, got True-Q1"),
     (Window, dict(start=_Q, end=Quarter(2009, 1), start_inclusive=True, end_inclusive=False),
      "end", _Q, WindowError, "window start 2008-Q1 must precede end 2008-Q1"),
     (CreditSeries, dict(observations=_OBS[:2]), "observations", _OBS[:1],
@@ -143,9 +147,10 @@ _BAD_ARGUMENTS = [
 ]
 
 
-# a NaN case shares its field with a range case, so its id names the value too
+# a NaN or bool case shares its field with another case, so its id names the value too
 @pytest.mark.parametrize("cls, valid, field, bad, error, message", _BAD_ARGUMENTS,
-                         ids=[f"{cls.__name__}-{field}" + ("-nan" if bad != bad else "")
+                         ids=[f"{cls.__name__}-{field}" + ("-nan" if bad != bad else
+                                                           "-bool" if type(bad) is bool else "")
                               for cls, _, field, bad, *_ in _BAD_ARGUMENTS])
 def test_constructors_validate_positional_and_keyword_arguments(
         cls, valid, field, bad, error, message):

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from _oracles import round_sig, rounded_json_dumps, window_filter_oracle
 from conftest import build_series, canonical_series, steady_scenario
 from steadycredit import ols, synth
-from steadycredit.errors import SteadyCreditError, WindowError
-from steadycredit.rates import credit_growth_rates, select_window
+from steadycredit.errors import InvariantError, SteadyCreditError, WindowError
+from steadycredit.rates import RateSeries, credit_growth_rates, select_window
 from steadycredit.report import (
     KIND_SCATTER,
     KIND_TIME_PANEL,
@@ -89,6 +89,18 @@ class TestAnalyze:
         report = analyze(series)
         assert report.n == len(series) - 1
         assert report.rates_out == ()
+
+    def test_bad_rate_point_outside_the_window_is_not_computed(self):
+        # tcu 1e-300 after 1e300 underflows f to -1.0 at 2008-Q2, which no
+        # RatePoint accepts; a window after it never computes that point
+        series = build_series([1e300, 1e-300] + [1e-300 * 1.01**i for i in range(1, 12)])
+        window = Window(Quarter(2008, 4), series.last_quarter)
+        report = analyze(series, window)
+        assert report.n == 10
+        with pytest.raises(InvariantError, match="2008-Q2: f must be > -1, got -1.0"):
+            report.rates_out
+        with pytest.raises(InvariantError, match="2008-Q2: f must be > -1, got -1.0"):
+            analyze(series)
 
     def test_two_interval_window_reports_ols_error(self):
         series, _ = synth.generate(steady_scenario(n_quarters=20))
@@ -287,9 +299,14 @@ class TestWindowSelection:
         full = credit_growth_rates(series)
         inside = window_filter_oracle(window, [p.interval_end for p in full.points])
         if any(inside):
-            assert select_window(full, window).points == tuple(
-                p for p, keep in zip(full.points, inside) if keep)
-            assert analyze(series, window).rates_out == tuple(
+            selected = select_window(full, window)
+            assert selected.points == tuple(p for p, keep in zip(full.points, inside) if keep)
+            # built without a check, it still passes its own
+            assert RateSeries(*selected) == selected
+            report = analyze(series, window)
+            assert report.rates_in == selected
+            assert RateSeries(*report.rates_in) == report.rates_in
+            assert report.rates_out == tuple(
                 p for p, keep in zip(full.points, inside) if not keep)
         else:
             for select in (lambda: select_window(full, window), lambda: analyze(series, window)):
@@ -307,11 +324,33 @@ class TestWindowSelection:
         elif len(kept) < 2:
             message = f"slice {window} selects a single observation; need at least 2"
         else:
-            assert series.slice(window) == CreditSeries(kept)
+            sliced = series.slice(window)
+            assert sliced == CreditSeries(kept)
+            assert CreditSeries(*sliced) == sliced
             return
         with pytest.raises(WindowError) as info:
             series.slice(window)
         assert str(info.value) == message
+
+    def test_analyze_computes_rates_for_the_window_only(self):
+        series = canonical_series()
+        assert series.first_quarter < CRISIS.start and CRISIS.end < series.last_quarter
+        built = []
+
+        def spy(*args, **kwargs):
+            rates = credit_growth_rates(*args, **kwargs)
+            built.append(len(rates))
+            return rates
+
+        with mock.patch("steadycredit.report.credit_growth_rates", spy):
+            crisis = analyze(series, CRISIS)
+            assert built == [crisis.n] == [17]
+            whole = analyze(series)
+            assert whole.rates_out == ()
+            assert built == [17, 33]
+            # the scatter's hollow markers are computed only when asked for
+            assert len(crisis.rates_out) == 33 - 17
+            assert built == [17, 33, 33]
 
 
 class TestSvg:

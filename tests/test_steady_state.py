@@ -276,6 +276,16 @@ class TestIrrRoot:
         s_oracle = log_space_irr_root([(1.0 + fi) * (1.0 - di) for di, fi in zip(d, f)])
         assert est.s == pytest.approx(s_oracle, rel=1e-12)
 
+    def test_step_beyond_the_float_range_is_formed_from_mantissas(self):
+        # with the exponent of s (~1e-211) carried apart, the second step
+        # multiplies a mantissa near 2^400 by a factor near 2^1000; the
+        # product is formed again from their mantissas instead of overflowing
+        d = [0.0, 0.0]
+        f = [2.0**400, 2.0**1000]
+        est = ssp_irr_root(rate_series(d, f), sigma_ref=1e300)
+        s_oracle = log_space_irr_root([(1.0 + fi) * (1.0 - di) for di, fi in zip(d, f)])
+        assert est.s == pytest.approx(s_oracle, rel=1e-12)
+
     def test_extreme_contraction_has_no_root_in_bracket(self):
         d = np.full(8, 0.5)
         f = np.full(8, -0.9)  # factors 0.05, cumulative decade collapse
@@ -286,13 +296,18 @@ class TestIrrRoot:
         with pytest.raises(EstimationError):
             ssp_irr_root(rate_series([0.004], [0.005]))
 
-    def test_every_term_underflowing_is_an_estimation_error(self):
-        # a first factor of ~1e-32 times a start point of ~1e-300 (forced by
-        # forty factors of 1.5e308) underflows every running product to zero
-        d = [1.0 - 2.0**-53] + [0.0] * 40
-        f = [-1.0 + 2.0**-52] + [1.5e308] * 40
-        with pytest.raises(EstimationError, match="float range"):
-            ssp_irr_root(rate_series(d, f))
+    def test_root_where_a_factor_times_s_underflows(self):
+        # a first factor of ~8e-25 times a root of ~9e-301 (forced by forty
+        # factors of 1.5e308) lies below the float range; carried with s's
+        # exponent apart, no running product underflows. The factor's
+        # smallness sits mostly in 1 + f, so that the expected growth
+        # (d + zeta) / (1 - d) of the first point stays finite.
+        d = [1.0 - 2.0**-27] + [0.0] * 40
+        f = [-1.0 + 2.0**-53] + [1.5e308] * 40
+        est = ssp_irr_root(rate_series(d, f), sigma_ref=1e200)
+        s_oracle = log_space_irr_root([(1.0 + fi) * (1.0 - di) for di, fi in zip(d, f)])
+        assert s_oracle == pytest.approx(9.2707e-301, rel=1e-4)
+        assert est.s == pytest.approx(s_oracle, rel=1e-12)
 
 
 class TestChiSquaredCalibration:
