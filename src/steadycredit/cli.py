@@ -2,9 +2,9 @@
 
 ``analyze``, ``render`` and ``ssp`` run one ``report.analyze`` over the
 window and print the whole report, a chart of it, or its ``ssf`` section.
-``rates``, ``ols``, ``cycles`` and ``gap`` compute their single stage on
-their own. Each flag is declared once, as a parent parser that every
-subcommand taking it inherits.
+``rates`` and ``ols`` print ``analyze``'s rate sample or its regression,
+and ``cycles`` and ``gap`` their stage on the window's slice. Each flag is
+declared once, as a parent parser that every subcommand taking it inherits.
 
 Exit codes: 0 success, 1 validation or data error (one-line diagnostic on
 stderr), 2 usage error.
@@ -27,9 +27,8 @@ from .rates import (
     MODE_PREFER_LOANS,
     RatesConfig,
     RateSeries,
-    credit_growth_rates,
     rates_to_csv,
-    select_window,
+    window_rates,
 )
 from .series import CreditSeries, Quarter, Window, emit_csv, parse_csv
 
@@ -64,35 +63,31 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _resolve_window(args: argparse.Namespace) -> Window | None:
-    if args.named_window:
-        if args.from_q or args.to_q:
-            raise UsageError("--window excludes --from/--to")
-        return NAMED_WINDOWS[args.named_window]
-    if args.from_q or args.to_q:
-        if not (args.from_q and args.to_q):
-            raise UsageError("--from and --to must be given together")
-        return Window(Quarter.parse(args.from_q), Quarter.parse(args.to_q),
-                      args.from_inclusive, args.to_inclusive)
-    return None
-
-
 def _gap_cfg(args: argparse.Namespace) -> GapConfig:
     return GapConfig(lam=args.lam, gap_low=args.gap_low,
                      gap_high=args.gap_high, buffer_max=args.buffer_max)
 
 
-def _windowed_rates(args: argparse.Namespace) -> RateSeries:
+def _load(args: argparse.Namespace) -> tuple[CreditSeries, Window]:
+    """The input series and the window its flags give, by default the whole series."""
     series = parse_csv(_read_text(args.input))
-    rates = credit_growth_rates(series, RatesConfig(f_mode=args.f_mode))
-    window = _resolve_window(args)
-    return rates if window is None else select_window(rates, window)
+    if args.named_window and (args.from_q or args.to_q):
+        raise UsageError("--window excludes --from/--to")
+    if bool(args.from_q) != bool(args.to_q):
+        raise UsageError("--from and --to must be given together")
+    if args.from_q:
+        # an inclusivity flag not given includes its quarter
+        return series, Window(Quarter.parse(args.from_q), Quarter.parse(args.to_q),
+                              args.from_inclusive is not False, args.to_inclusive is not False)
+    if (args.from_inclusive, args.to_inclusive) != (None, None):
+        raise UsageError("--inclusive-from/--inclusive-to need --from and --to")
+    whole = Window(series.first_quarter, series.last_quarter)
+    return series, NAMED_WINDOWS.get(args.named_window, whole)
 
 
-def _windowed_series(args: argparse.Namespace) -> CreditSeries:
-    series = parse_csv(_read_text(args.input))
-    window = _resolve_window(args)
-    return series if window is None else series.slice(window)
+def _rates(args: argparse.Namespace) -> RateSeries:
+    """The rate sample ``analyze`` takes for the same flags."""
+    return window_rates(*_load(args), RatesConfig(f_mode=args.f_mode))
 
 
 def _analyze(args: argparse.Namespace) -> report_mod.AnalysisReport:
@@ -100,12 +95,10 @@ def _analyze(args: argparse.Namespace) -> report_mod.AnalysisReport:
 
     Commands without the gap flags analyze with the default gap settings.
     """
-    series = parse_csv(_read_text(args.input))
-    window = _resolve_window(args)
-    rates_cfg = RatesConfig(f_mode=args.f_mode)
+    series, window = _load(args)
     gap_cfg = _gap_cfg(args) if "lam" in args else GapConfig()
-    return report_mod.analyze(series, window=window, rates_cfg=rates_cfg,
-                              gap_cfg=gap_cfg, sigma_ref=args.sigma_ref)
+    return report_mod.analyze(series, window, RatesConfig(f_mode=args.f_mode), gap_cfg,
+                              args.sigma_ref)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -115,12 +108,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
-    _write_text(args.out, rates_to_csv(_windowed_rates(args)))
+    _write_text(args.out, rates_to_csv(_rates(args)))
     return 0
 
 
 def _cmd_ols(args: argparse.Namespace) -> int:
-    rates = _windowed_rates(args)
+    rates = _rates(args)
     fit = ols_mod.fit(rates.d_values(), rates.f_values())
     _write_text(args.json_path, report_mod.dump_json(ols_mod.to_exhibit_json(fit)))
     return 0
@@ -136,7 +129,8 @@ def _cmd_ssp(args: argparse.Namespace) -> int:
 
 
 def _cmd_cycles(args: argparse.Namespace) -> int:
-    series = _windowed_series(args)
+    series, window = _load(args)
+    series = series.slice(window)
     rep = cycles_mod.cycle_stats(series.tcu_values(), series.quarters())
     if args.csv:
         _write_text(args.csv, cycles_mod.overlays_to_csv(rep, series.tcu_values(),
@@ -146,7 +140,8 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    _write_text(args.out, gap_to_csv(credit_gap(_windowed_series(args), _gap_cfg(args))))
+    series, window = _load(args)
+    _write_text(args.out, gap_to_csv(credit_gap(series.slice(window), _gap_cfg(args))))
     return 0
 
 
@@ -190,10 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="window start quarter")
     window.add_argument("--to", dest="to_q", metavar="YYYY-Qn", help="window end quarter")
     window.add_argument("--inclusive-from", dest="from_inclusive",
-                        action=argparse.BooleanOptionalAction, default=True,
+                        action=argparse.BooleanOptionalAction,
                         help="include the start quarter (default: include)")
     window.add_argument("--inclusive-to", dest="to_inclusive",
-                        action=argparse.BooleanOptionalAction, default=True,
+                        action=argparse.BooleanOptionalAction,
                         help="include the end quarter (default: include)")
     f_mode = _flag("--f-mode", choices=[MODE_PREFER_LOANS, MODE_FORCE_BALANCE],
                    default=MODE_PREFER_LOANS)

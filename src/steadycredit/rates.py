@@ -11,6 +11,8 @@ perfect-information assumption: new credit is not extended to borrowers
 already known to default within the interval. The paper's sliding
 retrospection parameter is zero: each rate uses the stock of the quarter
 just before its interval, and no other lag is offered.
+``window_rates`` is the one rate sample of a window, which ``analyze`` and
+the ``rates`` and ``ols`` commands share.
 """
 
 from __future__ import annotations
@@ -120,16 +122,28 @@ def select_window(rates: RateSeries, window: Window) -> RateSeries:
     from a longer series yields an n-point sample. A window that keeps every
     point returns ``rates`` itself.
     """
-    lo, hi = window.index_range()
     points = rates.points
-    base = points[0].interval_end.index
-    kept = points[max(lo - base, 0):max(hi - base + 1, 0)]
+    kept = points[window.positions(points[0].interval_end.index)]
     if not kept:
         raise WindowError(f"window {window} selects no rate points")
     if len(kept) == len(points):
         return rates
     # a contiguous run of a checked sample is valid as it is
     return tuple.__new__(RateSeries, (kept,))
+
+
+def window_rates(series: CreditSeries, window: Window,
+                 cfg: RatesConfig = RatesConfig()) -> RateSeries:
+    """``select_window`` of the series' rates, computed over the window's quarters
+    and its look-back quarter only, so a bad point elsewhere is never computed."""
+    # rate point k spans observations k and k + 1
+    cut = window.positions(series.first_quarter.index + 1)
+    observations = series.observations[cut.start:cut.stop + 1]
+    if len(observations) < 2:
+        raise WindowError(f"window {window} selects no rate points")
+    # a contiguous run of a checked series is valid as it is
+    rated = tuple.__new__(CreditSeries, (observations,))
+    return select_window(credit_growth_rates(rated, cfg), window)
 
 
 def rates_to_csv(rates: RateSeries) -> str:

@@ -2,9 +2,9 @@
 
 ``analyze`` composes the rate, regression, steady-state, cycle, and gap
 computations over one window of a series; every sub-result is derived
-from the same windowed rate sample. Component failures (for example a
-regression on fewer than three points) are collected per stage instead of
-aborting the whole report.
+from the one rate sample ``rates.window_rates`` gives. Component failures
+(for example a regression on fewer than three points) are collected per
+stage instead of aborting the whole report.
 
 ``dump_json`` writes every JSON document of the package in one walk. It
 rounds each float to ``STEADYCREDIT_PRECISION`` significant digits
@@ -25,8 +25,8 @@ from . import cycles as cycles_mod
 from . import ols as ols_mod
 from . import steady_state
 from .basel import GapConfig, GapReport, credit_gap
-from .errors import SteadyCreditError, WindowError
-from .rates import RatePoint, RateSeries, RatesConfig, credit_growth_rates, select_window
+from .errors import SteadyCreditError
+from .rates import RatePoint, RateSeries, RatesConfig, credit_growth_rates, window_rates
 from .series import CreditSeries, Window
 
 DEFAULT_PRECISION = 6
@@ -53,12 +53,11 @@ class AnalysisReport(NamedTuple):
     @property
     def rates_out(self) -> tuple[RatePoint, ...]:
         """The series' rate points outside the window, computed on demand."""
-        inside = self.rates_in.points
-        if len(inside) == len(self.series) - 1:
+        if len(self.rates_in) == len(self.series) - 1:
             return ()
         full = credit_growth_rates(self.series, self.rates_cfg).points
-        skip = inside[0].interval_end.index - full[0].interval_end.index
-        return full[:skip] + full[skip + len(inside):]
+        cut = self.window.positions(full[0].interval_end.index)
+        return full[:cut.start] + full[cut.stop:]
 
 
 def analyze(
@@ -72,22 +71,14 @@ def analyze(
 
     Rate intervals are selected by their end quarter, so a window starting
     after the first series quarter gains one look-back interval and an
-    n-quarter window carries an n-point sample. Rates are computed over the
-    window's quarters and that look-back quarter only; each depends on its
-    two quarters alone, so they equal the whole series' points. OLS is fit
-    once; unless ``sigma_ref`` is given, its residual scale is the
+    n-quarter window carries an n-point sample; ``window_rates`` computes
+    them over the window's quarters and that look-back quarter only. OLS is
+    fit once; unless ``sigma_ref`` is given, its residual scale is the
     chi-squared reference of both steady-state estimators.
     """
     if window is None:
         window = Window(series.first_quarter, series.last_quarter)
-    lo, hi = window.index_range()
-    base = series.first_quarter.index
-    observations = series.observations[max(lo - base - 1, 0):max(hi - base + 1, 0)]
-    if len(observations) < 2:
-        raise WindowError(f"window {window} selects no rate points")
-    # a contiguous run of a checked series is valid as it is
-    rated = tuple.__new__(CreditSeries, (observations,))
-    rates_in = select_window(credit_growth_rates(rated, rates_cfg), window)
+    rates_in = window_rates(series, window, rates_cfg)
 
     errors: list[tuple[str, str]] = []
 

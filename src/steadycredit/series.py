@@ -6,9 +6,10 @@ optional gross loans disbursed and nominal GDP columns. All types are
 immutable after construction and all operations are pure: observations are
 a frozen dataclass, so ``dataclasses.replace`` validates anew, and the other
 types are named tuples under ``@validated``, which run their ``_checked``
-method on every construction, ``_make`` and ``_replace`` included. A window
-selects the index range of its quarters; a slice of a checked series is a
-contiguous run of it, so it is built without checking it again.
+method on every construction, ``_make`` and ``_replace`` included.
+``Window.positions`` is the one place that maps a window onto a run of
+quarters; a slice of a checked series is a contiguous run of it, so it is
+built without checking it again.
 """
 
 from __future__ import annotations
@@ -117,14 +118,12 @@ class Window(NamedTuple):
             raise WindowError(f"window start {self.start} must precede end {self.end}")
         return self
 
-    def index_range(self) -> tuple[int, int]:
-        """Quarter indices of the first and last quarter inside the window."""
+    def positions(self, first_index: int) -> slice:
+        """Positions of the window's quarters in a run of quarters whose first
+        has index ``first_index``, clamped at 0; the stop may pass the run's end."""
         start, end, start_inclusive, end_inclusive = self
-        return start.index + (not start_inclusive), end.index - (not end_inclusive)
-
-    def contains(self, quarter: Quarter) -> bool:
-        lo, hi = self.index_range()
-        return lo <= quarter.index <= hi
+        return slice(max(start.index + (not start_inclusive) - first_index, 0),
+                     max(end.index - (not end_inclusive) + 1 - first_index, 0))
 
     def __str__(self) -> str:
         lo = "[" if self.start_inclusive else "("
@@ -182,17 +181,17 @@ class CreditSeries(NamedTuple):
     def slice(self, window: Window) -> "CreditSeries":
         """Sub-series of the observations inside the window.
 
-        Both window bounds must lie within the series span and the result must
-        itself be a valid series (contiguous, at least two observations).
+        Every window quarter must lie within the series span and the result
+        must itself be a valid series (contiguous, at least two observations).
         """
-        if window.start < self.first_quarter or window.end > self.last_quarter:
+        kept = self.observations[window.positions(self.first_quarter.index)]
+        # counted from its own start, a window's positions span all its quarters
+        own = window.positions(window.start.index)
+        if len(kept) < own.stop - own.start:
             raise WindowError(
                 f"slice {window.start}..{window.end} outside series span "
                 f"{self.first_quarter}..{self.last_quarter}"
             )
-        lo, hi = window.index_range()
-        base = self.first_quarter.index
-        kept = self.observations[max(lo - base, 0):max(hi - base + 1, 0)]
         if not kept:
             raise WindowError(f"slice {window} selects no observations")
         if len(kept) < 2:

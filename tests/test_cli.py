@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from conftest import build_series, canonical_series, steady_scenario
 from steadycredit import synth
 from steadycredit.cli import build_parser, main
-from steadycredit.series import CSV_HEADER, CreditSeries, Quarter, emit_csv
+from steadycredit.rates import rates_to_csv
+from steadycredit.report import analyze, dump_json, to_json_dict
+from steadycredit.series import CSV_HEADER, CreditSeries, Quarter, Window, emit_csv
 
 GAPPED_CSV = (
     "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
@@ -106,6 +108,15 @@ class TestUsageErrors:
 
     def test_from_without_to(self, canonical_csv, capsys):
         assert main(["ols", "--input", str(canonical_csv), "--from", "2008-Q2"]) == 2
+
+    @pytest.mark.parametrize("window", [[], ["--window", "crisis"]])
+    def test_inclusivity_flag_without_from_and_to(self, canonical_csv, window, capsys):
+        assert main(["analyze", "--input", str(canonical_csv), *window,
+                     "--no-inclusive-to"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: --inclusive-from/--inclusive-to need --from and --to\n")
 
 
 class TestSimulatePipeline:
@@ -232,6 +243,22 @@ class TestOtherCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "interval_end,d,f,f_source"
         assert len(lines) == 18
+
+    def test_rates_and_ols_print_the_sample_of_analyze(self, tmp_path, capsys):
+        # tcu 1e-300 after 1e300 underflows f to -1.0 at 2008-Q2, which no
+        # RatePoint accepts; a window after it never computes that point
+        tcu = [1e300, 1e-300] + [1e-300 * 1.01**i for i in range(1, 12)]
+        abd = [0.0, 0.0] + [1e-303 * (1 + i % 3) for i in range(1, 12)]
+        series = build_series(tcu, abd)
+        path = tmp_path / "underflow.csv"
+        path.write_text(emit_csv(series), encoding="utf-8")
+        report = analyze(series, Window(Quarter(2008, 4), Quarter(2010, 4)))
+        assert report.n == 9 and report.ols_fit is not None
+        window = ["--from", "2008-Q4", "--to", "2010-Q4"]
+        assert main(["rates", "--input", str(path), *window]) == 0
+        assert capsys.readouterr().out == rates_to_csv(report.rates_in)
+        assert main(["ols", "--input", str(path), *window]) == 0
+        assert capsys.readouterr().out == dump_json(to_json_dict(report)["ols"])
 
     def test_ols_json_to_stdout(self, canonical_csv, capsys):
         assert main(["ols", "--input", str(canonical_csv), "--window", "crisis",
@@ -387,8 +414,8 @@ _WINDOW = [
     (("--window",), "named_window", None, False, ["crisis", "pre2008"], None, None, None),
     (("--from",), "from_q", None, False, None, None, None, None),
     (("--to",), "to_q", None, False, None, None, None, None),
-    (("--inclusive-from", "--no-inclusive-from"), "from_inclusive", True, False, None, 0, None, None),
-    (("--inclusive-to", "--no-inclusive-to"), "to_inclusive", True, False, None, 0, None, None),
+    (("--inclusive-from", "--no-inclusive-from"), "from_inclusive", None, False, None, 0, None, None),
+    (("--inclusive-to", "--no-inclusive-to"), "to_inclusive", None, False, None, 0, None, None),
 ]
 _F_MODE = [(("--f-mode",), "f_mode", "prefer-loans", False,
             ["prefer-loans", "force-balance-identity"], None, None, None)]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from _oracles import round_sig, rounded_json_dumps, window_filter_oracle
 from conftest import build_series, canonical_series, steady_scenario
 from steadycredit import ols, synth
+from steadycredit.cli import main
 from steadycredit.errors import InvariantError, SteadyCreditError, WindowError
 from steadycredit.rates import RateSeries, credit_growth_rates, select_window
 from steadycredit.report import (
@@ -26,7 +27,7 @@ from steadycredit.report import (
     to_json,
     to_json_dict,
 )
-from steadycredit.series import CreditSeries, Quarter, Window
+from steadycredit.series import CreditSeries, Quarter, Window, emit_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -287,6 +288,9 @@ class TestWindowSelection:
     @example(start=0, span=11, start_inclusive=True, end_inclusive=True)
     @example(start=0, span=3, start_inclusive=False, end_inclusive=False)
     @example(start=-2, span=3, start_inclusive=False, end_inclusive=True)
+    # an open bound one quarter outside the series, every quarter inside it
+    @example(start=-1, span=5, start_inclusive=False, end_inclusive=True)
+    @example(start=8, span=4, start_inclusive=True, end_inclusive=False)
     def test_selection_matches_quarter_filter_oracle(self, start, span, start_inclusive,
                                                      end_inclusive):
         series = _WINDOW_SERIES
@@ -294,7 +298,8 @@ class TestWindowSelection:
         window = Window(first.shift(start), first.shift(start + span),
                         start_inclusive, end_inclusive)
         pool = [first.shift(k) for k in range(-8, 24)]
-        assert [window.contains(q) for q in pool] == window_filter_oracle(window, pool)
+        in_pool = [q for q, keep in zip(pool, window_filter_oracle(window, pool)) if keep]
+        assert pool[window.positions(pool[0].index)] == in_pool
 
         full = credit_growth_rates(series)
         inside = window_filter_oracle(window, [p.interval_end for p in full.points])
@@ -317,7 +322,7 @@ class TestWindowSelection:
         kept = tuple(o for o, keep in zip(series.observations,
                                           window_filter_oracle(window, series.quarters()))
                      if keep)
-        if window.start < first or window.end > last:
+        if any(not first <= q <= last for q in in_pool):
             message = f"slice {window.start}..{window.end} outside series span {first}..{last}"
         elif not kept:
             message = f"slice {window} selects no observations"
@@ -332,9 +337,11 @@ class TestWindowSelection:
             series.slice(window)
         assert str(info.value) == message
 
-    def test_analyze_computes_rates_for_the_window_only(self):
+    def test_analyze_computes_rates_for_the_window_only(self, tmp_path):
         series = canonical_series()
         assert series.first_quarter < CRISIS.start and CRISIS.end < series.last_quarter
+        path = tmp_path / "canonical.csv"
+        path.write_text(emit_csv(series), encoding="utf-8")
         built = []
 
         def spy(*args, **kwargs):
@@ -342,7 +349,9 @@ class TestWindowSelection:
             built.append(len(rates))
             return rates
 
-        with mock.patch("steadycredit.report.credit_growth_rates", spy):
+        # window_rates calls it in rates, rates_out in report
+        with mock.patch("steadycredit.rates.credit_growth_rates", spy), \
+                mock.patch("steadycredit.report.credit_growth_rates", spy):
             crisis = analyze(series, CRISIS)
             assert built == [crisis.n] == [17]
             whole = analyze(series)
@@ -351,6 +360,9 @@ class TestWindowSelection:
             # the scatter's hollow markers are computed only when asked for
             assert len(crisis.rates_out) == 33 - 17
             assert built == [17, 33, 33]
+            for command in ("rates", "ols"):
+                assert main([command, "--input", str(path), "--window", "crisis"]) == 0
+            assert built == [17, 33, 33, 17, 17]
 
 
 class TestSvg:

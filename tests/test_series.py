@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _oracles import window_filter_oracle
 from conftest import build_series, steady_scenario
 from steadycredit import synth
 from steadycredit.errors import (
@@ -196,12 +197,12 @@ class TestSlice:
 
 
 class TestWindow:
-    def test_contains_respects_inclusivity(self):
+    def test_positions_respect_inclusivity(self):
         w = Window(Quarter(2008, 2), Quarter(2012, 2), True, False)
-        assert w.contains(Quarter(2008, 2))
-        assert w.contains(Quarter(2012, 1))
-        assert not w.contains(Quarter(2012, 2))
-        assert not w.contains(Quarter(2008, 1))
+        # 2008-Q2 is position 1 of a run from 2008-Q1, 2012-Q1 position 16
+        assert w.positions(Quarter(2008, 1).index) == slice(1, 17)
+        assert w.positions(Quarter(2010, 1).index) == slice(0, 9)
+        assert w._replace(start_inclusive=False).positions(Quarter(2008, 1).index) == slice(2, 17)
 
     def test_degenerate_window_rejected(self):
         with pytest.raises(WindowError):
@@ -209,11 +210,11 @@ class TestWindow:
 
     @given(st.integers(1900, 2100), st.integers(1, 4), st.integers(1, 40),
            st.integers(-45, 45), st.booleans(), st.booleans())
-    def test_contains_matches_index_range(self, year, q, span, offset,
-                                          start_inclusive, end_inclusive):
+    def test_positions_match_quarter_filter_oracle(self, year, q, span, offset,
+                                                   start_inclusive, end_inclusive):
         start = Quarter(year, q)
         window = Window(start, start.shift(span), start_inclusive, end_inclusive)
-        lo = start.index + (0 if start_inclusive else 1)
-        hi = start.index + span - (0 if end_inclusive else 1)
-        quarter = start.shift(offset)
-        assert window.contains(quarter) == (lo <= quarter.index <= hi)
+        # a run of quarters before, across or after the window
+        run = [start.shift(offset + k) for k in range(30)]
+        inside = [x for x, keep in zip(run, window_filter_oracle(window, run)) if keep]
+        assert run[window.positions(run[0].index)] == inside
