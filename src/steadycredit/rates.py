@@ -11,8 +11,8 @@ perfect-information assumption: new credit is not extended to borrowers
 already known to default within the interval. The paper's sliding
 retrospection parameter is zero: each rate uses the stock of the quarter
 just before its interval, and no other lag is offered.
-``window_rates`` is the one rate sample of a window, which ``analyze`` and
-the ``rates`` and ``ols`` commands share.
+``window_rates``, cut by ``CreditSeries.slice``, is the one rate sample of
+a window, which ``analyze`` and the ``rates`` and ``ols`` commands share.
 """
 
 from __future__ import annotations
@@ -134,15 +134,13 @@ def select_window(rates: RateSeries, window: Window) -> RateSeries:
 
 def window_rates(series: CreditSeries, window: Window,
                  cfg: RatesConfig = RatesConfig()) -> RateSeries:
-    """``select_window`` of the series' rates, computed over the window's quarters
-    and its look-back quarter only, so a bad point elsewhere is never computed."""
-    # rate point k spans observations k and k + 1
-    cut = window.positions(series.first_quarter.index + 1)
-    observations = series.observations[cut.start:cut.stop + 1]
-    if len(observations) < 2:
-        raise WindowError(f"window {window} selects no rate points")
-    # a contiguous run of a checked series is valid as it is
-    rated = tuple.__new__(CreditSeries, (observations,))
+    """``select_window`` of the series' rates, computed over the quarters of
+    ``series.slice(window)`` and the look-back quarter before them only."""
+    kept = series.slice(window).observations
+    start = kept[0].quarter.index - series.first_quarter.index
+    # rate point k spans observations k and k + 1 ([-1:0] is empty at the series'
+    # start); a contiguous run of a checked series is valid as it is
+    rated = tuple.__new__(CreditSeries, (series.observations[start - 1:start] + kept,))
     return select_window(credit_growth_rates(rated, cfg), window)
 
 

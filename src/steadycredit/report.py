@@ -2,7 +2,8 @@
 
 ``analyze`` composes the rate, regression, steady-state, cycle, and gap
 computations over one window of a series; every sub-result is derived
-from the one rate sample ``rates.window_rates`` gives. Component failures
+from the window's ``CreditSeries.slice``, which refuses a bad window, and
+the rate sample ``rates.window_rates`` takes from it. Component failures
 (for example a regression on fewer than three points) are collected per
 stage instead of aborting the whole report.
 
@@ -69,15 +70,17 @@ def analyze(
 ) -> AnalysisReport:
     """Run the full pipeline over one window of the series.
 
-    Rate intervals are selected by their end quarter, so a window starting
-    after the first series quarter gains one look-back interval and an
-    n-quarter window carries an n-point sample; ``window_rates`` computes
-    them over the window's quarters and that look-back quarter only. OLS is
-    fit once; unless ``sigma_ref`` is given, its residual scale is the
-    chi-squared reference of both steady-state estimators.
+    ``series.slice`` checks the window before any stage runs. Rate intervals
+    are selected by their end quarter, so a window starting after the first
+    series quarter gains one look-back interval and an n-quarter window
+    carries an n-point sample; ``window_rates`` computes them over the
+    window's quarters and that look-back quarter only. OLS is fit once;
+    unless ``sigma_ref`` is given, its residual scale is the chi-squared
+    reference of both steady-state estimators.
     """
     if window is None:
         window = Window(series.first_quarter, series.last_quarter)
+    sliced = series.slice(window)
     rates_in = window_rates(series, window, rates_cfg)
 
     errors: list[tuple[str, str]] = []
@@ -99,14 +102,9 @@ def analyze(
                    rates_in, sigma_ref=sigma_ref)
     ssp_irr = stage("ssp-irr-root", steady_state.ssp_irr_root,
                     rates_in, sigma_ref=sigma_ref)
-    sliced = stage("window-slice", series.slice, window)
-
-    cycle_report = gap_report = None
-    if sliced is not None:
-        cycle_report = stage("cycles", cycles_mod.cycle_stats,
-                             sliced.tcu_values(), sliced.quarters())
-        if sliced.has_gdp():
-            gap_report = stage("gap", credit_gap, sliced, gap_cfg)
+    cycle_report = stage("cycles", cycles_mod.cycle_stats,
+                         sliced.tcu_values(), sliced.quarters())
+    gap_report = stage("gap", credit_gap, sliced, gap_cfg) if sliced.has_gdp() else None
 
     traj = None
     if ssp_ls is not None:

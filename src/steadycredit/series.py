@@ -8,7 +8,8 @@ a frozen dataclass, so ``dataclasses.replace`` validates anew, and the other
 types are named tuples under ``@validated``, which run their ``_checked``
 method on every construction, ``_make`` and ``_replace`` included.
 ``Window.positions`` is the one place that maps a window onto a run of
-quarters; a slice of a checked series is a contiguous run of it, so it is
+quarters, and ``CreditSeries.slice`` the one check of a window against a
+series; a slice of a checked series is a contiguous run of it, so it is
 built without checking it again.
 """
 
@@ -25,7 +26,7 @@ from .errors import ContiguityError, InvariantError, ParseError, WindowError
 
 CSV_HEADER = ("quarter", "tcu_eur", "abd_eur", "loans_eur", "gdp_eur")
 
-_QUARTER_RE = re.compile(r"^(\d{4})-Q([1-4])$")
+_QUARTER_RE = re.compile(r"^([1-9]\d{3})-Q([1-4])$")
 
 
 def validated(cls):
@@ -42,7 +43,7 @@ def validated(cls):
 
 @validated
 class Quarter(NamedTuple):
-    """A calendar quarter, ordered lexicographically by (year, q)."""
+    """A calendar quarter of a four-digit year, ordered lexicographically by (year, q)."""
 
     year: int
     q: int
@@ -54,6 +55,9 @@ class Quarter(NamedTuple):
             raise InvariantError(f"quarter fields must be integers, got {year!r}-Q{q!r}")
         if q not in (1, 2, 3, 4):
             raise InvariantError(f"quarter number must be in 1..4, got {q}")
+        # so that every quarter prints as text that ``parse`` reads back
+        if not 1000 <= year <= 9999:
+            raise InvariantError(f"quarter year must be in 1000..9999, got {year}")
         return self
 
     @classmethod
@@ -146,10 +150,12 @@ class CreditSeries(NamedTuple):
         base = obs[0].quarter.index
         for i, o in enumerate(obs):
             if o.quarter.index != base + i:
-                expected = Quarter.from_index(base + i)
                 if o.quarter.index > base + i:
-                    raise ContiguityError(f"missing quarter {expected} before {o.quarter}")
-                raise ContiguityError(f"quarters out of order at {o.quarter}, expected {expected}")
+                    raise ContiguityError(
+                        f"missing quarter {Quarter.from_index(base + i)} before {o.quarter}")
+                # the quarter expected here may lie past 9999-Q4
+                raise ContiguityError(f"quarters out of order at {o.quarter}, "
+                                      f"after {obs[i - 1].quarter}")
         for prev, cur in zip(obs, obs[1:]):
             # default rate abd / previous tcu must stay strictly below 1
             if not cur.abd < prev.tcu:

@@ -63,6 +63,8 @@ class Scenario(NamedTuple):
             raise InvariantError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.hypothesis not in (HYPOTHESIS_NULL, HYPOTHESIS_STEADY_STATE):
             raise InvariantError(f"hypothesis must be H0 or H1, got {self.hypothesis!r}")
+        if self.seed < 0:
+            raise InvariantError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

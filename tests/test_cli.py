@@ -160,6 +160,20 @@ class TestSimulatePipeline:
         assert captured.out == ""
         assert captured.err == "error: noise_sigma must be finite, got nan\n"
 
+    @pytest.mark.parametrize("text, seed, message", [
+        ("", "-1", "seed must be >= 0, got -1"),
+        # 9999-Q2 plus seven quarters would print a quarter parse_csv refuses
+        ("n_quarters=8\nstart=9999-Q2\n", "1", "quarter year must be in 1000..9999, got 10000"),
+    ])
+    def test_bad_scenario_is_one_line_error(self, tmp_path, text, seed, message, capsys):
+        scenario = tmp_path / "bad.cfg"
+        noisy = synth.scenario_to_text(steady_scenario(noise_sigma=0.004))
+        scenario.write_text(noisy + text, encoding="utf-8")
+        assert main(["simulate", "--scenario", str(scenario), "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_non_utf8_scenario_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
         path.write_bytes(b"n_quarters=18\nhypothesis=H1 \xff\n")
@@ -406,6 +420,23 @@ class TestOtherCommands:
         assert main(["render", "--input", str(canonical_csv), "--window", "crisis",
                      "--kind", "exhibit1", "--out", str(out)]) == 0
         ET.fromstring(out.read_text())
+
+
+@pytest.mark.parametrize("window, message", [
+    pytest.param(["--window", "pre2008"],
+                 "slice 1996-Q1..2008-Q2 outside series span 2005-Q1..2013-Q2", id="pre2008"),
+    pytest.param(["--from", "2008-Q2", "--to", "2008-Q3", "--no-inclusive-to"],
+                 "slice [2008-Q2..2008-Q3) selects a single observation; need at least 2",
+                 id="one-quarter"),
+])
+@pytest.mark.parametrize("command", ["rates", "ols", "ssp", "cycles", "gap", "analyze", "render"])
+def test_every_windowed_command_refuses_the_same_windows(canonical_csv, command, window,
+                                                         message, capsys):
+    kind = ["--kind", "exhibit2"] if command == "render" else []
+    assert main([command, "--input", str(canonical_csv), *window, *kind]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # (option strings, dest, default, required, choices, nargs, const, type) per flag

@@ -144,6 +144,8 @@ _BAD_ARGUMENTS = [
      InvariantError, "d_base must be finite, got inf"),
     (Scenario, _SCENARIO, "hypothesis", "H2",
      InvariantError, "hypothesis must be H0 or H1, got 'H2'"),
+    (Scenario, _SCENARIO, "seed", -1,
+     InvariantError, "seed must be >= 0, got -1"),
 ]
 
 

@@ -308,16 +308,10 @@ class TestWindowSelection:
             assert selected.points == tuple(p for p, keep in zip(full.points, inside) if keep)
             # built without a check, it still passes its own
             assert RateSeries(*selected) == selected
-            report = analyze(series, window)
-            assert report.rates_in == selected
-            assert RateSeries(*report.rates_in) == report.rates_in
-            assert report.rates_out == tuple(
-                p for p, keep in zip(full.points, inside) if not keep)
         else:
-            for select in (lambda: select_window(full, window), lambda: analyze(series, window)):
-                with pytest.raises(WindowError) as info:
-                    select()
-                assert str(info.value) == f"window {window} selects no rate points"
+            with pytest.raises(WindowError) as info:
+                select_window(full, window)
+            assert str(info.value) == f"window {window} selects no rate points"
 
         kept = tuple(o for o, keep in zip(series.observations,
                                           window_filter_oracle(window, series.quarters()))
@@ -332,10 +326,17 @@ class TestWindowSelection:
             sliced = series.slice(window)
             assert sliced == CreditSeries(kept)
             assert CreditSeries(*sliced) == sliced
+            # analyze rates the window the slice accepts, and refuses every other
+            report = analyze(series, window)
+            assert report.rates_in == selected
+            assert RateSeries(*report.rates_in) == report.rates_in
+            assert report.rates_out == tuple(
+                p for p, keep in zip(full.points, inside) if not keep)
             return
-        with pytest.raises(WindowError) as info:
-            series.slice(window)
-        assert str(info.value) == message
+        for cut in (lambda: series.slice(window), lambda: analyze(series, window)):
+            with pytest.raises(WindowError) as info:
+                cut()
+            assert str(info.value) == message
 
     def test_analyze_computes_rates_for_the_window_only(self, tmp_path):
         series = canonical_series()

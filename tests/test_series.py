@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _oracles import window_filter_oracle
@@ -27,7 +27,8 @@ class TestQuarter:
         assert q == Quarter(2008, 2)
         assert str(q) == "2008-Q2"
 
-    @pytest.mark.parametrize("text", ["2008Q2", "2008-Q5", "2008-Q0", "08-Q1", "x"])
+    @pytest.mark.parametrize("text", ["2008Q2", "2008-Q5", "2008-Q0", "08-Q1", "x",
+                                      "0999-Q4", "10000-Q1"])
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(ParseError):
             Quarter.parse(text)
@@ -58,6 +59,28 @@ class TestQuarter:
     def test_rejects_bad_quarter_number(self):
         with pytest.raises(InvariantError):
             Quarter(2008, 5)
+
+    @given(st.integers(-20000, 20000), st.integers(0, 5))
+    @example(999, 4)
+    @example(1000, 1)
+    @example(9999, 4)
+    @example(10000, 1)
+    def test_every_quarter_prints_as_text_parse_reads_back(self, year, q):
+        try:
+            quarter = Quarter(year, q)
+        except InvariantError:
+            return
+        assert Quarter.parse(str(quarter)) == quarter
+
+    def test_year_must_have_four_digits(self):
+        assert (str(Quarter(1000, 1)), str(Quarter(9999, 4))) == ("1000-Q1", "9999-Q4")
+        for year in (999, 10000, -1):
+            with pytest.raises(InvariantError,
+                               match=f"quarter year must be in 1000..9999, got {year}"):
+                Quarter(year, 1)
+        for quarter, step, year in ((Quarter(1000, 1), -1, 999), (Quarter(9999, 4), 1, 10000)):
+            with pytest.raises(InvariantError, match=f"got {year}"):
+                quarter.shift(step)
 
 
 class TestParseCsv:
@@ -101,6 +124,27 @@ class TestParseCsv:
         )
         with pytest.raises(ParseError, match="line 3"):
             parse_csv(text)
+
+    def test_quarter_outside_four_digit_years_names_its_line(self):
+        text = (
+            "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
+            "0999-Q4,910e9,3.6e9,,\n"
+            "1000-Q1,915e9,3.8e9,,\n"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_csv(text)
+        assert str(info.value) == "line 2: bad quarter '0999-Q4', expected YYYY-Qn"
+
+    def test_out_of_order_after_the_last_quarter_is_a_contiguity_error(self):
+        # the quarter expected after 9999-Q4 does not exist
+        text = (
+            "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
+            "9999-Q4,910e9,3.6e9,,\n"
+            "9999-Q3,915e9,3.8e9,,\n"
+        )
+        with pytest.raises(ContiguityError) as info:
+            parse_csv(text)
+        assert str(info.value) == "quarters out of order at 9999-Q3, after 9999-Q4"
 
     @pytest.mark.parametrize("newline", ["\r", "\r\n"])
     def test_any_line_ending_parses_alike(self, newline):

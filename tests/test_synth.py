@@ -114,6 +114,17 @@ class TestScenarioValidation:
         with pytest.raises(InvariantError):
             steady_scenario(hypothesis="H2")
 
+    def test_rejects_negative_seed_in_text(self):
+        text = synth.scenario_to_text(steady_scenario(noise_sigma=0.004)) + "seed=-1\n"
+        with pytest.raises(InvariantError, match=r"^seed must be >= 0, got -1$"):
+            synth.parse_scenario(text)
+
+    def test_rejects_scenario_running_past_9999_q4(self):
+        series, _ = synth.generate(steady_scenario(n_quarters=8, start=Quarter(9998, 1)))
+        assert series.last_quarter == Quarter(9999, 4)
+        with pytest.raises(InvariantError, match="^quarter year must be in 1000..9999, got 10000"):
+            synth.generate(steady_scenario(n_quarters=8, start=Quarter(9998, 2)))
+
 
 class TestScenarioConfig:
     def test_text_round_trip(self):
