@@ -3,7 +3,8 @@
 ``analyze``, ``render`` and ``ssp`` run one ``report.analyze`` over the
 window and print the whole report, a chart of it, or its ``ssf`` section.
 ``rates`` and ``ols`` print ``analyze``'s rate sample or its regression,
-and ``cycles`` and ``gap`` their stage on the window's slice. Each flag is
+and ``cycles`` and ``gap`` their stage on the window's slice; ``ols`` and
+``cycles`` print their record through ``dump_json`` as it is. Each flag is
 declared once, as a parent parser that every subcommand taking it inherits.
 
 Exit codes: 0 success, 1 validation or data error (one-line diagnostic on
@@ -115,7 +116,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 def _cmd_ols(args: argparse.Namespace) -> int:
     rates = _rates(args)
     fit = ols_mod.fit(rates.d_values(), rates.f_values())
-    _write_text(args.json_path, report_mod.dump_json(ols_mod.to_exhibit_json(fit)))
+    _write_text(args.json_path, report_mod.dump_json(fit))
     return 0
 
 
@@ -135,7 +136,7 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
     if args.csv:
         _write_text(args.csv, cycles_mod.overlays_to_csv(rep, series.tcu_values(),
                                                          series.quarters()))
-    _write_text(args.json_path, report_mod.dump_json(cycles_mod.to_json(rep)))
+    _write_text(args.json_path, report_mod.dump_json(rep))
     return 0
 
 

@@ -11,6 +11,8 @@ y(t+1) - 2 y(t) + y(t-1):
     P2  rising, decelerating        P4  falling, decelerating downward
 
 Zero curvature labels the point steady (a straight trend has no phase).
+``CycleReport`` and ``Extremum`` name their fields like the published cycle
+statistics, in the order of their JSON objects.
 """
 
 from __future__ import annotations
@@ -31,20 +33,20 @@ QUARTERS_PER_YEAR = 4
 
 class Extremum(NamedTuple):
     index: int
+    quarter: Quarter | None
     kind: str
     value: float
     amplitude: float  # absolute deviation from the series mean
-    quarter: Quarter | None = None
 
 
 class CycleReport(NamedTuple):
-    extrema: tuple[Extremum, ...]
     series_mean: float
     series_se: float
     peak_amplitude_mean: float | None
     peak_amplitude_se: float | None
-    frequency: float | None  # cycles per year
-    period: float | None  # years
+    frequency_cycles_per_year: float | None
+    period_years: float | None
+    extrema: tuple[Extremum, ...]
     phase_labels: tuple[str, ...]  # one per interior point
 
 
@@ -110,8 +112,8 @@ def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -
     ys, classes = _classify(y, quarters)
     series_mean, series_se = _mean_se(ys)
     extrema = [
-        Extremum(t, kind, ys[t], abs(ys[t] - series_mean),
-                 quarters[t] if quarters is not None else None)
+        Extremum(t, quarters[t] if quarters is not None else None, kind, ys[t],
+                 abs(ys[t] - series_mean))
         for t, (kind, _) in enumerate(classes, 1)
         if kind is not None
     ]
@@ -123,37 +125,10 @@ def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -
     for kind in (KIND_MAX, KIND_MIN):
         idx = [e.index for e in strict if e.kind == kind]
         gaps.extend(b - a for a, b in zip(idx, idx[1:]))
-    if gaps:
-        period_years = sum(gaps) / len(gaps) / QUARTERS_PER_YEAR
-        frequency = 1.0 / period_years
-    else:
-        period_years = None
-        frequency = None
-
-    return CycleReport(tuple(extrema), series_mean, series_se, amp_mean, amp_se,
-                       frequency, period_years, tuple(label for _, label in classes))
-
-
-def to_json(report: CycleReport) -> dict:
-    return {
-        "series_mean": report.series_mean,
-        "series_se": report.series_se,
-        "peak_amplitude_mean": report.peak_amplitude_mean,
-        "peak_amplitude_se": report.peak_amplitude_se,
-        "frequency_cycles_per_year": report.frequency,
-        "period_years": report.period,
-        "extrema": [
-            {
-                "index": e.index,
-                "quarter": str(e.quarter) if e.quarter is not None else None,
-                "kind": e.kind,
-                "value": e.value,
-                "amplitude": e.amplitude,
-            }
-            for e in report.extrema
-        ],
-        "phase_labels": list(report.phase_labels),
-    }
+    period_years = sum(gaps) / len(gaps) / QUARTERS_PER_YEAR if gaps else None
+    return CycleReport(series_mean, series_se, amp_mean, amp_se,
+                       1.0 / period_years if gaps else None, period_years,
+                       tuple(extrema), tuple(label for _, label in classes))
 
 
 def overlays_to_csv(report: CycleReport, y: Sequence[float],

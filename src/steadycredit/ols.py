@@ -2,10 +2,12 @@
 
 Reports the statistic set used for the growth-versus-default hypothesis:
 intercept, slope, their standard errors, the x axis intercept, correlation,
-R squared, and two residual scales. The residual scales follow the register
-analysis conventions: ``sigma_resid`` divides the residual sum of squares
-by n and ``s_resid`` by n - 1, while the coefficient standard errors use
-the textbook n - 2 denominator.
+R squared, and two residual scales. ``OlsFit`` names its fields like the
+rows of the published regression table, in their order, so the record is
+its own JSON object. The residual scales follow the register analysis
+conventions: ``sigma`` divides the residual sum of squares by n and
+``s_for_residual`` by n - 1, while the coefficient standard errors use the
+textbook n - 2 denominator.
 """
 
 from __future__ import annotations
@@ -19,19 +21,19 @@ from .sums import fsum
 
 class OlsFit(NamedTuple):
     n: int
-    beta1: float
-    beta2: float
+    intercept: float
     sigma_intercept: float
-    sigma_slope: float
     x_intercept: float | None
-    r: float
+    slope: float
+    sigma_slope: float
+    correlation: float
     r2: float
-    sigma_resid: float
-    s_resid: float
+    sigma: float
+    s_for_residual: float
 
 
 def fit(x: Sequence[float], y: Sequence[float]) -> OlsFit:
-    """Fit y = beta1 + beta2 * x by least squares.
+    """Fit y = intercept + slope * x by least squares.
 
     Requires n >= 3 and non-constant x.
     """
@@ -56,42 +58,26 @@ def fit(x: Sequence[float], y: Sequence[float]) -> OlsFit:
     if sxx == 0.0:
         raise EstimationError("x is constant; slope and correlation are undefined")
 
-    beta2 = sxy / sxx
-    beta1 = y_mean - beta2 * x_mean
-    resid = [b - beta1 - beta2 * a for a, b in zip(xs, ys)]
+    slope = sxy / sxx
+    intercept = y_mean - slope * x_mean
+    resid = [b - intercept - slope * a for a, b in zip(xs, ys)]
     sse = fsum(e * e for e in resid)
     # the product sxx * syy can underflow to zero or overflow where the roots do not
-    r = sxy / (math.sqrt(sxx) * math.sqrt(syy)) if syy > 0.0 else 0.0
+    correlation = sxy / (math.sqrt(sxx) * math.sqrt(syy)) if syy > 0.0 else 0.0
     s_ols = math.sqrt(sse / (n - 2))
     return OlsFit(
         n=n,
-        beta1=beta1,
-        beta2=beta2,
+        intercept=intercept,
         sigma_intercept=s_ols * math.sqrt(1.0 / n + x_mean * x_mean / sxx),
+        x_intercept=(-intercept / slope) if slope != 0.0 else None,
+        slope=slope,
         sigma_slope=s_ols / math.sqrt(sxx),
-        x_intercept=(-beta1 / beta2) if beta2 != 0.0 else None,
-        r=r,
-        r2=r * r,
-        sigma_resid=math.sqrt(sse / n),
-        s_resid=math.sqrt(sse / (n - 1)),
+        correlation=correlation,
+        r2=correlation * correlation,
+        sigma=math.sqrt(sse / n),
+        s_for_residual=math.sqrt(sse / (n - 1)),
     )
 
 
 def residuals(fitted: OlsFit, x: Sequence[float], y: Sequence[float]) -> list[float]:
-    return [float(b) - fitted.beta1 - fitted.beta2 * float(a) for a, b in zip(x, y)]
-
-
-def to_exhibit_json(fitted: OlsFit) -> dict:
-    """Flat dict keyed like the published regression table rows."""
-    return {
-        "n": fitted.n,
-        "intercept": fitted.beta1,
-        "sigma_intercept": fitted.sigma_intercept,
-        "x_intercept": fitted.x_intercept,
-        "slope": fitted.beta2,
-        "sigma_slope": fitted.sigma_slope,
-        "correlation": fitted.r,
-        "r2": fitted.r2,
-        "sigma": fitted.sigma_resid,
-        "s_for_residual": fitted.s_resid,
-    }
+    return [float(b) - fitted.intercept - fitted.slope * float(a) for a, b in zip(x, y)]

@@ -17,6 +17,7 @@ a window, which ``analyze`` and the ``rates`` and ``ols`` commands share.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import EstimationError, InvariantError, WindowError
@@ -53,6 +54,8 @@ class RatePoint(NamedTuple):
             raise InvariantError(f"{self.interval_end}: d must be in [0,1), got {self.d}")
         if not self.f > -1.0:
             raise InvariantError(f"{self.interval_end}: f must be > -1, got {self.f}")
+        if self.f == math.inf:
+            raise InvariantError(f"{self.interval_end}: f must be finite, got {self.f}")
         if self.f_source not in (F_SOURCE_LOANS, F_SOURCE_BALANCE):
             raise InvariantError(f"unknown f_source {self.f_source!r}")
         return self

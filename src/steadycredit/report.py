@@ -7,7 +7,10 @@ the rate sample ``rates.window_rates`` takes from it. Component failures
 (for example a regression on fewer than three points) are collected per
 stage instead of aborting the whole report.
 
-``dump_json`` writes every JSON document of the package in one walk. It
+``dump_json`` writes every JSON document of the package in one walk. A
+result record is a named tuple whose fields are named like the published
+table rows, so it is written as an object of its fields in field order; a
+``Quarter`` is written as its text and a plain tuple as an array. It
 rounds each float to ``STEADYCREDIT_PRECISION`` significant digits
 (default 6), so repeated runs emit byte-identical documents, and refuses a
 float that is non-finite after rounding, naming its key path. A float is
@@ -28,7 +31,7 @@ from . import steady_state
 from .basel import GapConfig, GapReport, credit_gap
 from .errors import SteadyCreditError
 from .rates import RatePoint, RateSeries, RatesConfig, credit_growth_rates, window_rates
-from .series import CreditSeries, Window
+from .series import CreditSeries, Quarter, Window
 
 DEFAULT_PRECISION = 6
 PRECISION_ENV = "STEADYCREDIT_PRECISION"
@@ -75,7 +78,7 @@ def analyze(
     series quarter gains one look-back interval and an n-quarter window
     carries an n-point sample; ``window_rates`` computes them over the
     window's quarters and that look-back quarter only. OLS is fit once;
-    unless ``sigma_ref`` is given, its residual scale is the chi-squared
+    unless ``sigma_ref`` is given, its ``s_for_residual`` is the chi-squared
     reference of both steady-state estimators.
     """
     if window is None:
@@ -96,8 +99,8 @@ def analyze(
     ols_fit = stage("ols", ols_mod.fit, rates_in.d_values(), rates_in.f_values())
     # Pass on only a positive OLS scale; a zero one is left to the estimators,
     # which accept it for an exact steady-state fit and reject it otherwise.
-    if sigma_ref is None and ols_fit is not None and ols_fit.s_resid > 0.0:
-        sigma_ref = ols_fit.s_resid
+    if sigma_ref is None and ols_fit is not None and ols_fit.s_for_residual > 0.0:
+        sigma_ref = ols_fit.s_for_residual
     ssp_ls = stage("ssp-least-squares", steady_state.ssp_least_squares,
                    rates_in, sigma_ref=sigma_ref)
     ssp_irr = stage("ssp-irr-root", steady_state.ssp_irr_root,
@@ -128,7 +131,7 @@ def resolve_precision() -> int:
 
 
 def to_json_dict(report: AnalysisReport) -> dict:
-    """The report as a JSON-able document, floats unrounded."""
+    """The report as a document for ``dump_json``, its records as they are."""
     return {
         "schema": "steadycredit-analysis/1",
         "window": {
@@ -138,29 +141,21 @@ def to_json_dict(report: AnalysisReport) -> dict:
             "to_inclusive": report.window.end_inclusive,
         },
         "n": report.n,
-        "ols": ols_mod.to_exhibit_json(report.ols_fit) if report.ols_fit else None,
-        "ssf": {
-            "least_squares": steady_state.to_ssf_json(report.ssp_ls) if report.ssp_ls else None,
-            "irr_root": steady_state.to_ssf_json(report.ssp_irr) if report.ssp_irr else None,
-        },
-        "cycles": cycles_mod.to_json(report.cycles) if report.cycles else None,
+        "ols": report.ols_fit,
+        "ssf": {"least_squares": report.ssp_ls, "irr_root": report.ssp_irr},
+        "cycles": report.cycles,
         "gap": {
             "lambda": report.gap.config.lam,
             "gap_low": report.gap.config.gap_low,
             "gap_high": report.gap.config.gap_high,
             "buffer_max": report.gap.config.buffer_max,
-            "rows": [_row(r) for r in report.gap.rows],
+            "rows": report.gap.rows,
         }
         if report.gap
         else None,
-        "trajectory": [_row(p) for p in report.trajectory.points] if report.trajectory else None,
+        "trajectory": report.trajectory.points if report.trajectory else None,
         "errors": [{"stage": stage, "message": message} for stage, message in report.errors],
     }
-
-
-def _row(record) -> dict:
-    """A trajectory point or gap row keyed by its field names, its quarter as text."""
-    return dict(zip(record._fields, record), quarter=str(record.quarter))
 
 
 class _NonFinite(Exception):
@@ -179,12 +174,19 @@ def _write(value, indent: str, spec: str, short: bool, parts: list[str]) -> None
                 raise _NonFinite()
             text = repr(value)
         parts.append(text)
-    elif kind is dict or kind is list or kind is tuple:  # a record is a tuple, but no JSON array
-        is_dict, inner = kind is dict, indent + "  "
-        brackets = "{}" if is_dict else "[]"
+    elif kind is Quarter:
+        parts.append(f'"{value}"')
+    elif kind is dict or kind is list or isinstance(value, tuple):
+        if kind is dict:
+            items, brackets = value.items(), "{}"
+        elif kind is list or kind is tuple:
+            items, brackets = enumerate(value), "[]"
+        else:  # a named tuple is a record, written as an object of its fields
+            items, brackets = zip(kind._fields, value), "{}"
+        is_object, inner = brackets == "{}", indent + "  "
         sep = brackets[0] + "\n" + inner
-        for key, item in value.items() if is_dict else enumerate(value):
-            parts.append(sep + _quote(key) + ": " if is_dict else sep)
+        for key, item in items:
+            parts.append(sep + _quote(key) + ": " if is_object else sep)
             try:
                 _write(item, inner, spec, short, parts)
             except _NonFinite as exc:

@@ -30,7 +30,8 @@ own power-of-two exponent, so no intermediate A_k under- or overflows.
 Both estimates are tested by chi-squared on dof = n - 1. The degrees of
 freedom are an integer, so the upper-tail p-value is a finite sum of
 Poisson-like terms (plus one erfc for odd dof) and needs no iterative
-incomplete-gamma solver.
+incomplete-gamma solver. ``SspEstimate`` carries the statistic and its
+p-value, its fields named like the published steady-state table column.
 """
 
 from __future__ import annotations
@@ -54,14 +55,15 @@ _MANTISSA_HI = 2.0**512
 
 
 class SspEstimate(NamedTuple):
+    n: int
     zeta: float
     s: float
     method: str
-    sigma_resid: float
-    s_resid: float
+    sigma: float
+    s_for_residual: float
     chi2: float
     dof: int
-    n: int
+    p_value: float
 
 
 class TrajectoryPoint(NamedTuple):
@@ -141,10 +143,10 @@ def _default_sigma_ref(d: list[float], f: list[float], sse: float) -> float:
     """Default reference scale is the OLS residual s of the same sample.
 
     When the sample cannot be fit by OLS (fewer than 3 points or constant d)
-    the estimate's own s_resid is used instead.
+    the estimate's own s_for_residual is used instead.
     """
     try:
-        return ols.fit(d, f).s_resid
+        return ols.fit(d, f).s_for_residual
     except EstimationError:
         return math.sqrt(sse / (len(d) - 1))
 
@@ -166,14 +168,15 @@ def _finalize(rates: RateSeries, zeta: float, method: str,
     else:
         raise EstimationError("reference residual scale is zero but residuals are not")
     return SspEstimate(
+        n=n,
         zeta=zeta,
         s=1.0 / (1.0 + zeta),
         method=method,
-        sigma_resid=math.sqrt(sse / n),
-        s_resid=math.sqrt(sse / (n - 1)),
+        sigma=math.sqrt(sse / n),
+        s_for_residual=math.sqrt(sse / (n - 1)),
         chi2=chi2,
         dof=dof,
-        n=n,
+        p_value=chi2_p_value(chi2, dof),
     )
 
 
@@ -256,7 +259,7 @@ def ssp_irr_root(rates: RateSeries, sigma_ref: float | None = None) -> SspEstima
         raise EstimationError(f"irr-root Newton did not converge in {_MAX_ITER} steps")
     if s > _S_HI_CAP:
         raise EstimationError(
-            f"no sign change in the discount-factor bracket up to s={_S_HI_CAP}"
+            f"discount-factor root is above s={_S_HI_CAP}, so zeta is below -0.9"
         )
     return _finalize(rates, 1.0 / s - 1.0, METHOD_IRR_ROOT, sigma_ref)
 
@@ -285,18 +288,3 @@ def trajectory(rates: RateSeries, zeta: float) -> SteadyStateTrajectory:
                                       index, direction))
         prev_f = p.f
     return SteadyStateTrajectory(tuple(points), zeta)
-
-
-def to_ssf_json(estimate: SspEstimate) -> dict:
-    """Flat dict keyed like the published steady-state table column."""
-    return {
-        "n": estimate.n,
-        "zeta": estimate.zeta,
-        "s": estimate.s,
-        "method": estimate.method,
-        "sigma": estimate.sigma_resid,
-        "s_for_residual": estimate.s_resid,
-        "chi2": estimate.chi2,
-        "dof": estimate.dof,
-        "p_value": chi2_p_value(estimate.chi2, estimate.dof),
-    }

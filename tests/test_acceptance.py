@@ -95,8 +95,8 @@ def test_criterion_3_ols_oracle_equivalence():
                 continue
             fitted = fit(x, y)
             a_oracle, b_oracle = ols_grid_oracle(x, y)
-            assert abs(fitted.beta1 - a_oracle) < 1e-9
-            assert abs(fitted.beta2 - b_oracle) < 1e-9
+            assert abs(fitted.intercept - a_oracle) < 1e-9
+            assert abs(fitted.slope - b_oracle) < 1e-9
             e = residuals(fitted, x, y)
             assert abs(float(np.sum(e))) <= 1e-9 * (float(np.sum(np.abs(e))) + 1e-300)
             assert abs(float(np.sum(e * x))) <= 1e-9 * (
@@ -109,8 +109,8 @@ def test_criterion_4_published_table_consistency():
     with criterion(4, "data-free internal consistency of the published table"):
         rng = np.random.default_rng(3)
         fitted = fit(rng.uniform(0, 1, 17), rng.uniform(0, 1, 17))
-        assert abs(fitted.r2 - fitted.r**2) <= 1e-12
-        assert fitted.s_resid / fitted.sigma_resid == pytest.approx(
+        assert abs(fitted.r2 - fitted.correlation**2) <= 1e-12
+        assert fitted.s_for_residual / fitted.sigma == pytest.approx(
             math.sqrt(17 / 16), abs=1e-12
         )
         table = reference.CRISIS_WINDOW["ols"]
@@ -124,7 +124,7 @@ def test_criterion_5_cycle_statistics_on_mirror_sinusoid():
         t = np.arange(17)
         y = 915.4e9 + 39.2e9 * np.sin(2.0 * np.pi * t / 8.0)
         report = cycle_stats(y)
-        assert report.frequency == 0.5
+        assert report.frequency_cycles_per_year == 0.5
         assert [e.index for e in report.extrema] == [2, 6, 10, 14]
         assert report.peak_amplitude_mean == pytest.approx(39.2e9, rel=0.02)
         assert report.series_mean == pytest.approx(915.4e9, rel=0.5 / 915.4)

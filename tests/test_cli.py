@@ -352,6 +352,16 @@ class TestOtherCommands:
         assert captured.err == ("error: result holds a non-finite number, which JSON "
                                 "cannot represent: cycles.series_se\n")
 
+    @pytest.mark.parametrize("command", ["rates", "analyze"])
+    def test_infinite_growth_rate_names_its_quarter(self, tmp_path, command, capsys):
+        # loans of 1e300 on a credit stock of 1e-300 give f = inf at 2008-Q2
+        path = tmp_path / "inf.csv"
+        path.write_text(emit_csv(build_series([1e-300] * 5, loans=[0.0, 1e300, 0.0, 0.0, 0.0])))
+        assert main([command, "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 2008-Q2: f must be finite, got inf\n"
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["analyze", "ssp"])
     def test_huge_credit_stock_leaves_one_line_at_most(self, canonical_csv, command, capsys):
@@ -373,6 +383,14 @@ class TestOtherCommands:
         ssf = json.loads(capsys.readouterr().out)["ssf"]
         assert main(["ssp", *args]) == 0
         assert capsys.readouterr().out == json.dumps(ssf, indent=2) + "\n"
+
+    @pytest.mark.parametrize("window", [[], ["--window", "crisis"]])
+    def test_cycles_prints_the_cycles_section_of_analyze(self, canonical_csv, window, capsys):
+        args = ["--input", str(canonical_csv), *window]
+        assert main(["analyze", *args]) == 0
+        cycles = json.loads(capsys.readouterr().out)["cycles"]
+        assert main(["cycles", *args]) == 0
+        assert capsys.readouterr().out == json.dumps(cycles, indent=2) + "\n"
 
     def test_ssp_raises_least_squares_error_first(self, tmp_path, capsys):
         # an exact OLS fit leaves a zero reference scale under non-zero residuals

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,9 +12,9 @@ from steadycredit.cycles import (
     KIND_STEADY,
     cycle_stats,
     overlays_to_csv,
-    to_json,
 )
 from steadycredit.errors import EstimationError
+from steadycredit.report import dump_json
 from steadycredit.series import Quarter
 
 SQRT_HALF = math.sqrt(2.0) / 2.0
@@ -89,16 +90,16 @@ class TestCycleStats:
         assert report.series_se == 0.0
         assert [e.index for e in report.extrema] == [1]
         assert all(e.kind == KIND_STEADY for e in report.extrema)
-        assert report.frequency is None
-        assert report.period is None
+        assert report.frequency_cycles_per_year is None
+        assert report.period_years is None
         assert report.peak_amplitude_mean is None
 
     def test_mirror_sinusoid_statistics(self):
         t = np.arange(17)
         y = 915.4 + 39.2 * np.sin(2.0 * np.pi * t / 8.0)
         report = cycle_stats(y)
-        assert report.frequency == pytest.approx(0.5, abs=1e-12)
-        assert report.period == pytest.approx(2.0, abs=1e-12)
+        assert report.frequency_cycles_per_year == pytest.approx(0.5, abs=1e-12)
+        assert report.period_years == pytest.approx(2.0, abs=1e-12)
         assert [e.index for e in report.extrema] == [2, 6, 10, 14]
         assert report.series_mean == pytest.approx(915.4, abs=0.5)
         assert report.peak_amplitude_mean == pytest.approx(39.2, rel=0.02)
@@ -108,12 +109,12 @@ class TestCycleStats:
         report = cycle_stats(y)
         kinds = [(e.index, e.kind) for e in report.extrema]
         assert kinds == [(2, KIND_MAX), (4, KIND_MIN), (6, KIND_MAX)]
-        assert report.period == pytest.approx(1.0, abs=1e-12)  # 4 quarters
-        assert report.frequency == pytest.approx(1.0, abs=1e-12)
+        assert report.period_years == pytest.approx(1.0, abs=1e-12)  # 4 quarters
+        assert report.frequency_cycles_per_year == pytest.approx(1.0, abs=1e-12)
 
     def test_single_extremum_has_no_frequency(self):
         report = cycle_stats([1.0, 3.0, 1.0])
-        assert report.frequency is None
+        assert report.frequency_cycles_per_year is None
         assert report.peak_amplitude_mean is not None
         assert report.peak_amplitude_se is None
 
@@ -145,12 +146,12 @@ class TestInvariants:
         y = np.sin(np.arange(24) / 2.0) + rng.normal(0, 0.05, 24)
         base = cycle_stats(y)
         scaled = cycle_stats(3.5 * y + 11.0)
-        assert scaled.frequency == base.frequency
+        assert scaled.frequency_cycles_per_year == base.frequency_cycles_per_year
 
 
 class TestExports:
     def test_json_shape(self):
-        doc = to_json(cycle_stats([1.0, 3.0, 1.0, 3.0, 1.0]))
+        doc = json.loads(dump_json(cycle_stats([1.0, 3.0, 1.0, 3.0, 1.0])))
         assert doc["frequency_cycles_per_year"] is not None
         assert {e["kind"] for e in doc["extrema"]} == {KIND_MAX, KIND_MIN}
 

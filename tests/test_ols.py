@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,25 +7,26 @@ import pytest
 from _oracles import ols_grid_oracle
 from steadycredit import reference
 from steadycredit.errors import EstimationError
-from steadycredit.ols import fit, residuals, to_exhibit_json
+from steadycredit.ols import OlsFit, fit, residuals
+from steadycredit.report import dump_json
 
 
 class TestFitBasics:
     def test_perfect_line(self):
         f = fit([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-        assert f.beta2 == pytest.approx(1.0, abs=1e-15)
-        assert f.beta1 == pytest.approx(0.0, abs=1e-15)
-        assert f.r == pytest.approx(1.0, abs=1e-15)
+        assert f.slope == pytest.approx(1.0, abs=1e-15)
+        assert f.intercept == pytest.approx(0.0, abs=1e-15)
+        assert f.correlation == pytest.approx(1.0, abs=1e-15)
         assert f.r2 == pytest.approx(1.0, abs=1e-15)
-        assert f.sigma_resid == pytest.approx(0.0, abs=1e-15)
-        assert f.s_resid == pytest.approx(0.0, abs=1e-15)
+        assert f.sigma == pytest.approx(0.0, abs=1e-15)
+        assert f.s_for_residual == pytest.approx(0.0, abs=1e-15)
 
     def test_normal_equations_by_hand(self):
         # Sxy=1, Sxx=2, Syy=2 for these three points
         f = fit([0.0, 1.0, 2.0], [0.0, 2.0, 1.0])
-        assert f.beta2 == pytest.approx(0.5, abs=1e-15)
-        assert f.beta1 == pytest.approx(0.5, abs=1e-15)
-        assert f.r == pytest.approx(0.5, abs=1e-15)
+        assert f.slope == pytest.approx(0.5, abs=1e-15)
+        assert f.intercept == pytest.approx(0.5, abs=1e-15)
+        assert f.correlation == pytest.approx(0.5, abs=1e-15)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(EstimationError):
@@ -38,36 +40,28 @@ class TestFitBasics:
     def test_correlation_survives_extreme_variances(self, scale):
         # sxx * syy underflows to zero at 1e-160 and overflows at 1e100
         f = fit([0.0, 0.0, scale, 0.0], [0.0, 0.0, scale, 0.0])
-        assert f.r == pytest.approx(1.0, abs=1e-15)
+        assert f.correlation == pytest.approx(1.0, abs=1e-15)
 
 
 class TestPredict:
     def test_identity_line(self):
         f = fit([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-        assert f.beta1 + f.beta2 * 0.3 == pytest.approx(0.3, abs=1e-15)
+        assert f.intercept + f.slope * 0.3 == pytest.approx(0.3, abs=1e-15)
 
     def test_hand_value(self):
-        f = fit([0.0, 1.0, 2.0], [0.0, 2.0, 1.0])  # beta1 = beta2 = 0.5
-        assert f.beta1 + f.beta2 * 1.0 == pytest.approx(1.0, abs=1e-15)
+        f = fit([0.0, 1.0, 2.0], [0.0, 2.0, 1.0])  # intercept = slope = 0.5
+        assert f.intercept + f.slope * 1.0 == pytest.approx(1.0, abs=1e-15)
 
     def test_x_intercept_zeroes_prediction(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(0, 1, 20)
         y = 0.04 - 5.5 * x + rng.normal(0, 0.01, 20)
         f = fit(x, y)
-        assert f.beta1 + f.beta2 * f.x_intercept == pytest.approx(0.0, abs=1e-12)
+        assert f.intercept + f.slope * f.x_intercept == pytest.approx(0.0, abs=1e-12)
 
     def test_published_crisis_fit_vanishes_at_its_intercept(self):
-        from steadycredit.ols import OlsFit
-
-        table = reference.CRISIS_WINDOW["ols"]
-        f = OlsFit(
-            n=table["n"], beta1=table["intercept"], beta2=table["slope"],
-            sigma_intercept=table["sigma_intercept"], sigma_slope=table["sigma_slope"],
-            x_intercept=table["x_intercept"], r=table["correlation"],
-            r2=table["r2"], sigma_resid=table["sigma"], s_resid=table["s_for_residual"],
-        )
-        assert abs(f.beta1 + f.beta2 * table["x_intercept"]) <= 1e-6
+        f = OlsFit(**reference.CRISIS_WINDOW["ols"])
+        assert abs(f.intercept + f.slope * f.x_intercept) <= 1e-6
 
 
 class TestOracleEquivalence:
@@ -82,8 +76,8 @@ class TestOracleEquivalence:
                 continue
             f = fit(x, y)
             a_o, b_o = ols_grid_oracle(x, y)
-            assert abs(f.beta1 - a_o) < 1e-9
-            assert abs(f.beta2 - b_o) < 1e-9
+            assert abs(f.intercept - a_o) < 1e-9
+            assert abs(f.slope - b_o) < 1e-9
             checked += 1
 
     def test_residual_orthogonality(self):
@@ -106,18 +100,18 @@ class TestConventions:
         x = rng.uniform(0, 1, 17)
         y = rng.uniform(0, 1, 17)
         f = fit(x, y)
-        assert abs(f.r2 - f.r * f.r) <= 1e-12
+        assert abs(f.r2 - f.correlation * f.correlation) <= 1e-12
 
     def test_sign_of_r_matches_slope(self):
         f = fit([0.0, 1.0, 2.0, 3.0], [3.0, 2.5, 1.0, 0.2])
-        assert f.beta2 < 0 and f.r < 0
+        assert f.slope < 0 and f.correlation < 0
 
     def test_residual_scale_ratio(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(0, 1, 17)
         y = 1.0 - 2.0 * x + rng.normal(0, 0.1, 17)
         f = fit(x, y)
-        assert f.s_resid / f.sigma_resid == pytest.approx(math.sqrt(17 / 16), abs=1e-12)
+        assert f.s_for_residual / f.sigma == pytest.approx(math.sqrt(17 / 16), abs=1e-12)
 
     def test_published_crisis_table_is_self_consistent(self):
         table = reference.CRISIS_WINDOW["ols"]
@@ -138,7 +132,7 @@ class TestConventions:
 class TestExport:
     def test_json_keys_match_table_rows(self):
         f = fit([0.0, 1.0, 2.0], [0.0, 2.0, 1.0])
-        doc = to_exhibit_json(f)
+        doc = json.loads(dump_json(f))
         assert list(doc) == [
             "n", "intercept", "sigma_intercept", "x_intercept", "slope",
             "sigma_slope", "correlation", "r2", "sigma", "s_for_residual",

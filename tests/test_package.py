@@ -126,6 +126,8 @@ _BAD_ARGUMENTS = [
      InvariantError, "2008-Q1: d must be in [0,1), got 1.0"),
     (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "f", -1.0,
      InvariantError, "2008-Q1: f must be > -1, got -1.0"),
+    (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "f", math.inf,
+     InvariantError, "2008-Q1: f must be finite, got inf"),
     (RateSeries, dict(points=[_POINT]), "points", [],
      InvariantError, "rate series must not be empty"),
     (RateSeries, dict(points=[_POINT]), "points", [_POINT, _POINT],
@@ -149,10 +151,17 @@ _BAD_ARGUMENTS = [
 ]
 
 
-# a NaN or bool case shares its field with another case, so its id names the value too
+def _case_id(cls, field, bad) -> str:
+    """Class and field; a NaN, bool or inf case that shares its field with
+    another case names the value too."""
+    shared = sum((c, f) == (cls, field) for c, _, f, *_ in _BAD_ARGUMENTS) > 1
+    kind = ("-nan" if bad != bad else "-bool" if type(bad) is bool
+            else "-inf" if bad == math.inf else "")
+    return f"{cls.__name__}-{field}" + (kind if shared else "")
+
+
 @pytest.mark.parametrize("cls, valid, field, bad, error, message", _BAD_ARGUMENTS,
-                         ids=[f"{cls.__name__}-{field}" + ("-nan" if bad != bad else
-                                                           "-bool" if type(bad) is bool else "")
+                         ids=[_case_id(cls, field, bad)
                               for cls, _, field, bad, *_ in _BAD_ARGUMENTS])
 def test_constructors_validate_positional_and_keyword_arguments(
         cls, valid, field, bad, error, message):

@@ -15,6 +15,7 @@ from _oracles import round_sig, rounded_json_dumps, window_filter_oracle
 from conftest import build_series, canonical_series, steady_scenario
 from steadycredit import ols, synth
 from steadycredit.cli import main
+from steadycredit.cycles import Extremum
 from steadycredit.errors import InvariantError, SteadyCreditError, WindowError
 from steadycredit.rates import RateSeries, credit_growth_rates, select_window
 from steadycredit.report import (
@@ -27,7 +28,7 @@ from steadycredit.report import (
     to_json,
     to_json_dict,
 )
-from steadycredit.series import CreditSeries, Quarter, Window, emit_csv
+from steadycredit.series import CreditObservation, CreditSeries, Quarter, Window, emit_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -77,8 +78,8 @@ class TestAnalyze:
         assert report.n == 17
         # growth is increasing in the default rate when the offset is fixed,
         # so the regression correlation sits near +1
-        assert report.ols_fit.r > 0.99
-        assert report.ols_fit.r2 == pytest.approx(report.ols_fit.r**2, abs=1e-12)
+        assert report.ols_fit.correlation > 0.99
+        assert report.ols_fit.r2 == pytest.approx(report.ols_fit.correlation**2, abs=1e-12)
         assert report.ssp_ls.zeta == pytest.approx(0.00245, abs=1e-12)
         assert report.ssp_irr.zeta == pytest.approx(0.00245, abs=1e-10)
         assert report.cycles is not None
@@ -140,7 +141,7 @@ class TestAnalyze:
         series = build_series([100.0] * 4, abd=[0.0, 0.0, 25.0, 50.0],
                               loans=[None, 0.0, 18.75, 25.0])
         report = analyze(series)
-        assert report.ols_fit.s_resid == 0.0
+        assert report.ols_fit.s_for_residual == 0.0
         message = "reference residual scale is zero but residuals are not"
         assert report.errors[:2] == (
             ("ssp-least-squares", message),
@@ -171,7 +172,7 @@ class TestAnalyze:
 
 class TestJson:
     def test_document_shape(self):
-        doc = to_json_dict(canonical_report())
+        doc = json.loads(to_json(canonical_report()))
         assert doc["schema"] == "steadycredit-analysis/1"
         assert doc["window"] == {
             "from": "2008-Q2", "to": "2012-Q2",
@@ -210,11 +211,10 @@ class TestJson:
 
     def test_precision_rounding(self, monkeypatch):
         report = canonical_report()
-        full = to_json_dict(report)
-        assert full["ols"]["sigma"] == report.ols_fit.sigma_resid
+        assert to_json_dict(report)["ols"] is report.ols_fit
         monkeypatch.setenv("STEADYCREDIT_PRECISION", "3")
         coarse = json.loads(to_json(report))
-        assert coarse["ols"]["sigma"] == round_sig(full["ols"]["sigma"], 3)
+        assert coarse["ols"]["sigma"] == round_sig(report.ols_fit.sigma, 3)
 
     def test_precision_env_var(self, monkeypatch):
         monkeypatch.setenv("STEADYCREDIT_PRECISION", "3")
@@ -237,6 +237,8 @@ class TestJson:
         ({"huge": 1.7e308}, "huge"),  # rounds to 2e+308 at one digit
         ({"n": [True, np.float64(1.7e308)]}, "n[1]"),
         (float("-inf"), "the document"),
+        ({"ols": ols.OlsFit(3, 0.0, 0.0, None, 1.0, 0.0, 1.0, 1.0, math.inf, 0.0)}, "ols.sigma"),
+        ({"extrema": (Extremum(1, None, "maximum", math.nan, 0.0),)}, "extrema[0].value"),
     ])
     def test_non_finite_error_names_key_path(self, doc, path, monkeypatch):
         monkeypatch.setenv("STEADYCREDIT_PRECISION", "1")
@@ -246,10 +248,22 @@ class TestJson:
             f"result holds a non-finite number, which JSON cannot represent: {path}"
         )
 
-    def test_a_record_is_not_written(self):
-        for record in (Quarter(2008, 1), canonical_report().ols_fit):
+    def test_a_record_is_written_as_an_object_of_its_fields(self):
+        extremum = Extremum(3, Quarter(2008, 4), "maximum", 2.5, 0.5)
+        assert dump_json(extremum) == (
+            '{\n  "index": 3,\n  "quarter": "2008-Q4",\n  "kind": "maximum",\n'
+            '  "value": 2.5,\n  "amplitude": 0.5\n}\n'
+        )
+        fit = canonical_report().ols_fit
+        written = json.loads(dump_json({"ols": fit, "q": Quarter(2008, 1), "pair": (1, "a")}))
+        assert list(written["ols"].items()) == [
+            (field, json.loads(dump_json(value))) for field, value in zip(fit._fields, fit)
+        ]
+        assert written["q"] == "2008-Q1"
+        assert written["pair"] == [1, "a"]
+        for value in ({1.0}, CreditObservation(Quarter(2008, 1), 1.0, 0.0)):
             with pytest.raises(TypeError):
-                dump_json({"q": record})
+                dump_json({"v": value})
 
     @pytest.mark.parametrize("digits", [1, 6, 14, 15, 16, 17])
     def test_float_boundaries_match_rounding_oracle(self, digits, monkeypatch):

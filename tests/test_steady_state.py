@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import steady_scenario
 from steadycredit import synth
 from steadycredit.errors import EstimationError
 from steadycredit.rates import F_SOURCE_BALANCE, RatePoint, RateSeries, credit_growth_rates
+from steadycredit.report import dump_json
 from steadycredit.series import Quarter
 from steadycredit.steady_state import (
     METHOD_IRR_ROOT,
@@ -25,7 +27,6 @@ from steadycredit.steady_state import (
     expected_growth,
     ssp_irr_root,
     ssp_least_squares,
-    to_ssf_json,
     trajectory,
 )
 
@@ -182,7 +183,7 @@ class TestLeastSquares:
         assert est.s * (1.0 + est.zeta) == pytest.approx(1.0, abs=1e-12)
         assert est.dof == est.n - 1
         assert est.chi2 >= 0.0
-        assert est.s_resid / est.sigma_resid == pytest.approx(
+        assert est.s_for_residual / est.sigma == pytest.approx(
             math.sqrt(est.n / (est.n - 1)), abs=1e-12
         )
 
@@ -193,7 +194,7 @@ class TestLeastSquares:
         series, _ = synth.generate(scenario)
         rates = credit_growth_rates(series)
         est = ssp_least_squares(rates)
-        s_ols = fit(rates.d_values(), rates.f_values()).s_resid
+        s_ols = fit(rates.d_values(), rates.f_values()).s_for_residual
         d = np.asarray(rates.d_values())
         f = np.asarray(rates.f_values())
         resid = f - (d + est.zeta) / (1 - d)
@@ -286,10 +287,10 @@ class TestIrrRoot:
         s_oracle = log_space_irr_root([(1.0 + fi) * (1.0 - di) for di, fi in zip(d, f)])
         assert est.s == pytest.approx(s_oracle, rel=1e-12)
 
-    def test_extreme_contraction_has_no_root_in_bracket(self):
+    def test_extreme_contraction_has_root_above_the_s_cap(self):
         d = np.full(8, 0.5)
         f = np.full(8, -0.9)  # factors 0.05, cumulative decade collapse
-        with pytest.raises(EstimationError, match="sign change"):
+        with pytest.raises(EstimationError, match=r"root is above s=10\.0, so zeta is below -0\.9"):
             ssp_irr_root(rate_series(d, f))
 
     def test_needs_two_points(self):
@@ -362,7 +363,7 @@ class TestSsfJson:
     def test_keys_match_table_column(self):
         series, _ = synth.generate(steady_scenario(noise_sigma=0.004, seed=14))
         est = ssp_least_squares(credit_growth_rates(series))
-        doc = to_ssf_json(est)
+        doc = json.loads(dump_json(est))
         assert list(doc) == [
             "n", "zeta", "s", "method", "sigma", "s_for_residual",
             "chi2", "dof", "p_value",

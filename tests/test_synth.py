@@ -97,7 +97,7 @@ class TestGenerate:
         assert np.max(np.abs(tcu - 915.4e9)) <= 1e-9 * 915.4e9
         abd = [o.abd for o in series.observations[1:]]
         report = cycle_stats(abd)
-        assert report.frequency == pytest.approx(0.5, abs=1e-12)
+        assert report.frequency_cycles_per_year == pytest.approx(0.5, abs=1e-12)
         assert report.peak_amplitude_mean == pytest.approx(39.2e9, rel=0.02)
 
 
