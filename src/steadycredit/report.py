@@ -176,7 +176,8 @@ def _write(value, indent: str, spec: str, short: bool, parts: list[str]) -> None
         parts.append(text)
     elif kind is Quarter:
         parts.append(f'"{value}"')
-    elif kind is dict or kind is list or isinstance(value, tuple):
+    elif kind is dict or kind is list or isinstance(value, tuple) and (
+            kind is tuple or hasattr(kind, "_fields")):
         if kind is dict:
             items, brackets = value.items(), "{}"
         elif kind is list or kind is tuple:

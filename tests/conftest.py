@@ -1,9 +1,24 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
 from steadycredit.series import CreditObservation, CreditSeries, Quarter
 from steadycredit.synth import Scenario, generate
+
+
+REFERENCE_STATISTICS = Path(__file__).resolve().parents[1] / "docs" / "reference_statistics.json"
+
+
+def published() -> dict:
+    """The published headline statistics of the two canonical windows.
+
+    The raw Banca d'Italia series is not redistributable, so its printed
+    table rows are shipped as ``docs/reference_statistics.json``, the one
+    copy the tests read.
+    """
+    return json.loads(REFERENCE_STATISTICS.read_text(encoding="utf-8"))
 
 
 def build_series(tcu, abd=None, loans=None, gdp=None, start=Quarter(2008, 1)):

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from _oracles import chi2_tail_by_quadrature, ols_grid_oracle, zeta_grid_oracle
-from conftest import canonical_series, steady_scenario
-from steadycredit import reference, synth
+from conftest import canonical_series, published, steady_scenario
+from steadycredit import synth
 from steadycredit.basel import GapConfig, buffer_add_on, hp_filter
 from steadycredit.cli import main
 from steadycredit.cycles import cycle_stats
@@ -113,7 +113,7 @@ def test_criterion_4_published_table_consistency():
         assert fitted.s_for_residual / fitted.sigma == pytest.approx(
             math.sqrt(17 / 16), abs=1e-12
         )
-        table = reference.CRISIS_WINDOW["ols"]
+        table = published()["crisis_window"]["ols"]
         assert table["correlation"] ** 2 == pytest.approx(table["r2"], abs=5e-5)
         printed_ratio = table["s_for_residual"] / table["sigma"]
         assert abs(printed_ratio - math.sqrt(17 / 16)) <= 1e-3 * math.sqrt(17 / 16)

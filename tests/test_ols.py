@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import ols_grid_oracle
-from steadycredit import reference
+from conftest import published
 from steadycredit.errors import EstimationError
 from steadycredit.ols import OlsFit, fit, residuals
 from steadycredit.report import dump_json
@@ -60,7 +60,7 @@ class TestPredict:
         assert f.intercept + f.slope * f.x_intercept == pytest.approx(0.0, abs=1e-12)
 
     def test_published_crisis_fit_vanishes_at_its_intercept(self):
-        f = OlsFit(**reference.CRISIS_WINDOW["ols"])
+        f = OlsFit(**published()["crisis_window"]["ols"])
         assert abs(f.intercept + f.slope * f.x_intercept) <= 1e-6
 
 
@@ -114,7 +114,7 @@ class TestConventions:
         assert f.s_for_residual / f.sigma == pytest.approx(math.sqrt(17 / 16), abs=1e-12)
 
     def test_published_crisis_table_is_self_consistent(self):
-        table = reference.CRISIS_WINDOW["ols"]
+        table = published()["crisis_window"]["ols"]
         assert table["correlation"] ** 2 == pytest.approx(table["r2"], abs=5e-5)
         ratio = table["s_for_residual"] / table["sigma"]
         assert ratio == pytest.approx(math.sqrt(17 / 16), rel=1e-3)
@@ -123,7 +123,7 @@ class TestConventions:
         )
 
     def test_published_pre_crisis_table_is_self_consistent(self):
-        table = reference.PRE_CRISIS_WINDOW["ols"]
+        table = published()["pre_crisis_window"]["ols"]
         assert table["correlation"] ** 2 == pytest.approx(table["r2"], abs=5e-5)
         ratio = table["s_for_residual"] / table["sigma"]
         assert ratio == pytest.approx(math.sqrt(49 / 48), rel=1e-3)

@@ -1,9 +1,8 @@
-"""Checks on the package as a whole: the shipped reference document, the
-exported names, dead names and the construction contract of its records."""
+"""Checks on the package as a whole: the exported names, dead names and the
+construction contract of its records."""
 
 import ast
 import dataclasses
-import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -11,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import steadycredit
-from steadycredit import reference
 from steadycredit.basel import GapConfig
 from steadycredit.errors import ContiguityError, InvariantError, WindowError
 from steadycredit.rates import RatePoint, RateSeries, RatesConfig
@@ -21,11 +19,6 @@ from steadycredit.synth import Scenario
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "steadycredit"
 EXEMPT = {"__all__", "__version__"}
-
-
-def test_reference_document_matches_the_constants():
-    doc = json.loads((ROOT / "docs" / "reference_statistics.json").read_text(encoding="utf-8"))
-    assert doc == reference.REFERENCE
 
 
 def test_exports_match_the_package_imports():

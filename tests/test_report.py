@@ -261,8 +261,13 @@ class TestJson:
         ]
         assert written["q"] == "2008-Q1"
         assert written["pair"] == [1, "a"]
-        for value in ({1.0}, CreditObservation(Quarter(2008, 1), 1.0, 0.0)):
-            with pytest.raises(TypeError):
+
+        class T(tuple):
+            """A tuple subclass that is not a named tuple."""
+
+        for value in ({1.0}, CreditObservation(Quarter(2008, 1), 1.0, 0.0), T((1, 2))):
+            message = f"^Object of type {type(value).__name__} is not JSON serializable$"
+            with pytest.raises(TypeError, match=message):
                 dump_json({"v": value})
 
     @pytest.mark.parametrize("digits", [1, 6, 14, 15, 16, 17])
