@@ -219,11 +219,3 @@ def credit_gap(series: CreditSeries, cfg: GapConfig = GapConfig()) -> GapReport:
         rows.append(GapRow(o.quarter, r, t, gap, buffer_add_on(gap, cfg)))
     return GapReport(tuple(rows), cfg)
 
-
-def gap_to_csv(report: GapReport) -> str:
-    lines = ["quarter,credit_to_gdp,trend,gap,buffer_add_on"]
-    for row in report.rows:
-        lines.append(
-            f"{row.quarter},{row.credit_to_gdp!r},{row.trend!r},{row.gap!r},{row.buffer_add_on!r}"
-        )
-    return "\n".join(lines) + "\n"

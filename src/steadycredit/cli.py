@@ -3,9 +3,11 @@
 ``analyze``, ``render`` and ``ssp`` run one ``report.analyze`` over the
 window and print the whole report, a chart of it, or its ``ssf`` section.
 ``rates`` and ``ols`` print ``analyze``'s rate sample or its regression,
-and ``cycles`` and ``gap`` their stage on the window's slice; ``ols`` and
-``cycles`` print their record through ``dump_json`` as it is. Each flag is
-declared once, as a parent parser that every subcommand taking it inherits.
+and ``cycles`` and ``gap`` their stage on the window's slice. A handler
+returns its text and ``main`` writes it only then, so a failing command
+writes nothing; ``cycles`` writes its ``--csv`` overlay once its JSON text
+is made. Each flag is declared once, as a parent parser that every
+subcommand taking it inherits.
 
 Exit codes: 0 success, 1 validation or data error (one-line diagnostic on
 stderr), 2 usage error.
@@ -21,17 +23,17 @@ from . import cycles as cycles_mod
 from . import ols as ols_mod
 from . import report as report_mod
 from . import synth
-from .basel import GapConfig, credit_gap, gap_to_csv
+from .basel import GapConfig, GapRow, credit_gap
 from .errors import SteadyCreditError
 from .rates import (
     MODE_FORCE_BALANCE,
     MODE_PREFER_LOANS,
+    RatePoint,
     RatesConfig,
     RateSeries,
-    rates_to_csv,
     window_rates,
 )
-from .series import CreditSeries, Quarter, Window, emit_csv, parse_csv
+from .series import CreditSeries, Quarter, Window, csv_text, emit_csv, parse_csv
 
 NAMED_WINDOWS = {
     # the two canonical sub-periods: up to mid-2008 exclusive, and from
@@ -56,8 +58,8 @@ def _read_text(path: str) -> str:
             f"{path}: not UTF-8 text, {exc.reason} at byte offset {exc.start}") from None
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == STDOUT:
+def _write_text(path: str, text: str) -> None:
+    if path == STDOUT:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
@@ -102,65 +104,55 @@ def _analyze(args: argparse.Namespace) -> report_mod.AnalysisReport:
                               args.sigma_ref)
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> str:
     series = parse_csv(_read_text(args.input))
-    print(f"OK: {len(series)} observations, {series.first_quarter}..{series.last_quarter}")
-    return 0
+    return f"OK: {len(series)} observations, {series.first_quarter}..{series.last_quarter}\n"
 
 
-def _cmd_rates(args: argparse.Namespace) -> int:
-    _write_text(args.out, rates_to_csv(_rates(args)))
-    return 0
+def _cmd_rates(args: argparse.Namespace) -> str:
+    return csv_text(RatePoint._fields, _rates(args).points)
 
 
-def _cmd_ols(args: argparse.Namespace) -> int:
+def _cmd_ols(args: argparse.Namespace) -> str:
     rates = _rates(args)
-    fit = ols_mod.fit(rates.d_values(), rates.f_values())
-    _write_text(args.json_path, report_mod.dump_json(fit))
-    return 0
+    return report_mod.dump_json(ols_mod.fit(rates.d_values(), rates.f_values()))
 
 
-def _cmd_ssp(args: argparse.Namespace) -> int:
+def _cmd_ssp(args: argparse.Namespace) -> str:
     rep = _analyze(args)
     for stage, message in rep.errors:
         if stage in ("ssp-least-squares", "ssp-irr-root"):
             raise SteadyCreditError(message)
-    _write_text(args.json_path, report_mod.dump_json(report_mod.to_json_dict(rep)["ssf"]))
-    return 0
+    return report_mod.dump_json(report_mod.to_json_dict(rep)["ssf"])
 
 
-def _cmd_cycles(args: argparse.Namespace) -> int:
+def _cmd_cycles(args: argparse.Namespace) -> str:
     series, window = _load(args)
     series = series.slice(window)
-    rep = cycles_mod.cycle_stats(series.tcu_values(), series.quarters())
+    values, quarters = series.tcu_values(), series.quarters()
+    rep = cycles_mod.cycle_stats(values, quarters)
+    text = report_mod.dump_json(rep)
     if args.csv:
-        _write_text(args.csv, cycles_mod.overlays_to_csv(rep, series.tcu_values(),
-                                                         series.quarters()))
-    _write_text(args.json_path, report_mod.dump_json(rep))
-    return 0
+        _write_text(args.csv, cycles_mod.overlays_to_csv(rep, values, quarters))
+    return text
 
 
-def _cmd_gap(args: argparse.Namespace) -> int:
+def _cmd_gap(args: argparse.Namespace) -> str:
     series, window = _load(args)
-    _write_text(args.out, gap_to_csv(credit_gap(series.slice(window), _gap_cfg(args))))
-    return 0
+    return csv_text(GapRow._fields, credit_gap(series.slice(window), _gap_cfg(args)).rows)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    _write_text(args.json_path, report_mod.to_json(_analyze(args)))
-    return 0
+def _cmd_analyze(args: argparse.Namespace) -> str:
+    return report_mod.to_json(_analyze(args))
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> str:
     scenario = synth.parse_scenario(_read_text(args.scenario), seed=args.seed)
-    series, _ = synth.generate(scenario)
-    _write_text(args.out, emit_csv(series))
-    return 0
+    return emit_csv(synth.generate(scenario)[0])
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
-    _write_text(args.out, report_mod.render_svg(_analyze(args), args.kind))
-    return 0
+def _cmd_render(args: argparse.Namespace) -> str:
+    return report_mod.render_svg(_analyze(args), args.kind)
 
 
 def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
@@ -240,7 +232,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        _write_text(getattr(args, "json_path", getattr(args, "out", STDOUT)), args.handler(args))
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import EstimationError
-from .series import Quarter
+from .series import Quarter, csv_text
 from .sums import fsum
 
 KIND_MAX = "maximum"
@@ -136,12 +136,10 @@ def overlays_to_csv(report: CycleReport, y: Sequence[float],
     """Per-point CSV of values, phase labels, and detected extrema."""
     ys = [float(v) for v in y]
     kinds = {e.index: e for e in report.extrema}
-    lines = ["index,quarter,value,phase,extremum_kind,amplitude"]
-    for t in range(len(ys)):
-        quarter = str(quarters[t]) if quarters is not None else ""
-        phase = report.phase_labels[t - 1] if 1 <= t <= len(ys) - 2 else ""
+    phases = (None, *report.phase_labels, None)  # the end points have no phase
+    rows = []
+    for t, value in enumerate(ys):
         e = kinds.get(t)
-        kind = e.kind if e else ""
-        amp = repr(e.amplitude) if e else ""
-        lines.append(f"{t},{quarter},{ys[t]!r},{phase},{kind},{amp}")
-    return "\n".join(lines) + "\n"
+        rows.append((t, quarters[t] if quarters is not None else None, value, phases[t],
+                     e.kind if e else None, e.amplitude if e else None))
+    return csv_text(("index", "quarter", "value", "phase", "extremum_kind", "amplitude"), rows)

@@ -146,9 +146,3 @@ def window_rates(series: CreditSeries, window: Window,
     rated = tuple.__new__(CreditSeries, (series.observations[start - 1:start] + kept,))
     return select_window(credit_growth_rates(rated, cfg), window)
 
-
-def rates_to_csv(rates: RateSeries) -> str:
-    lines = ["interval_end,d,f,f_source"]
-    for p in rates.points:
-        lines.append(f"{p.interval_end},{p.d!r},{p.f!r},{p.f_source}")
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Quarterly credit-register series: domain types, CSV ingestion, validation.
+"""Quarterly credit-register series: domain types, CSV reading and writing, validation.
 
 A series is an ordered, gap-free list of end-of-quarter observations of the
 total credit used (TCU), the new adjusted bad debt exposure (ABD), and the
@@ -20,7 +20,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContiguityError, InvariantError, ParseError, WindowError
 
@@ -254,24 +254,24 @@ def parse_csv(text: str) -> CreditSeries:
     return CreditSeries(tuple(observations))
 
 
-def _amount_str(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The one CSV writer: the header, then a line per row, each ending in ``\\n``.
+
+    A float (``numpy.float64`` too) is written as the ``repr`` of its float
+    value, None as an empty cell, anything else as ``str``, and none quoted.
+    """
+    return "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows))
 
 
 def emit_csv(series: CreditSeries) -> str:
-    """Render a series back to CSV.
-
-    Amounts use shortest-repr decimal rendering, so ``parse_csv(emit_csv(s))``
-    reproduces every stored float bit-exactly.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for o in series.observations:
-        writer.writerow(
-            [str(o.quarter), _amount_str(o.tcu), _amount_str(o.abd),
-             _amount_str(o.loans), _amount_str(o.gdp)]
-        )
-    return out.getvalue()
+    """The series as CSV, which ``parse_csv`` reads back to every stored float bit-exactly."""
+    return csv_text(CSV_HEADER, [
+        [o.quarter] + [v if v is None else float(v) for v in (o.tcu, o.abd, o.loans, o.gdp)]
+        for o in series.observations
+    ])

@@ -10,13 +10,13 @@ from _oracles import dense_hp_oracle, exact_hp_oracle
 from conftest import build_series, canonical_series
 from steadycredit.basel import (
     GapConfig,
+    GapRow,
     buffer_add_on,
     credit_gap,
-    gap_to_csv,
     hp_filter,
 )
 from steadycredit.errors import ColumnAbsentError, EstimationError, InvariantError
-from steadycredit.series import Quarter, Window
+from steadycredit.series import Quarter, Window, csv_text
 
 
 class TestHpFilter:
@@ -168,6 +168,6 @@ class TestCreditGap:
             credit_gap(series)
 
     def test_csv_header(self):
-        text = gap_to_csv(credit_gap(self._series_with_gdp(6)))
+        text = csv_text(GapRow._fields, credit_gap(self._series_with_gdp(6)).rows)
         assert text.splitlines()[0] == "quarter,credit_to_gdp,trend,gap,buffer_add_on"
         assert len(text.strip().splitlines()) == 7

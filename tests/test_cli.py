@@ -11,20 +11,28 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_series, canonical_series, steady_scenario
 from steadycredit import synth
 from steadycredit.cli import build_parser, main
-from steadycredit.rates import rates_to_csv
+from steadycredit.rates import RatePoint
 from steadycredit.report import analyze, dump_json, to_json_dict
-from steadycredit.series import CSV_HEADER, CreditSeries, Quarter, Window, emit_csv
+from steadycredit.series import CSV_HEADER, CreditSeries, Quarter, Window, csv_text, emit_csv
 
 GAPPED_CSV = (
     "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
     "2008-Q2,910e9,3.6e9,,\n"
     "2009-Q1,915e9,3.8e9,,\n"
+)
+
+# the standard error of its credit stock overflows, so its cycle report has no JSON
+HUGE_CSV = (
+    "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
+    "2008-Q1,1e8,0,,\n"
+    "2008-Q2,1e308,0,,\n"
+    "2008-Q3,1e8,0,,\n"
 )
 
 
@@ -270,7 +278,7 @@ class TestOtherCommands:
         assert report.n == 9 and report.ols_fit is not None
         window = ["--from", "2008-Q4", "--to", "2010-Q4"]
         assert main(["rates", "--input", str(path), *window]) == 0
-        assert capsys.readouterr().out == rates_to_csv(report.rates_in)
+        assert capsys.readouterr().out == csv_text(RatePoint._fields, report.rates_in.points)
         assert main(["ols", "--input", str(path), *window]) == 0
         assert capsys.readouterr().out == dump_json(to_json_dict(report)["ols"])
 
@@ -299,6 +307,21 @@ class TestOtherCommands:
         assert main([command, "--input", str(canonical_csv), "--json"]) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.blake2b(out, digest_size=16).hexdigest() == digest
+
+    @pytest.mark.parametrize("command, digest", [
+        ("rates", "c8e66503041c189f6cddd5b676655159"),
+        ("gap", "089ade89463470aafc6ffa2881fe38de"),
+        ("cycles", "ae5622e6eea88e13c972a27335a04ad2"),
+    ])
+    def test_csv_output_matches_committed_digest(self, canonical_csv, tmp_path, command,
+                                                 digest, capsys):
+        # blake2b-16 of the whole-series CSV: rates and gap on stdout, the cycles overlay file
+        overlay = tmp_path / "overlay.csv"
+        csv_flag = ["--csv", str(overlay)] if command == "cycles" else []
+        assert main([command, "--input", str(canonical_csv), *csv_flag]) == 0
+        out = capsys.readouterr().out
+        text = overlay.read_text(encoding="utf-8") if command == "cycles" else out
+        assert hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest() == digest
 
     @pytest.mark.parametrize("digits, digest", [
         ("15", "a0f64918496338e3e017ba842afd8741"),
@@ -351,6 +374,18 @@ class TestOtherCommands:
         assert captured.out == ""
         assert captured.err == ("error: result holds a non-finite number, which JSON "
                                 "cannot represent: cycles.series_se\n")
+
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_failing_cycles_writes_no_overlay(self, tmp_path, to_stdout, capsys):
+        path, overlay = tmp_path / "huge.csv", tmp_path / "overlay.csv"
+        path.write_text(HUGE_CSV, encoding="utf-8")
+        target = "-" if to_stdout else str(overlay)
+        assert main(["cycles", "--input", str(path), "--csv", target]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not overlay.exists()
+        assert captured.err == ("error: result holds a non-finite number, which JSON "
+                                "cannot represent: series_se\n")
 
     @pytest.mark.parametrize("command", ["rates", "analyze"])
     def test_infinite_growth_rate_names_its_quarter(self, tmp_path, command, capsys):
@@ -602,3 +637,40 @@ def test_analyze_contract_holds_for_any_csv(text, flags):
     if code == 0:
         assert err.getvalue() == ""
         json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(f"{token} in JSON"))
+
+
+# the arguments each windowed command needs besides --input
+WINDOWED_ARGS = {
+    "rates": [], "ols": [], "ssp": [], "cycles": ["--csv", "-"], "gap": [], "analyze": [],
+    "render": ["--kind", "exhibit2"],
+}
+_CONTRACT_FLAGS = [[], ["--window", "crisis"], ["--f-mode", "force-balance-identity"],
+                   ["--sigma-ref", "1e-300"], ["--lambda", "1e300"]]
+
+
+@st.composite
+def _windowed_command(draw) -> list[str]:
+    """A windowed command with its own arguments and at most one flag it accepts."""
+    command = draw(st.sampled_from(sorted(WINDOWED_ARGS)))
+    accepted = {name for flag in FLAG_TABLE[command] for name in flag[0]}
+    flags = draw(st.sampled_from([f for f in _CONTRACT_FLAGS if not f or f[0] in accepted]))
+    return [command, *WINDOWED_ARGS[command], *flags]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(st.text(max_size=200), _register_csv()), argv=_windowed_command())
+@example(text=HUGE_CSV, argv=["cycles", "--csv", "-"])
+def test_every_windowed_command_keeps_the_contract_for_any_csv(text, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([argv[0], "--input", str(path), *argv[1:]])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""

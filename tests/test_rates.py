@@ -9,12 +9,12 @@ from steadycredit.rates import (
     F_SOURCE_BALANCE,
     F_SOURCE_LOANS,
     MODE_FORCE_BALANCE,
+    RatePoint,
     RatesConfig,
     credit_growth_rates,
-    rates_to_csv,
     select_window,
 )
-from steadycredit.series import Quarter, Window
+from steadycredit.series import Quarter, Window, csv_text
 
 
 class TestDefaultRates:
@@ -134,7 +134,7 @@ class TestWindowSelection:
 class TestCsvExport:
     def test_header_and_row_shape(self):
         series = build_series([1000.0, 995.0], abd=[0.0, 5.0], loans=[None, 20.0])
-        text = rates_to_csv(credit_growth_rates(series))
+        text = csv_text(RatePoint._fields, credit_growth_rates(series).points)
         lines = text.strip().splitlines()
         assert lines[0] == "interval_end,d,f,f_source"
         assert lines[1].startswith("2008-Q2,0.005,")
@@ -143,13 +143,9 @@ class TestCsvExport:
 
 class TestRatePointInvariants:
     def test_rejects_growth_at_minus_one(self):
-        from steadycredit.rates import RatePoint
-
         with pytest.raises(InvariantError):
             RatePoint(Quarter(2008, 1), 0.1, -1.0, F_SOURCE_BALANCE)
 
     def test_rejects_default_rate_of_one(self):
-        from steadycredit.rates import RatePoint
-
         with pytest.raises(InvariantError):
             RatePoint(Quarter(2008, 1), 1.0, 0.0, F_SOURCE_BALANCE)

@@ -1,21 +1,27 @@
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _oracles import window_filter_oracle
-from conftest import build_series, steady_scenario
+from conftest import build_series, canonical_series, steady_scenario
 from steadycredit import synth
+from steadycredit.basel import GapRow, credit_gap
 from steadycredit.errors import (
     ContiguityError,
     InvariantError,
     ParseError,
     WindowError,
 )
+from steadycredit.rates import RatePoint, credit_growth_rates
 from steadycredit.series import (
     CreditObservation,
     CreditSeries,
     Quarter,
     Window,
+    csv_text,
     emit_csv,
     parse_csv,
 )
@@ -167,6 +173,28 @@ class TestParseCsv:
         assert again == series
         # a second emit of the reparsed series is byte-identical
         assert emit_csv(again) == emit_csv(series)
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("kind", [int, float, np.float64])
+    def test_emit_writes_any_amount_as_its_float_repr(self, kind):
+        series = build_series([kind(1000), kind(995)], abd=[kind(0), kind(5)],
+                              loans=[None, kind(20)])
+        assert emit_csv(series) == ("quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
+                                    "2008-Q1,1000.0,0.0,,\n"
+                                    "2008-Q2,995.0,5.0,20.0,\n")
+
+    def test_numpy_amounts_give_the_rates_and_gap_csv_of_plain_floats(self):
+        series = canonical_series()
+        as_numpy = CreditSeries(tuple(
+            dataclasses.replace(o, tcu=np.float64(o.tcu), abd=np.float64(o.abd),
+                                gdp=np.float64(o.gdp))
+            for o in series.observations))
+        assert type(credit_growth_rates(as_numpy).points[0].d) is np.float64
+        assert (csv_text(RatePoint._fields, credit_growth_rates(as_numpy).points)
+                == csv_text(RatePoint._fields, credit_growth_rates(series).points))
+        assert (csv_text(GapRow._fields, credit_gap(as_numpy).rows)
+                == csv_text(GapRow._fields, credit_gap(series).rows))
 
 
 class TestSeriesInvariants:
