@@ -4,10 +4,9 @@
 window and print the whole report, a chart of it, or its ``ssf`` section.
 ``rates`` and ``ols`` print ``analyze``'s rate sample or its regression,
 and ``cycles`` and ``gap`` their stage on the window's slice. A handler
-returns its text and ``main`` writes it only then, so a failing command
-writes nothing; ``cycles`` writes its ``--csv`` overlay once its JSON text
-is made. Each flag is declared once, as a parent parser that every
-subcommand taking it inherits.
+returns each output's path and text; ``main`` opens every file before it
+writes any, so a failing command writes nothing. Each flag is declared
+once, as a parent parser that every subcommand taking it inherits.
 
 Exit codes: 0 success, 1 validation or data error (one-line diagnostic on
 stderr), 2 usage error.
@@ -16,6 +15,8 @@ stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from typing import Sequence
 
@@ -31,6 +32,7 @@ from .rates import (
     RatePoint,
     RatesConfig,
     RateSeries,
+    outside_window,
     window_rates,
 )
 from .series import CreditSeries, Quarter, Window, csv_text, emit_csv, parse_csv
@@ -58,12 +60,30 @@ def _read_text(path: str) -> str:
             f"{path}: not UTF-8 text, {exc.reason} at byte offset {exc.start}") from None
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == STDOUT:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write_outputs(outputs: list[tuple[str, str]]) -> None:
+    """Write each text to its path (``-`` is stdout) once every file opens.
+
+    Each file is first opened without truncation, and held open until the
+    writes end so that a FIFO's reader sees one stream; if one cannot be
+    opened, the files this call created are removed.
+    """
+    with contextlib.ExitStack() as held:
+        created = []
+        try:
+            for path in [path for path, _ in outputs if path != STDOUT]:
+                new = not os.path.lexists(path)
+                held.enter_context(open(path, "a", encoding="utf-8"))
+                created += [path] if new else []
+        except OSError:
+            for path in created:
+                os.remove(path)
+            raise
+        for path, text in outputs:
+            if path == STDOUT:
+                sys.stdout.write(text)
+            else:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
 
 
 def _gap_cfg(args: argparse.Namespace) -> GapConfig:
@@ -93,66 +113,74 @@ def _rates(args: argparse.Namespace) -> RateSeries:
     return window_rates(*_load(args), RatesConfig(f_mode=args.f_mode))
 
 
-def _analyze(args: argparse.Namespace) -> report_mod.AnalysisReport:
+def _analyze(args: argparse.Namespace, series: CreditSeries,
+             window: Window) -> report_mod.AnalysisReport:
     """The one analysis behind ``analyze``, ``render`` and ``ssp``.
 
     Commands without the gap flags analyze with the default gap settings.
     """
-    series, window = _load(args)
     gap_cfg = _gap_cfg(args) if "lam" in args else GapConfig()
     return report_mod.analyze(series, window, RatesConfig(f_mode=args.f_mode), gap_cfg,
                               args.sigma_ref)
 
 
-def _cmd_validate(args: argparse.Namespace) -> str:
+def _cmd_validate(args: argparse.Namespace) -> list[tuple[str, str]]:
     series = parse_csv(_read_text(args.input))
-    return f"OK: {len(series)} observations, {series.first_quarter}..{series.last_quarter}\n"
+    span = f"{series.first_quarter}..{series.last_quarter}"
+    return [(STDOUT, f"OK: {len(series)} observations, {span}\n")]
 
 
-def _cmd_rates(args: argparse.Namespace) -> str:
-    return csv_text(RatePoint._fields, _rates(args).points)
+def _cmd_rates(args: argparse.Namespace) -> list[tuple[str, str]]:
+    return [(args.out, csv_text(RatePoint._fields, _rates(args).points))]
 
 
-def _cmd_ols(args: argparse.Namespace) -> str:
+def _cmd_ols(args: argparse.Namespace) -> list[tuple[str, str]]:
     rates = _rates(args)
-    return report_mod.dump_json(ols_mod.fit(rates.d_values(), rates.f_values()))
+    return [(args.json_path, report_mod.dump_json(ols_mod.fit(rates.d_values(), rates.f_values())))]
 
 
-def _cmd_ssp(args: argparse.Namespace) -> str:
-    rep = _analyze(args)
+def _cmd_ssp(args: argparse.Namespace) -> list[tuple[str, str]]:
+    rep = _analyze(args, *_load(args))
     for stage, message in rep.errors:
         if stage in ("ssp-least-squares", "ssp-irr-root"):
             raise SteadyCreditError(message)
-    return report_mod.dump_json(report_mod.to_json_dict(rep)["ssf"])
+    return [(args.json_path, report_mod.dump_json(report_mod.to_json_dict(rep)["ssf"]))]
 
 
-def _cmd_cycles(args: argparse.Namespace) -> str:
+def _cmd_cycles(args: argparse.Namespace) -> list[tuple[str, str]]:
     series, window = _load(args)
     series = series.slice(window)
     values, quarters = series.tcu_values(), series.quarters()
     rep = cycles_mod.cycle_stats(values, quarters)
-    text = report_mod.dump_json(rep)
+    outputs = [(args.json_path, report_mod.dump_json(rep))]
     if args.csv:
-        _write_text(args.csv, cycles_mod.overlays_to_csv(rep, values, quarters))
-    return text
+        outputs.insert(0, (args.csv, cycles_mod.overlays_to_csv(rep, values, quarters)))
+    return outputs
 
 
-def _cmd_gap(args: argparse.Namespace) -> str:
+def _cmd_gap(args: argparse.Namespace) -> list[tuple[str, str]]:
     series, window = _load(args)
-    return csv_text(GapRow._fields, credit_gap(series.slice(window), _gap_cfg(args)).rows)
+    gap = credit_gap(series.slice(window), _gap_cfg(args))
+    return [(args.out, csv_text(GapRow._fields, gap.rows))]
 
 
-def _cmd_analyze(args: argparse.Namespace) -> str:
-    return report_mod.to_json(_analyze(args))
+def _cmd_analyze(args: argparse.Namespace) -> list[tuple[str, str]]:
+    return [(args.json_path, report_mod.to_json(_analyze(args, *_load(args))))]
 
 
-def _cmd_simulate(args: argparse.Namespace) -> str:
+def _cmd_simulate(args: argparse.Namespace) -> list[tuple[str, str]]:
     scenario = synth.parse_scenario(_read_text(args.scenario), seed=args.seed)
-    return emit_csv(synth.generate(scenario)[0])
+    return [(args.out, emit_csv(synth.generate(scenario)[0]))]
 
 
-def _cmd_render(args: argparse.Namespace) -> str:
-    return report_mod.render_svg(_analyze(args), args.kind)
+def _cmd_render(args: argparse.Namespace) -> list[tuple[str, str]]:
+    series, window = _load(args)
+    rep = _analyze(args, series, window)
+    # only a scatter that can be drawn takes the rates outside the window, so that
+    # a bad one there never replaces the error analyze or the scatter would give
+    drawn = args.kind == report_mod.KIND_SCATTER and rep.ssp_ls is not None
+    out = outside_window(series, window, RatesConfig(f_mode=args.f_mode)) if drawn else ()
+    return [(args.out, report_mod.render_svg(rep, args.kind, out))]
 
 
 def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
@@ -232,7 +260,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _write_text(getattr(args, "json_path", getattr(args, "out", STDOUT)), args.handler(args))
+        _write_outputs(args.handler(args))
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -146,3 +146,13 @@ def window_rates(series: CreditSeries, window: Window,
     rated = tuple.__new__(CreditSeries, (series.observations[start - 1:start] + kept,))
     return select_window(credit_growth_rates(rated, cfg), window)
 
+
+def outside_window(series: CreditSeries, window: Window,
+                   cfg: RatesConfig = RatesConfig()) -> tuple[RatePoint, ...]:
+    """The series' rate points whose interval ends outside the window; none,
+    and no rate computed, for a window that keeps every point."""
+    cut = window.positions(series.first_quarter.index + 1)  # the first point's end
+    if cut.start == 0 and cut.stop >= len(series) - 1:
+        return ()
+    points = credit_growth_rates(series, cfg).points
+    return points[:cut.start] + points[cut.stop:]

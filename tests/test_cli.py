@@ -2,9 +2,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,8 +20,10 @@ from conftest import build_series, canonical_series, steady_scenario
 from steadycredit import synth
 from steadycredit.cli import build_parser, main
 from steadycredit.rates import RatePoint
-from steadycredit.report import analyze, dump_json, to_json_dict
+from steadycredit.report import analyze, dump_json, render_svg, to_json_dict
 from steadycredit.series import CSV_HEADER, CreditSeries, Quarter, Window, csv_text, emit_csv
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 GAPPED_CSV = (
     "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
@@ -466,13 +470,80 @@ class TestOtherCommands:
         out = tmp_path / "chart.svg"
         assert main(["render", "--input", str(canonical_csv), "--window", "crisis",
                      "--kind", "exhibit2", "--out", str(out)]) == 0
-        ET.fromstring(out.read_text())
+        # the golden has the hollow markers of the points outside the window
+        assert out.read_bytes() == (GOLDEN_DIR / "canonical_exhibit2.svg").read_bytes()
 
     def test_render_time_panel(self, canonical_csv, tmp_path):
         out = tmp_path / "panel.svg"
         assert main(["render", "--input", str(canonical_csv), "--window", "crisis",
                      "--kind", "exhibit1", "--out", str(out)]) == 0
         ET.fromstring(out.read_text())
+        digest = hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest()
+        assert digest == "6fbb0257c1c5b1454dee5951e602aedd"
+
+    @pytest.mark.parametrize("kind", ["exhibit1", "exhibit2"])
+    def test_render_computes_rates_outside_the_window_for_the_scatter_only(
+            self, tmp_path, kind, capsys):
+        # tcu 1e-300 after 1e300 underflows f to -1.0 at 2008-Q2, before the window;
+        # only the scatter draws that point, as a hollow marker, so only it fails
+        series = build_series([1e300, 1e-300] + [1e-300 * 1.01**i for i in range(1, 12)])
+        path = tmp_path / "underflow.csv"
+        path.write_text(emit_csv(series), encoding="utf-8")
+        code = main(["render", "--input", str(path), "--from", "2008-Q4", "--to", "2011-Q1",
+                     "--kind", kind])
+        captured = capsys.readouterr()
+        if kind == "exhibit1":
+            window = Window(Quarter(2008, 4), Quarter(2011, 1))
+            assert (code, captured.err) == (0, "")
+            assert captured.out == render_svg(analyze(series, window), kind)
+        else:
+            assert (code, captured.out) == (1, "")
+            assert captured.err == "error: 2008-Q2: f must be > -1, got -1.0\n"
+
+    @pytest.mark.parametrize("bad", ["--json", "--csv"])
+    def test_cycles_writes_neither_output_when_one_cannot_be_opened(self, canonical_csv,
+                                                                    tmp_path, bad, capsys):
+        paths = {"--json": tmp_path / "c.json", "--csv": tmp_path / "ov.csv"}
+        missing = tmp_path / "no" / "such" / "dir" / "out"
+        args = {flag: str(missing if flag == bad else path) for flag, path in paths.items()}
+        # the overlay is opened first, so a bad --json path fails after it is created
+        assert main(["cycles", "--input", str(canonical_csv), "--csv", args["--csv"],
+                     "--json", args["--json"]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not any(path.exists() for path in paths.values())
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_to_a_named_pipe_reaches_its_reader_whole(self, canonical_csv, tmp_path,
+                                                             capsys):
+        # a reader stops at the first close of the pipe's writers, so the file
+        # opened before writing must stay open until the text is written
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            proc = subprocess.run([sys.executable, "-m", "steadycredit.cli", "analyze",
+                                   "--input", str(canonical_csv), "--json", str(fifo)],
+                                  capture_output=True, timeout=30)
+        finally:
+            if reader.is_alive():  # release a reader left waiting for a writer
+                open(fifo, "wb").close()
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert main(["analyze", "--input", str(canonical_csv)]) == 0
+        assert got == [capsys.readouterr().out.encode("utf-8")]
+
+    def test_cycles_keeps_an_existing_file_when_another_cannot_be_opened(
+            self, canonical_csv, tmp_path):
+        overlay = tmp_path / "ov.csv"
+        overlay.write_text("kept\n", encoding="utf-8")
+        assert main(["cycles", "--input", str(canonical_csv), "--csv", str(overlay),
+                     "--json", str(tmp_path / "no" / "c.json")]) == 1
+        assert overlay.read_text(encoding="utf-8") == "kept\n"
 
 
 @pytest.mark.parametrize("window, message", [
@@ -591,6 +662,8 @@ class TestInstalledEntryPoint:
         if command == "analyze":
             assert "steadycredit.basel" in modules
             assert json.loads(proc.stdout)["gap"] is not None
+        # only render draws, and only render_svg imports the drawing code
+        assert ("steadycredit.svg" in modules) == (command == "render")
 
 
 _ODD_CELLS = st.one_of(

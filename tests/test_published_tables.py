@@ -29,6 +29,13 @@ moments. Residuals of another shape with the same moments move it by about
 1e-8, far below the printed digits, so the zeta gaps do not come from the
 twin's choice of order. The chi-squared statistic is
 n * sigma^2 / sigma_ref^2 for any sample, so its gap needs no twin.
+
+The abstract's cycle row (``credit_stock_cycles``) is checked for
+consistency only: no sample of the credit stock is printed. On the n = 17
+quarters of the crisis window its series s.e. and mean amplitude leave room
+for exactly two strict extrema, and a frequency needs two of one kind, so
+the figures hold only for two maxima (or minima) with a plateau between
+them. ``cycle_stats`` on such a series gives all five printed figures.
 """
 
 import itertools
@@ -40,6 +47,7 @@ import pytest
 from conftest import published, steady_scenario
 from steadycredit import ols
 from steadycredit.cli import NAMED_WINDOWS
+from steadycredit.cycles import QUARTERS_PER_YEAR, cycle_stats
 from steadycredit.rates import F_SOURCE_BALANCE, RatePoint, RateSeries
 from steadycredit.report import analyze, to_json_dict
 from steadycredit.series import Quarter
@@ -169,3 +177,40 @@ def test_named_window_is_the_published_window(name, key):
     report = analyze(series, NAMED_WINDOWS[name])
     assert to_json_dict(report)["window"] == published()[key]["window"]
     assert report.n == published()[key]["ols"]["n"]
+
+
+# the abstract prints the cycle amounts in billions of euros
+CYCLE_UNITS = {"series_mean": 1e9, "series_se": 1e9, "peak_amplitude_mean": 1e9,
+               "peak_amplitude_se": 1e9, "frequency_cycles_per_year": 1.0}
+
+
+def test_printed_cycle_figures_allow_exactly_two_strict_extrema():
+    printed, n = published()["credit_stock_cycles"], published()["crisis_window"]["ols"]["n"]
+    # k amplitudes are deviations of k points from the mean, so
+    # k * mean_amp^2 <= sum amp^2 <= sum (y - mean)^2 = n (n - 1) se^2
+    se, amp = printed["series_se"], printed["peak_amplitude_mean"]
+    assert n * (n - 1) * se**2 / amp**2 == pytest.approx(2.2813, abs=1e-4)
+    # within the printed rounding k stays below 3; a frequency needs two
+    # extrema of one kind, so k = 2 exactly
+    unit = CYCLE_UNITS["series_se"]
+    se_hi, amp_lo = se + half_unit(se / unit) * unit, amp - half_unit(amp / unit) * unit
+    assert n * (n - 1) * se_hi**2 / amp_lo**2 < 3
+
+
+def test_two_maxima_across_a_plateau_give_every_printed_cycle_figure():
+    printed, n = published()["credit_stock_cycles"], published()["crisis_window"]["ols"]["n"]
+    mean, amp, amp_se = (printed[row] for row in (
+        "series_mean", "peak_amplitude_mean", "peak_amplitude_se"))
+    period = round(QUARTERS_PER_YEAR / printed["frequency_cycles_per_year"])
+    # two amplitudes with the printed mean and s.e., at maxima one period apart;
+    # every other quarter sits at the level that keeps the printed series mean
+    y = [mean - 2.0 * amp / (n - 2)] * n
+    y[4], y[4 + period] = mean + amp - amp_se, mean + amp + amp_se
+    report = cycle_stats(y)
+    assert [(e.index, e.kind) for e in report.extrema if e.kind != "steady"] == [
+        (4, "maximum"), (12, "maximum")]
+    for row, unit in CYCLE_UNITS.items():
+        value = getattr(report, row)
+        assert abs(value - printed[row]) <= half_unit(printed[row] / unit) * unit, row
+    # the one figure the construction does not fix, printed 3.59
+    assert report.series_se == pytest.approx(3.587e9, abs=5e5)

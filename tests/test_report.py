@@ -17,7 +17,7 @@ from steadycredit import ols, synth
 from steadycredit.cli import main
 from steadycredit.cycles import Extremum
 from steadycredit.errors import InvariantError, SteadyCreditError, WindowError
-from steadycredit.rates import RateSeries, credit_growth_rates, select_window
+from steadycredit.rates import RateSeries, credit_growth_rates, outside_window, select_window
 from steadycredit.report import (
     KIND_SCATTER,
     KIND_TIME_PANEL,
@@ -90,7 +90,7 @@ class TestAnalyze:
         series, _ = synth.generate(steady_scenario())
         report = analyze(series)
         assert report.n == len(series) - 1
-        assert report.rates_out == ()
+        assert outside_window(series, report.window) == ()
 
     def test_bad_rate_point_outside_the_window_is_not_computed(self):
         # tcu 1e-300 after 1e300 underflows f to -1.0 at 2008-Q2, which no
@@ -100,7 +100,7 @@ class TestAnalyze:
         report = analyze(series, window)
         assert report.n == 10
         with pytest.raises(InvariantError, match="2008-Q2: f must be > -1, got -1.0"):
-            report.rates_out
+            outside_window(series, window)
         with pytest.raises(InvariantError, match="2008-Q2: f must be > -1, got -1.0"):
             analyze(series)
 
@@ -349,7 +349,7 @@ class TestWindowSelection:
             report = analyze(series, window)
             assert report.rates_in == selected
             assert RateSeries(*report.rates_in) == report.rates_in
-            assert report.rates_out == tuple(
+            assert outside_window(series, window) == tuple(
                 p for p, keep in zip(full.points, inside) if not keep)
             return
         for cut in (lambda: series.slice(window), lambda: analyze(series, window)):
@@ -369,16 +369,15 @@ class TestWindowSelection:
             built.append(len(rates))
             return rates
 
-        # window_rates calls it in rates, rates_out in report
-        with mock.patch("steadycredit.rates.credit_growth_rates", spy), \
-                mock.patch("steadycredit.report.credit_growth_rates", spy):
+        # window_rates and outside_window call it in rates
+        with mock.patch("steadycredit.rates.credit_growth_rates", spy):
             crisis = analyze(series, CRISIS)
             assert built == [crisis.n] == [17]
             whole = analyze(series)
-            assert whole.rates_out == ()
+            assert outside_window(series, whole.window) == ()
             assert built == [17, 33]
             # the scatter's hollow markers are computed only when asked for
-            assert len(crisis.rates_out) == 33 - 17
+            assert len(outside_window(series, crisis.window)) == 33 - 17
             assert built == [17, 33, 33]
             for command in ("rates", "ols"):
                 assert main([command, "--input", str(path), "--window", "crisis"]) == 0
@@ -394,9 +393,10 @@ class TestSvg:
 
     def test_scatter_marker_counts(self):
         report = canonical_report()
-        text = render_svg(report, KIND_SCATTER)
+        rates_out = outside_window(canonical_series(), CRISIS)
+        text = render_svg(report, KIND_SCATTER, rates_out)
         assert text.count('class="obs-in"') == report.n
-        assert text.count('class="obs-out"') == len(report.rates_out)
+        assert text.count('class="obs-out"') == len(rates_out) == 33 - 17
         assert text.count('class="ssf"') == 1
         assert (
             text.count('class="rising"')
@@ -423,7 +423,8 @@ class TestSvg:
 
     def test_matches_committed_golden(self):
         golden = (GOLDEN_DIR / "canonical_exhibit2.svg").read_text()
-        assert render_svg(canonical_report(), KIND_SCATTER) == golden
+        rates_out = outside_window(canonical_series(), CRISIS)
+        assert render_svg(canonical_report(), KIND_SCATTER, rates_out) == golden
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SteadyCreditError):
