@@ -40,7 +40,6 @@ from .steady_state import (
     ssp_least_squares,
     trajectory,
 )
-from .synth import Scenario, generate, parse_scenario
 
 __version__ = "0.1.0"
 
@@ -89,3 +88,10 @@ __all__ = [
     "to_json",
     "trajectory",
 ]
+
+
+def __getattr__(name: str):  # the simulator loads on first use, and analysis never uses it
+    if name not in ("Scenario", "generate", "parse_scenario"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import synth
+    return getattr(synth, name)

@@ -23,7 +23,6 @@ from typing import Sequence
 from . import cycles as cycles_mod
 from . import ols as ols_mod
 from . import report as report_mod
-from . import synth
 from .basel import GapConfig, GapRow, credit_gap
 from .errors import SteadyCreditError
 from .rates import (
@@ -169,6 +168,7 @@ def _cmd_analyze(args: argparse.Namespace) -> list[tuple[str, str]]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> list[tuple[str, str]]:
+    from . import synth  # loaded for this command only
     scenario = synth.parse_scenario(_read_text(args.scenario), seed=args.seed)
     return [(args.out, emit_csv(synth.generate(scenario)[0]))]
 

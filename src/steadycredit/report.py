@@ -16,15 +16,21 @@ rounds each float to ``STEADYCREDIT_PRECISION`` significant digits
 (default 6), so repeated runs emit byte-identical documents, and refuses a
 float that is non-finite after rounding, naming its key path. A float is
 written as the ``repr`` of its rounded value; at 15 digits or fewer a
-fixed-notation rounding is that ``repr`` already and is written as it is.
+fixed-notation rounding is that ``repr`` already, or an integer text one
+``.0`` short of it. An array of one scalar type or of records of one class
+is written by columns, each record one fill of its class's row template.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
+
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 from . import cycles as cycles_mod
 from . import ols as ols_mod
@@ -152,6 +158,35 @@ class _NonFinite(Exception):
     """A float ``_write`` cannot write; ``args`` is its key path."""
 
 
+_ROWS: dict = {}  # (record class, indent) -> the %-template of one record
+
+
+def _texts(values, indent: str, spec: str, short: bool) -> list[str] | None:
+    """The texts of values of one scalar type, or of records of one class, written at
+    ``indent``, each field in one pass; None if the item walk must write them."""
+    kinds = set(map(type, values))
+    if kinds <= {str, type(None)}:
+        return ["null" if value is None else _quote(value) for value in values]
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        joined = ("%" + spec + " ") * len(values) % tuple(values)  # one call, space-separated
+        texts = joined.split()
+        if short and "e" not in joined and "n" not in joined:
+            # fixed notation: the repr, or an integer text ("0", "-0") one ".0" short of it
+            return texts if joined.count(".") == len(texts) else [
+                text if "." in text else text + ".0" for text in texts]
+        texts = [*map(repr, map(float, texts))]
+        return None if "n" in "".join(texts) else texts  # past the float range
+    if kind is int or kind is Quarter:
+        return [*map(repr if kind is int else '"%d-Q%d"'.__mod__, values)]
+    if not (getattr(kind, "_fields", ()) and issubclass(kind, tuple)):
+        return None
+    columns = [_texts(column, indent + "  ", spec, short) for column in zip(*values)]
+    row = _ROWS.get((kind, indent)) or _ROWS.setdefault((kind, indent), "{" + ",".join(
+        f"\n  {indent}{_quote(field)}: %s" for field in kind._fields) + f"\n{indent}}}")
+    return None if None in columns else [*map(row.__mod__, zip(*columns))]
+
+
 def _write(value, indent: str, spec: str, short: bool, parts: list[str]) -> None:
     """Append the JSON text of ``value``, nested at ``indent``, to ``parts``."""
     kind = type(value)
@@ -166,6 +201,10 @@ def _write(value, indent: str, spec: str, short: bool, parts: list[str]) -> None
         parts.append(text)
     elif kind is Quarter:
         parts.append(f'"{value}"')
+    elif (kind is list or kind is tuple) and value and (
+            texts := _texts(value, indent + "  ", spec, short)) is not None:
+        # an array of one scalar type or of one record class is written by columns
+        parts.append("[\n  " + indent + (",\n  " + indent).join(texts) + "\n" + indent + "]")
     elif kind is dict or kind is list or isinstance(value, tuple) and (
             kind is tuple or hasattr(kind, "_fields")):
         if kind is dict:

@@ -21,6 +21,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, special
 
+from steadycredit.series import Quarter
+
 
 def ols_grid_oracle(x, y, rounds: int = 55, half: int = 4) -> tuple[float, float]:
     """Minimize sum (y - a - b x)^2 by comparison-based 2-D grid refinement.
@@ -182,11 +184,16 @@ def round_sig(value: float, digits: int) -> float:
 def rounded_json_dumps(doc, digits: int) -> str:
     """Round every float of a copy of ``doc``, then ``json.dumps`` it indented.
 
-    Raises ``ValueError`` on a float that is non-finite after rounding.
+    A quarter becomes its text and any other named tuple a dict of its
+    fields. Raises ``ValueError`` on a float that is non-finite after rounding.
     """
     def rounded(obj):
         if isinstance(obj, float):
             return round_sig(obj, digits)
+        if isinstance(obj, Quarter):
+            return str(obj)
+        if isinstance(obj, tuple) and hasattr(type(obj), "_fields"):
+            return {field: rounded(v) for field, v in zip(obj._fields, obj)}
         if isinstance(obj, dict):
             return {k: rounded(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):

@@ -664,6 +664,9 @@ class TestInstalledEntryPoint:
             assert json.loads(proc.stdout)["gap"] is not None
         # only render draws, and only render_svg imports the drawing code
         assert ("steadycredit.svg" in modules) == (command == "render")
+        # only simulate imports the simulator, and the writer quotes without json
+        assert ("steadycredit.synth" in modules) == (command == "simulate")
+        assert "json" not in tops
 
 
 _ODD_CELLS = st.one_of(

@@ -18,7 +18,7 @@ from steadycredit.synth import Scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "steadycredit"
-EXEMPT = {"__all__", "__version__"}
+EXEMPT = {"__all__", "__getattr__", "__version__"}
 
 
 def test_exports_match_the_package_imports():
@@ -30,6 +30,17 @@ def test_exports_match_the_package_imports():
                 for node in tree.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert sorted(name for name in imported - set(exported) if not name.startswith("_")) == []
+
+
+def test_the_simulator_names_resolve_on_first_use():
+    # analysis never imports steadycredit.synth; its exports resolve through __getattr__
+    from steadycredit import synth
+
+    assert len(steadycredit.__all__) == 43
+    for name in ("Scenario", "generate", "parse_scenario"):
+        assert getattr(steadycredit, name) is getattr(synth, name)
+    with pytest.raises(AttributeError, match="^module 'steadycredit' has no attribute 'nope'$"):
+        getattr(steadycredit, "nope")
 
 
 def _definitions(tree: ast.Module):

@@ -4,6 +4,7 @@ import math
 import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from _oracles import round_sig, rounded_json_dumps, window_filter_oracle
 from conftest import build_series, canonical_series, steady_scenario
 from steadycredit import ols, synth
+from steadycredit.basel import GapRow
 from steadycredit.cli import main
 from steadycredit.cycles import Extremum
 from steadycredit.errors import InvariantError, SteadyCreditError, WindowError
@@ -40,13 +42,61 @@ _FLOATS = st.one_of(
     st.sampled_from([-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7e308, -1.7e308,
                      float("inf"), float("-inf"), float("nan")]),
 )
+_QUARTERS = st.builds(Quarter, st.integers(1000, 9999), st.integers(1, 4))
+
+
+class _Pair(NamedTuple):
+    key: object
+    value: object
+
+
+class _Row(NamedTuple):
+    quarter: object
+    level: object
+    trend: object
+    label: object
+    count: object
+    add_on: object
+
+
+# what one field of a record list holds: one type per field, as in a result
+# record, or a mix, or nested values
+_FIELD_KINDS = (
+    _FLOATS,
+    st.sampled_from([0.0, -0.0, 0.0125, 1.5, 100.0, 400000.0, 1e14, 1e15, 1e16, 1e22]),
+    st.integers(-2**60, 2**60).map(float),  # integral
+    st.tuples(st.sampled_from([1.0, -1.5, 2.5, 9.99995]), st.integers(-323, 308)).map(
+        lambda t: t[0] * 10.0**t[1]),  # exponent notation, subnormal and overflowing
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(st.characters(exclude_categories=()), max_size=4),
+    _QUARTERS,
+    _FLOATS.map(np.float64),
+    st.one_of(st.none(), st.sampled_from(["rising", "falling", "flat"])),
+    st.one_of(st.none(), _QUARTERS),
+    st.one_of(st.integers(), _FLOATS),
+)
+
+
+@st.composite
+def _records(draw, children):
+    """One record, or a list or tuple of 1-6 records of one class."""
+    kind = draw(st.sampled_from([_Pair, _Row]))
+    fields = [draw(st.sampled_from([*_FIELD_KINDS, children])) for _ in kind._fields]
+    rows = [kind(*(draw(field) for field in fields)) for _ in range(draw(st.integers(1, 6)))]
+    shape = draw(st.sampled_from(["one", "list", "tuple"]))
+    return rows[0] if shape == "one" else list(rows) if shape == "list" else tuple(rows)
+
+
 _JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(),
-              st.text(st.characters(exclude_categories=())), _FLOATS),
+              st.text(st.characters(exclude_categories=())), _FLOATS, _QUARTERS),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(st.text(max_size=4), children, max_size=4),
+        _records(children),
     ),
     max_leaves=24,
 )
@@ -200,6 +250,16 @@ class TestJson:
         # pins far more output than the golden
         assert all_windows_digest(True, True) == ALL_WINDOWS_DIGEST
 
+    @pytest.mark.parametrize("digits, digest", [
+        ("15", "90f8708ecb7ce7c6d83f89cef935494e"),
+        ("17", "ce30969eaef0442c72a82b045062d5ff"),
+    ])
+    def test_every_window_matches_committed_digest_at_full_precision(self, digits, digest,
+                                                                     monkeypatch):
+        # 15 digits is the last precision that writes a fixed-notation text as formatted
+        monkeypatch.setenv("STEADYCREDIT_PRECISION", digits)
+        assert all_windows_digest(True, True) == digest
+
     @pytest.mark.parametrize("start_inclusive, end_inclusive, digest", [
         (True, False, "0672ba222709b774ebd967e8b94ccf66"),
         (False, True, "9ccec66483622912a7e0c2358c80d9ad"),
@@ -239,6 +299,16 @@ class TestJson:
         (float("-inf"), "the document"),
         ({"ols": ols.OlsFit(3, 0.0, 0.0, None, 1.0, 0.0, 1.0, 1.0, math.inf, 0.0)}, "ols.sigma"),
         ({"extrema": (Extremum(1, None, "maximum", math.nan, 0.0),)}, "extrema[0].value"),
+        ({"rows": (GapRow(Quarter(2008, 1), 1.0, 2.0, -1.0, 0.0),
+                   GapRow(Quarter(2008, 2), 1.0, math.inf, -1.0, 0.0))}, "rows[1].trend"),
+        ({"rows": [GapRow(Quarter(2008, 1), np.float64(1.0), 2.0, -1.0, 0.0),
+                   GapRow(Quarter(2008, 2), np.float64(1.7e308), 2.0, -1.0, 0.0)]},
+         "rows[1].credit_to_gdp"),
+        # the first fault in row order, not in field order
+        ((GapRow(Quarter(2008, 1), 1.0, 2.0, -1.0, math.nan),
+          GapRow(Quarter(2008, 2), math.nan, 2.0, -1.0, 0.0)), "[0].buffer_add_on"),
+        ([Extremum(1, None, "maximum", 1.0, 0.0),
+          GapRow(Quarter(2008, 2), 1.0, 2.0, -math.inf, 0.0)], "[1].gap"),
     ])
     def test_non_finite_error_names_key_path(self, doc, path, monkeypatch):
         monkeypatch.setenv("STEADYCREDIT_PRECISION", "1")
