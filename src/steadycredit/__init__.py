@@ -32,7 +32,6 @@ from .series import (
 )
 from .steady_state import (
     SspEstimate,
-    SteadyStateTrajectory,
     chi2_p_value,
     chi_squared,
     expected_growth,
@@ -64,7 +63,6 @@ __all__ = [
     "Scenario",
     "SspEstimate",
     "SteadyCreditError",
-    "SteadyStateTrajectory",
     "Window",
     "WindowError",
     "analyze",

@@ -3,10 +3,11 @@
 ``analyze``, ``render`` and ``ssp`` run one ``report.analyze`` over the
 window and print the whole report, a chart of it, or its ``ssf`` section.
 ``rates`` and ``ols`` print ``analyze``'s rate sample or its regression,
-and ``cycles`` and ``gap`` their stage on the window's slice. A handler
-returns each output's path and text; ``main`` opens every file before it
-writes any, so a failing command writes nothing. Each flag is declared
-once, as a parent parser that every subcommand taking it inherits.
+and ``cycles`` and ``gap`` their stage on the window's slice; each cuts the
+series once. A handler returns each output's path and text; ``main`` opens
+every file before it writes any, so a failing command, or two outputs on
+one file, writes nothing. Each flag is declared once, as a parent parser
+that every subcommand taking it inherits.
 
 Exit codes: 0 success, 1 validation or data error (one-line diagnostic on
 stderr), 2 usage error.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
 from typing import Sequence
 
@@ -63,17 +65,22 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
     """Write each text to its path (``-`` is stdout) once every file opens.
 
     Each file is first opened without truncation, and held open until the
-    writes end so that a FIFO's reader sees one stream; if one cannot be
-    opened, the files this call created are removed.
+    writes end so that a FIFO's reader sees one stream. If one cannot be
+    opened, or two paths open one regular file (same device and inode), the
+    files this call created are removed and nothing is written.
     """
     with contextlib.ExitStack() as held:
-        created = []
+        created, first_path = [], {}
         try:
             for path in [path for path, _ in outputs if path != STDOUT]:
                 new = not os.path.lexists(path)
-                held.enter_context(open(path, "a", encoding="utf-8"))
+                opened = os.fstat(held.enter_context(open(path, "a", encoding="utf-8")).fileno())
                 created += [path] if new else []
-        except OSError:
+                key = (opened.st_dev, opened.st_ino)
+                if stat.S_ISREG(opened.st_mode) and key in first_path:
+                    raise UsageError(f"outputs {first_path[key]} and {path} are one file")
+                first_path[key] = path
+        except (OSError, UsageError):
             for path in created:
                 os.remove(path)
             raise
@@ -108,8 +115,9 @@ def _load(args: argparse.Namespace) -> tuple[CreditSeries, Window]:
 
 
 def _rates(args: argparse.Namespace) -> RateSeries:
-    """The rate sample ``analyze`` takes for the same flags."""
-    return window_rates(*_load(args), RatesConfig(f_mode=args.f_mode))
+    """The rate sample ``analyze`` takes for the same flags, from one cut of the series."""
+    series, window = _load(args)
+    return window_rates(series, series.slice(window), RatesConfig(f_mode=args.f_mode))
 
 
 def _analyze(args: argparse.Namespace, series: CreditSeries,

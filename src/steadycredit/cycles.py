@@ -89,17 +89,22 @@ def _classify(
 def _mean_se(values: list[float]) -> tuple[float | None, float | None]:
     """Mean and standard error: sample sd (n - 1 denominator) over sqrt(n).
 
-    A squared deviation beyond the float range is inf, which the JSON
-    writers reject.
+    Both are computed on the values times 2**-shift, with ``shift`` the binary
+    exponent of the largest magnitude as in ``basel.hp_filter``, and scaled
+    back. A power-of-two scale is exact, so the result is the plain formula's
+    wherever no square is subnormal, and no sum or square of a stock near the
+    float limit overflows.
     """
     if not values:
         return None, None
     n = len(values)
-    mean = fsum(values) / n
+    shift = math.frexp(max(map(abs, values)))[1]
+    scaled = [math.ldexp(v, -shift) for v in values]
+    mean = fsum(scaled) / n
     if n < 2:
-        return mean, None
-    var = fsum((v - mean) * (v - mean) for v in values) / (n - 1)
-    return mean, math.sqrt(var) / math.sqrt(n)
+        return math.ldexp(mean, shift), None
+    var = fsum((v - mean) * (v - mean) for v in scaled) / (n - 1)
+    return math.ldexp(mean, shift), math.ldexp(math.sqrt(var) / math.sqrt(n), shift)
 
 
 def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -> CycleReport:

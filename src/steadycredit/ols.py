@@ -77,7 +77,3 @@ def fit(x: Sequence[float], y: Sequence[float]) -> OlsFit:
         sigma=math.sqrt(sse / n),
         s_for_residual=math.sqrt(sse / (n - 1)),
     )
-
-
-def residuals(fitted: OlsFit, x: Sequence[float], y: Sequence[float]) -> list[float]:
-    return [float(b) - fitted.intercept - fitted.slope * float(a) for a, b in zip(x, y)]

@@ -2,10 +2,11 @@
 
 ``analyze`` composes the rate, regression, steady-state, cycle, and gap
 computations over one window of a series; every sub-result is derived
-from the window's ``CreditSeries.slice``, which refuses a bad window, and
-the rate sample ``rates.window_rates`` takes from it. Component failures
-(for example a regression on fewer than three points) are collected per
-stage instead of aborting the whole report, which holds results only.
+from the window's one ``CreditSeries.slice``, which refuses a bad window,
+and the rate sample ``rates.window_rates`` takes of that cut. Component
+failures (for example a regression on fewer than three points) are
+collected per stage instead of aborting the whole report, which holds
+results only.
 ``render_svg`` draws a report through ``steadycredit.svg``, loaded only then.
 
 ``dump_json`` writes every JSON document of the package in one walk. A
@@ -55,7 +56,7 @@ class AnalysisReport(NamedTuple):
     ssp_irr: steady_state.SspEstimate | None
     cycles: cycles_mod.CycleReport | None
     gap: GapReport | None
-    trajectory: steady_state.SteadyStateTrajectory | None
+    trajectory: tuple[steady_state.TrajectoryPoint, ...] | None
     rates_in: RateSeries
     errors: tuple[tuple[str, str], ...]
 
@@ -69,18 +70,19 @@ def analyze(
 ) -> AnalysisReport:
     """Run the full pipeline over one window of the series.
 
-    ``series.slice`` checks the window before any stage runs. Rate intervals
-    are selected by their end quarter, so a window starting after the first
-    series quarter gains one look-back interval and an n-quarter window
-    carries an n-point sample; ``window_rates`` computes them over the
-    window's quarters and that look-back quarter only. OLS is fit once;
-    unless ``sigma_ref`` is given, its ``s_for_residual`` is the chi-squared
-    reference of both steady-state estimators.
+    ``series.slice`` checks the window before any stage runs, and every
+    stage takes its one cut. Rate intervals are selected by their end
+    quarter, so a window starting after the first series quarter gains one
+    look-back interval and an n-quarter window carries an n-point sample;
+    ``window_rates`` rates the cut's quarters and that look-back quarter
+    only. OLS is fit once; unless ``sigma_ref`` is given, its
+    ``s_for_residual`` is the chi-squared reference of both steady-state
+    estimators.
     """
     if window is None:
         window = Window(series.first_quarter, series.last_quarter)
     sliced = series.slice(window)
-    rates_in = window_rates(series, window, rates_cfg)
+    rates_in = window_rates(series, sliced, rates_cfg)
 
     errors: list[tuple[str, str]] = []
 
@@ -149,7 +151,7 @@ def to_json_dict(report: AnalysisReport) -> dict:
         }
         if report.gap
         else None,
-        "trajectory": report.trajectory.points if report.trajectory else None,
+        "trajectory": report.trajectory,
         "errors": [{"stage": stage, "message": message} for stage, message in report.errors],
     }
 

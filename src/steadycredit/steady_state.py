@@ -74,11 +74,6 @@ class TrajectoryPoint(NamedTuple):
     direction: str | None  # rising/falling/flat vs previous observed f; None at start
 
 
-class SteadyStateTrajectory(NamedTuple):
-    points: tuple[TrajectoryPoint, ...]
-    zeta: float
-
-
 def expected_growth(d: float, zeta: float) -> float:
     """Growth rate (d + zeta) / (1 - d); the odds of default when zeta = 0."""
     if not 0.0 <= d < 1.0:
@@ -264,8 +259,9 @@ def ssp_irr_root(rates: RateSeries, sigma_ref: float | None = None) -> SspEstima
     return _finalize(rates, 1.0 / s - 1.0, METHOD_IRR_ROOT, sigma_ref)
 
 
-def trajectory(rates: RateSeries, zeta: float) -> SteadyStateTrajectory:
-    """Observed vs expected growth and the discounted cumulative credit index.
+def trajectory(rates: RateSeries, zeta: float) -> tuple[TrajectoryPoint, ...]:
+    """Observed vs expected growth and the discounted cumulative credit index,
+    one point per rate point.
 
     The cumulative index after k intervals is
     prod_{j<=k} (1 + f_j)(1 - d_j) / (1 + zeta); it stays at 1 when the
@@ -287,4 +283,4 @@ def trajectory(rates: RateSeries, zeta: float) -> SteadyStateTrajectory:
         points.append(TrajectoryPoint(p.interval_end, p.f, expected_growth(p.d, zeta),
                                       index, direction))
         prev_f = p.f
-    return SteadyStateTrajectory(tuple(points), zeta)
+    return tuple(points)

@@ -108,7 +108,7 @@ def scatter(report: AnalysisReport, rates_out: tuple[RatePoint, ...]) -> str:
     body.append(f'<polyline class="ssf" points="{curve}"/>')
 
     # each segment is stroked by the direction the trajectory recorded at its end
-    directions = [p.direction for p in report.trajectory.points[1:]]
+    directions = [p.direction for p in report.trajectory[1:]]
     for prev, cur, cls in zip(pts_in, pts_in[1:], directions):
         body.append(
             f'<line class="{cls}" x1="{_px(sx(prev.d))}" y1="{_px(sy(prev.f))}" '
@@ -127,7 +127,7 @@ def time_panel(report: AnalysisReport) -> str:
     if report.trajectory is None:
         raise SteadyCreditError("time panel rendering needs a trajectory")
     pts = report.rates_in.points
-    traj = report.trajectory.points
+    traj = report.trajectory
     n = len(pts)
     xs = list(range(n))
     series_map = {

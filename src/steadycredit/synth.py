@@ -144,12 +144,3 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
     if missing:
         raise ParseError(f"scenario is missing keys: {', '.join(missing)}")
     return Scenario(**values)  # type: ignore[arg-type]
-
-
-def scenario_to_text(sc: Scenario) -> str:
-    lines = []
-    for name, value in sc._asdict().items():
-        if isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{name}={value}")
-    return "\n".join(lines) + "\n"

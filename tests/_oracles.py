@@ -7,8 +7,9 @@ grid, the root oracles use bisection only (one of them on log s, with
 every term held in logs), the chi-squared tail oracle integrates the
 density numerically, the exact HP oracle eliminates the dense normal
 equations in rational arithmetic, the JSON oracle rounds a copy of the
-document before handing it to ``json.dumps``, and the window oracle
-compares each quarter with the window's bounds instead of using indices.
+document before handing it to ``json.dumps``, the window oracle
+compares each quarter with the window's bounds instead of using indices,
+and the mean and standard error are the textbook formula on unscaled values.
 """
 
 from __future__ import annotations
@@ -210,3 +211,16 @@ def window_filter_oracle(window, quarters) -> list[bool]:
     return [(q >= start if start_inclusive else q > start)
             and (q <= end if end_inclusive else q < end)
             for q in quarters]
+
+
+def unscaled_mean_se(values) -> tuple[float | None, float | None]:
+    """Mean and standard error (sample sd over sqrt(n)) of the raw values,
+    each deviation squared as it is."""
+    if not values:
+        return None, None
+    n = len(values)
+    mean = math.fsum(values) / n
+    if n < 2:
+        return mean, None
+    var = math.fsum((v - mean) * (v - mean) for v in values) / (n - 1)
+    return mean, math.sqrt(var) / math.sqrt(n)

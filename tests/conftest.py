@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from steadycredit.ols import OlsFit
 from steadycredit.series import CreditObservation, CreditSeries, Quarter
 from steadycredit.synth import Scenario, generate
 
@@ -50,6 +51,21 @@ def steady_scenario(**overrides) -> Scenario:
     )
     params.update(overrides)
     return Scenario(**params)
+
+
+def scenario_to_text(sc: Scenario) -> str:
+    """The scenario as the key=value text ``synth.parse_scenario`` reads back."""
+    lines = []
+    for name, value in sc._asdict().items():
+        if isinstance(value, float):
+            value = repr(value)
+        lines.append(f"{name}={value}")
+    return "\n".join(lines) + "\n"
+
+
+def residuals(fitted: OlsFit, x, y) -> list[float]:
+    """The fit's residuals y - intercept - slope * x."""
+    return [float(b) - fitted.intercept - fitted.slope * float(a) for a, b in zip(x, y)]
 
 
 def canonical_series() -> CreditSeries:

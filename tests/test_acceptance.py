@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from _oracles import chi2_tail_by_quadrature, ols_grid_oracle, zeta_grid_oracle
-from conftest import canonical_series, published, steady_scenario
+from conftest import canonical_series, published, residuals, scenario_to_text, steady_scenario
 from steadycredit import synth
 from steadycredit.basel import GapConfig, buffer_add_on, hp_filter
 from steadycredit.cli import main
 from steadycredit.cycles import cycle_stats
-from steadycredit.ols import fit, residuals
+from steadycredit.ols import fit
 from steadycredit.rates import RatePoint, RateSeries, F_SOURCE_BALANCE, credit_growth_rates
 from steadycredit.report import KIND_SCATTER, analyze, render_svg, to_json
 from steadycredit.series import Quarter, Window, emit_csv, parse_csv
@@ -182,7 +182,7 @@ def test_criterion_8_round_trip_and_cli_pipeline(tmp_path):
             assert abs(got.f - want.f) <= 1e-12 * max(1.0, abs(want.f))
 
         cfg_path = tmp_path / "scenario.cfg"
-        cfg_path.write_text(synth.scenario_to_text(scenario), encoding="utf-8")
+        cfg_path.write_text(scenario_to_text(scenario), encoding="utf-8")
         csv_path = tmp_path / "series.csv"
         assert main(["simulate", "--scenario", str(cfg_path), "--seed", "42",
                      "--out", str(csv_path)]) == 0

@@ -11,12 +11,13 @@ import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_series, canonical_series, steady_scenario
+from conftest import build_series, canonical_series, scenario_to_text, steady_scenario
 from steadycredit import synth
 from steadycredit.cli import build_parser, main
 from steadycredit.rates import RatePoint
@@ -31,11 +32,12 @@ GAPPED_CSV = (
     "2009-Q1,915e9,3.8e9,,\n"
 )
 
-# the standard error of its credit stock overflows, so its cycle report has no JSON
+# at one significant digit (STEADYCREDIT_PRECISION=1) its 1.7e308 rounds to 2e+308,
+# past the float range, so the JSON writers refuse it
 HUGE_CSV = (
     "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
     "2008-Q1,1e8,0,,\n"
-    "2008-Q2,1e308,0,,\n"
+    "2008-Q2,1.7e308,0,,\n"
     "2008-Q3,1e8,0,,\n"
 )
 
@@ -68,7 +70,7 @@ def _replace_cell(path: Path, lineno: int, column: str, value: str) -> None:
 @pytest.fixture
 def scenario_file(tmp_path) -> Path:
     path = tmp_path / "h1.cfg"
-    path.write_text(synth.scenario_to_text(steady_scenario()), encoding="utf-8")
+    path.write_text(scenario_to_text(steady_scenario()), encoding="utf-8")
     return path
 
 
@@ -149,7 +151,7 @@ class TestSimulatePipeline:
     def test_seed_changes_output(self, scenario_file, tmp_path):
         noisy = tmp_path / "noisy.cfg"
         noisy.write_text(
-            synth.scenario_to_text(steady_scenario(noise_sigma=0.004)), encoding="utf-8"
+            scenario_to_text(steady_scenario(noise_sigma=0.004)), encoding="utf-8"
         )
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["simulate", "--scenario", str(noisy), "--seed", "1", "--out", str(a)]) == 0
@@ -158,14 +160,14 @@ class TestSimulatePipeline:
 
     def test_bad_start_names_its_line(self, tmp_path, capsys):
         scenario = tmp_path / "bad.cfg"
-        text = synth.scenario_to_text(steady_scenario())
+        text = scenario_to_text(steady_scenario())
         scenario.write_text(text.replace("start=2008-Q1", "start=2008-Q7"), encoding="utf-8")
         assert main(["simulate", "--scenario", str(scenario), "--seed", "1"]) == 1
         assert capsys.readouterr().err == "error: line 2: bad quarter '2008-Q7', expected YYYY-Qn\n"
 
     def test_non_finite_scenario_value_names_its_key(self, tmp_path, capsys):
         scenario = tmp_path / "nan.cfg"
-        text = synth.scenario_to_text(steady_scenario())
+        text = scenario_to_text(steady_scenario())
         scenario.write_text(text.replace("noise_sigma=0.0", "noise_sigma=nan"), encoding="utf-8")
         assert main(["simulate", "--scenario", str(scenario), "--seed", "1"]) == 1
         captured = capsys.readouterr()
@@ -179,7 +181,7 @@ class TestSimulatePipeline:
     ])
     def test_bad_scenario_is_one_line_error(self, tmp_path, text, seed, message, capsys):
         scenario = tmp_path / "bad.cfg"
-        noisy = synth.scenario_to_text(steady_scenario(noise_sigma=0.004))
+        noisy = scenario_to_text(steady_scenario(noise_sigma=0.004))
         scenario.write_text(noisy + text, encoding="utf-8")
         assert main(["simulate", "--scenario", str(scenario), "--seed", seed]) == 1
         captured = capsys.readouterr()
@@ -371,16 +373,18 @@ class TestOtherCommands:
         assert captured.err.count("\n") == 1
         assert "must be finite" in captured.err
 
-    def test_non_finite_result_is_not_written(self, canonical_csv, capsys):
-        _replace_cell(canonical_csv, 6, "tcu_eur", "1e308")
+    def test_non_finite_result_is_not_written(self, canonical_csv, monkeypatch, capsys):
+        monkeypatch.setenv("STEADYCREDIT_PRECISION", "1")
+        _replace_cell(canonical_csv, 6, "tcu_eur", "1.7e308")
         assert main(["analyze", "--input", str(canonical_csv), "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: result holds a non-finite number, which JSON "
-                                "cannot represent: cycles.series_se\n")
+                                "cannot represent: cycles.extrema[0].value\n")
 
     @pytest.mark.parametrize("to_stdout", [False, True])
-    def test_failing_cycles_writes_no_overlay(self, tmp_path, to_stdout, capsys):
+    def test_failing_cycles_writes_no_overlay(self, tmp_path, to_stdout, monkeypatch, capsys):
+        monkeypatch.setenv("STEADYCREDIT_PRECISION", "1")
         path, overlay = tmp_path / "huge.csv", tmp_path / "overlay.csv"
         path.write_text(HUGE_CSV, encoding="utf-8")
         target = "-" if to_stdout else str(overlay)
@@ -389,7 +393,73 @@ class TestOtherCommands:
         assert captured.out == ""
         assert not overlay.exists()
         assert captured.err == ("error: result holds a non-finite number, which JSON "
-                                "cannot represent: series_se\n")
+                                "cannot represent: extrema[0].value\n")
+
+    def test_cycles_of_a_credit_stock_near_the_float_limit(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text(HUGE_CSV.replace("1.7e308", "1e308"), encoding="utf-8")
+        assert main(["cycles", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert (report["series_mean"], report["series_se"]) == (3.33333e+307, 3.33333e+307)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("csv_path, json_path", [
+        ("same.out", "same.out"), ("same.out", "./same.out"), ("./same.out", "same.out")])
+    @pytest.mark.parametrize("csv_first", [True, False])
+    def test_two_outputs_on_one_file_are_a_usage_error(
+            self, canonical_csv, tmp_path, monkeypatch, csv_path, json_path, csv_first,
+            existing, capsys):
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "same.out"
+        if existing:
+            target.write_bytes(b"kept\n")
+        flags = [["--csv", csv_path], ["--json", json_path]]
+        argv = ["cycles", "--input", str(canonical_csv), *flags[not csv_first],
+                *flags[csv_first]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the overlay is opened first, whatever the flag order
+        assert captured.err == (
+            f"usage error: outputs {csv_path} and {json_path} are one file\n")
+        if existing:
+            assert target.read_bytes() == b"kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["canonical.csv", "same.out"][:1 + existing]
+
+    @pytest.mark.parametrize("path", ["-", os.devnull])
+    def test_two_outputs_on_one_stream_are_written_in_turn(self, canonical_csv, path, capsys):
+        assert main(["cycles", "--input", str(canonical_csv), "--csv", path, "--json", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if path == "-":
+            assert main(["cycles", "--input", str(canonical_csv)]) == 0
+            report = capsys.readouterr().out
+            assert captured.out.endswith(report) and captured.out.startswith("index,quarter,")
+        else:
+            assert captured.out == ""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_two_outputs_on_one_named_pipe_reach_its_reader_in_turn(self, canonical_csv,
+                                                                    tmp_path, capsys):
+        fifo = tmp_path / "cycles.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            proc = subprocess.run([sys.executable, "-m", "steadycredit.cli", "cycles",
+                                   "--input", str(canonical_csv), "--csv", str(fifo),
+                                   "--json", str(fifo)], capture_output=True, timeout=30)
+        finally:
+            if reader.is_alive():  # release a reader left waiting for a writer
+                open(fifo, "wb").close()
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert main(["cycles", "--input", str(canonical_csv), "--csv", "-", "--json", "-"]) == 0
+        assert got == [capsys.readouterr().out.encode("utf-8")]
 
     @pytest.mark.parametrize("command", ["rates", "analyze"])
     def test_infinite_growth_rate_names_its_quarter(self, tmp_path, command, capsys):
@@ -403,9 +473,12 @@ class TestOtherCommands:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["analyze", "ssp"])
-    def test_huge_credit_stock_leaves_one_line_at_most(self, canonical_csv, command, capsys):
-        # the cycle statistics of this series overflow to inf; only analyze prints them
-        _replace_cell(canonical_csv, 6, "tcu_eur", "1e308")
+    def test_huge_credit_stock_leaves_one_line_at_most(self, canonical_csv, command,
+                                                       monkeypatch, capsys):
+        # at one digit the credit stock's maximum rounds past the float range; only
+        # analyze prints the cycle statistics
+        monkeypatch.setenv("STEADYCREDIT_PRECISION", "1")
+        _replace_cell(canonical_csv, 6, "tcu_eur", "1.7e308")
         code = main([command, "--input", str(canonical_csv)])
         captured = capsys.readouterr()
         if command == "analyze":
@@ -563,6 +636,22 @@ def test_every_windowed_command_refuses_the_same_windows(canonical_csv, command,
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["rates", "ols", "ssp", "cycles", "gap", "analyze", "render"])
+def test_every_windowed_command_cuts_the_series_once(canonical_csv, command, capsys):
+    cuts = []
+    cut = CreditSeries.slice
+
+    def spy(series, window):
+        cuts.append(window)
+        return cut(series, window)
+
+    extra = {"cycles": ["--csv", "-"], "render": ["--kind", "exhibit2"]}.get(command, [])
+    with mock.patch.object(CreditSeries, "slice", spy):
+        assert main([command, "--input", str(canonical_csv), "--window", "crisis", *extra]) == 0
+    assert cuts == [Window(Quarter(2008, 2), Quarter(2012, 2))]
+    assert capsys.readouterr().err == ""
+
+
 # (option strings, dest, default, required, choices, nargs, const, type) per flag
 _INPUT = [(("--input",), "input", None, True, None, None, None, None)]
 _WINDOW = [
@@ -638,7 +727,7 @@ class TestInstalledEntryPoint:
         args = IMPORT_GRAPH_ARGS[command]
         if command == "simulate":
             scenario = tmp_path / "noisy.cfg"
-            scenario.write_text(synth.scenario_to_text(steady_scenario(noise_sigma=0.004)),
+            scenario.write_text(scenario_to_text(steady_scenario(noise_sigma=0.004)),
                                 encoding="utf-8")
             args = ["--scenario", str(scenario), *args]
         else:

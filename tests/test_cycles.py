@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import unscaled_mean_se
 from steadycredit.cycles import (
     KIND_MAX,
     KIND_MIN,
@@ -147,6 +148,31 @@ class TestInvariants:
         base = cycle_stats(y)
         scaled = cycle_stats(3.5 * y + 11.0)
         assert scaled.frequency_cycles_per_year == base.frequency_cycles_per_year
+
+
+def _bits(pair):
+    return [v if v is None else v.hex() for v in pair]
+
+
+class TestScaledStatistics:
+    # amounts 10**e for e in [-100, 100] leave no squared deviation subnormal
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-100.0, 100.0).map(lambda e: 10.0**e), min_size=3, max_size=40))
+    def test_statistics_equal_the_unscaled_formula_bit_for_bit(self, y):
+        report = cycle_stats(y)
+        amplitudes = [e.amplitude for e in report.extrema if e.kind != KIND_STEADY]
+        assert _bits(report[:2]) == _bits(unscaled_mean_se(y))
+        assert _bits(report[2:4]) == _bits(unscaled_mean_se(amplitudes))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.7e308, exclude_min=True), min_size=3, max_size=40))
+    @example([1e8, 1.7e308, 1e8])
+    @example([1.7e308, 1e8, 1.7e308, 1e8, 1.7e308])
+    def test_every_float_of_a_positive_series_report_is_finite(self, y):
+        report = cycle_stats(y)
+        floats = [v for v in report[:6] if v is not None]
+        floats += [v for e in report.extrema for v in (e.value, e.amplitude)]
+        assert all(math.isfinite(v) for v in floats)
 
 
 class TestExports:

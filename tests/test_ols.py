@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from _oracles import ols_grid_oracle
-from conftest import published
+from conftest import published, residuals
 from steadycredit.errors import EstimationError
-from steadycredit.ols import OlsFit, fit, residuals
+from steadycredit.ols import OlsFit, fit
 from steadycredit.report import dump_json
 
 

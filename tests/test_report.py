@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
 import json
 import math
 import os
+import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -133,7 +136,7 @@ class TestAnalyze:
         assert report.ssp_ls.zeta == pytest.approx(0.00245, abs=1e-12)
         assert report.ssp_irr.zeta == pytest.approx(0.00245, abs=1e-10)
         assert report.cycles is not None
-        for p in report.trajectory.points:
+        for p in report.trajectory:
             assert p.cumulative_index == pytest.approx(1.0, abs=1e-9)
 
     def test_window_defaults_to_full_span(self):
@@ -452,6 +455,32 @@ class TestWindowSelection:
             for command in ("rates", "ols"):
                 assert main([command, "--input", str(path), "--window", "crisis"]) == 0
             assert built == [17, 33, 33, 17, 17]
+
+    def test_each_stage_runs_once_per_analysis(self):
+        series = canonical_series()
+        calls = []
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls.append((name, len(result) if name == "credit_growth_rates" else None))
+                return result
+            return counted
+
+        targets = [("steadycredit.ols", "fit"), ("steadycredit.rates", "credit_growth_rates"),
+                   ("steadycredit.steady_state", "chi2_p_value"),
+                   ("steadycredit.cycles", "cycle_stats"), ("steadycredit.basel", "hp_filter")]
+        with contextlib.ExitStack() as patched:
+            for module, name in targets:
+                patched.enter_context(mock.patch(f"{module}.{name}",
+                                                 spy(name, getattr(sys.modules[module], name))))
+            patched.enter_context(mock.patch.object(
+                CreditSeries, "slice", spy("slice", CreditSeries.slice)))
+            assert analyze(series, CRISIS).n == 17
+        # one chi-squared p-value per steady-state estimator
+        assert Counter(calls) == {
+            ("slice", None): 1, ("fit", None): 1, ("credit_growth_rates", 17): 1,
+            ("chi2_p_value", None): 2, ("cycle_stats", None): 1, ("hp_filter", None): 1}
 
 
 class TestSvg:

@@ -335,19 +335,19 @@ class TestTrajectory:
     def test_exact_steady_state_keeps_unit_index(self):
         rates = h1_rates(0.00245)
         traj = trajectory(rates, 0.00245)
-        for p in traj.points:
+        for p in traj:
             assert p.cumulative_index == pytest.approx(1.0, abs=1e-12)
             assert p.f_observed == pytest.approx(p.f_expected, abs=1e-15)
 
     def test_single_interval_hand_value(self):
         rates = rate_series([0.005, 0.005], [0.02, 0.02])
         traj = trajectory(rates, 0.0)
-        assert traj.points[0].cumulative_index == pytest.approx(1.02 * 0.995, abs=1e-15)
+        assert traj[0].cumulative_index == pytest.approx(1.02 * 0.995, abs=1e-15)
 
     def test_directions_follow_observed_growth(self):
         rates = rate_series([0.004] * 4, [0.01, 0.02, 0.015, 0.015])
         traj = trajectory(rates, 0.0)
-        assert [p.direction for p in traj.points] == [None, "rising", "falling", "flat"]
+        assert [p.direction for p in traj] == [None, "rising", "falling", "flat"]
 
     def test_final_index_close_to_par_over_many_seeds(self):
         for seed in range(200):
@@ -355,7 +355,7 @@ class TestTrajectory:
             series, _ = synth.generate(scenario)
             rates = credit_growth_rates(series)
             est = ssp_least_squares(rates)
-            final = trajectory(rates, est.zeta).points[-1].cumulative_index
+            final = trajectory(rates, est.zeta)[-1].cumulative_index
             assert 0.9 <= final <= 1.1
 
 

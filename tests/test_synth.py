@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import steady_scenario
+from conftest import scenario_to_text, steady_scenario
 from steadycredit import synth
 from steadycredit.cycles import cycle_stats
 from steadycredit.errors import InvariantError, ParseError
@@ -115,7 +115,7 @@ class TestScenarioValidation:
             steady_scenario(hypothesis="H2")
 
     def test_rejects_negative_seed_in_text(self):
-        text = synth.scenario_to_text(steady_scenario(noise_sigma=0.004)) + "seed=-1\n"
+        text = scenario_to_text(steady_scenario(noise_sigma=0.004)) + "seed=-1\n"
         with pytest.raises(InvariantError, match=r"^seed must be >= 0, got -1$"):
             synth.parse_scenario(text)
 
@@ -129,7 +129,7 @@ class TestScenarioValidation:
 class TestScenarioConfig:
     def test_text_round_trip(self):
         scenario = steady_scenario(noise_sigma=0.002, seed=123)
-        assert synth.parse_scenario(synth.scenario_to_text(scenario)) == scenario
+        assert synth.parse_scenario(scenario_to_text(scenario)) == scenario
 
     def test_comments_and_blank_lines_ignored(self):
         text = (
@@ -150,7 +150,7 @@ class TestScenarioConfig:
         assert scenario.seed == 7
 
     def test_seed_argument_overrides_text(self):
-        text = synth.scenario_to_text(steady_scenario(seed=1))
+        text = scenario_to_text(steady_scenario(seed=1))
         assert synth.parse_scenario(text, seed=99).seed == 99
 
     def test_missing_keys_reported(self):
