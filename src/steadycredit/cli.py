@@ -98,18 +98,22 @@ def _gap_cfg(args: argparse.Namespace) -> GapConfig:
 
 
 def _load(args: argparse.Namespace) -> tuple[CreditSeries, Window]:
-    """The input series and the window its flags give, by default the whole series."""
-    series = parse_csv(_read_text(args.input))
+    """The input series and the window its flags give, by default the whole series.
+
+    The flags are checked before the input is read, so a usage error exits 2
+    whatever the file holds.
+    """
     if args.named_window and (args.from_q or args.to_q):
         raise UsageError("--window excludes --from/--to")
     if bool(args.from_q) != bool(args.to_q):
         raise UsageError("--from and --to must be given together")
+    if not args.from_q and (args.from_inclusive, args.to_inclusive) != (None, None):
+        raise UsageError("--inclusive-from/--inclusive-to need --from and --to")
+    series = parse_csv(_read_text(args.input))
     if args.from_q:
         # an inclusivity flag not given includes its quarter
         return series, Window(Quarter.parse(args.from_q), Quarter.parse(args.to_q),
                               args.from_inclusive is not False, args.to_inclusive is not False)
-    if (args.from_inclusive, args.to_inclusive) != (None, None):
-        raise UsageError("--inclusive-from/--inclusive-to need --from and --to")
     whole = Window(series.first_quarter, series.last_quarter)
     return series, NAMED_WINDOWS.get(args.named_window, whole)
 

@@ -4,8 +4,10 @@ A point is a maximum when it strictly exceeds both neighbours, a minimum
 when both neighbours strictly exceed it, and steady when it equals at
 least one neighbour. Interior points that are not extrema or plateaus get
 a directed phase from the signs of the centred first difference
-y(t+1) - y(t-1) and the three-point second difference
-y(t+1) - 2 y(t) + y(t-1):
+y(t+1) - y(t-1) and the three-point second difference, formed halved as
+y(t+1)/2 - y(t) + y(t-1)/2. Halving is exact, so its sign is that of
+y(t+1) - 2 y(t) + y(t-1) wherever no half is subnormal, and it keeps its
+sign for a stock near the float limit, where 2 y(t) overflows:
 
     P1  rising, accelerating        P3  falling, accelerating downward
     P2  rising, decelerating        P4  falling, decelerating downward
@@ -50,42 +52,6 @@ class CycleReport(NamedTuple):
     phase_labels: tuple[str, ...]  # one per interior point
 
 
-def _classify(
-    y: Sequence[float], quarters: Sequence[Quarter] | None
-) -> tuple[list[float], list[tuple[str | None, str]]]:
-    """The values as floats, and each interior point's extremum kind and phase.
-
-    The kind is None for a point that is strictly monotone through; such a
-    point gets its directed phase from the difference sign pairs, with zero
-    curvature as steady.
-    """
-    ys = [float(v) for v in y]
-    if len(ys) < 3:
-        raise EstimationError(f"need at least 3 points, got {len(ys)}")
-    if quarters is not None and len(quarters) != len(ys):
-        raise EstimationError("quarters must align with the values")
-    classes: list[tuple[str | None, str]] = []
-    for t in range(1, len(ys) - 1):
-        left, mid, right = ys[t - 1], ys[t], ys[t + 1]
-        if mid - left == 0.0 or mid - right == 0.0:
-            classes.append((KIND_STEADY, "steady"))
-        elif mid > left and mid > right:
-            classes.append((KIND_MAX, "max"))
-        elif mid < left and mid < right:
-            classes.append((KIND_MIN, "min"))
-        else:
-            d1 = right - left
-            d2 = right - 2.0 * mid + left
-            if d2 == 0.0 or d1 == 0.0:
-                label = "steady"
-            elif d1 > 0.0:
-                label = "P1" if d2 > 0.0 else "P2"
-            else:
-                label = "P3" if d2 < 0.0 else "P4"
-            classes.append((None, label))
-    return ys, classes
-
-
 def _mean_se(values: list[float]) -> tuple[float | None, float | None]:
     """Mean and standard error: sample sd (n - 1 denominator) over sqrt(n).
 
@@ -108,20 +74,40 @@ def _mean_se(values: list[float]) -> tuple[float | None, float | None]:
 
 
 def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -> CycleReport:
-    """Full cycle report of a series.
+    """Full cycle report of a series, from one pass over its interior points.
 
     The period is the mean index distance between consecutive extrema of
     the same kind, converted to years; frequency is its reciprocal. With
     no same-kind pair both are reported absent, never silently zero.
     """
-    ys, classes = _classify(y, quarters)
+    ys = [float(v) for v in y]
+    if len(ys) < 3:
+        raise EstimationError(f"need at least 3 points, got {len(ys)}")
+    if quarters is not None and len(quarters) != len(ys):
+        raise EstimationError("quarters must align with the values")
     series_mean, series_se = _mean_se(ys)
-    extrema = [
-        Extremum(t, quarters[t] if quarters is not None else None, kind, ys[t],
-                 abs(ys[t] - series_mean))
-        for t, (kind, _) in enumerate(classes, 1)
-        if kind is not None
-    ]
+    extrema: list[Extremum] = []
+    labels: list[str] = []
+    for t in range(1, len(ys) - 1):
+        left, mid, right = ys[t - 1], ys[t], ys[t + 1]
+        if mid - left == 0.0 or mid - right == 0.0:
+            kind, label = KIND_STEADY, "steady"
+        elif mid > left and mid > right:
+            kind, label = KIND_MAX, "max"
+        elif mid < left and mid < right:
+            kind, label = KIND_MIN, "min"
+        else:
+            kind, d1, d2 = None, right - left, 0.5 * right - mid + 0.5 * left
+            if d2 == 0.0 or d1 == 0.0:
+                label = "steady"
+            elif d1 > 0.0:
+                label = "P1" if d2 > 0.0 else "P2"
+            else:
+                label = "P3" if d2 < 0.0 else "P4"
+        labels.append(label)
+        if kind is not None:
+            extrema.append(Extremum(t, quarters[t] if quarters is not None else None, kind,
+                                    mid, abs(mid - series_mean)))
 
     strict = [e for e in extrema if e.kind != KIND_STEADY]
     amp_mean, amp_se = _mean_se([e.amplitude for e in strict])
@@ -133,7 +119,7 @@ def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -
     period_years = sum(gaps) / len(gaps) / QUARTERS_PER_YEAR if gaps else None
     return CycleReport(series_mean, series_se, amp_mean, amp_se,
                        1.0 / period_years if gaps else None, period_years,
-                       tuple(extrema), tuple(label for _, label in classes))
+                       tuple(extrema), tuple(labels))
 
 
 def overlays_to_csv(report: CycleReport, y: Sequence[float],

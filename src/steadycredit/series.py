@@ -182,7 +182,8 @@ class CreditSeries(NamedTuple):
         return [o.tcu for o in self.observations]
 
     def has_gdp(self) -> bool:
-        return all(o.gdp is not None for o in self.observations)
+        """Whether any quarter carries GDP (``credit_gap`` refuses a partial column)."""
+        return any(o.gdp is not None for o in self.observations)
 
     def slice(self, window: Window) -> "CreditSeries":
         """Sub-series of the observations inside the window.

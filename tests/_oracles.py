@@ -224,3 +224,41 @@ def unscaled_mean_se(values) -> tuple[float | None, float | None]:
         return mean, None
     var = math.fsum((v - mean) * (v - mean) for v in values) / (n - 1)
     return mean, math.sqrt(var) / math.sqrt(n)
+
+
+def two_pass_cycle_labels(y, quarters=None) -> tuple[list[tuple], list[str]]:
+    """Extrema (as plain tuples) and phase labels, made the two-pass way.
+
+    One pass builds each interior point's (kind, label) with the second
+    difference formed unhalved, right - 2 mid + left; a second reads the
+    extrema out of that list, with amplitudes from the unscaled mean, and
+    a third its labels. Where no value overflows, ``cycle_stats`` must
+    agree exactly.
+    """
+    ys = [float(v) for v in y]
+    classes = []
+    for t in range(1, len(ys) - 1):
+        left, mid, right = ys[t - 1], ys[t], ys[t + 1]
+        if mid - left == 0.0 or mid - right == 0.0:
+            classes.append(("steady", "steady"))
+        elif mid > left and mid > right:
+            classes.append(("maximum", "max"))
+        elif mid < left and mid < right:
+            classes.append(("minimum", "min"))
+        else:
+            d1 = right - left
+            d2 = right - 2.0 * mid + left
+            if d2 == 0.0 or d1 == 0.0:
+                label = "steady"
+            elif d1 > 0.0:
+                label = "P1" if d2 > 0.0 else "P2"
+            else:
+                label = "P3" if d2 < 0.0 else "P4"
+            classes.append((None, label))
+    mean, _ = unscaled_mean_se(ys)
+    extrema = [
+        (t, quarters[t] if quarters is not None else None, kind, ys[t], abs(ys[t] - mean))
+        for t, (kind, _) in enumerate(classes, 1)
+        if kind is not None
+    ]
+    return extrema, [label for _, label in classes]

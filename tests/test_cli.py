@@ -132,6 +132,26 @@ class TestUsageErrors:
         assert captured.err == (
             "usage error: --inclusive-from/--inclusive-to need --from and --to\n")
 
+    @pytest.mark.parametrize("flags", [
+        ["--window", "crisis", "--from", "2008-Q1", "--to", "2009-Q1"],
+        ["--from", "2008-Q1"],
+        ["--inclusive-from"],
+    ], ids=["window-with-from-to", "from-without-to", "inclusivity-without-from-to"])
+    @pytest.mark.parametrize("content", [None, b"\xff\n", b"quarter,tcu\n2008-Q1,1\n"],
+                             ids=["missing", "not-utf8", "bad-header"])
+    def test_flag_rules_are_checked_before_the_input_is_read(self, tmp_path, flags, content,
+                                                             capsys):
+        path = tmp_path / "input.csv"
+        if content is not None:
+            path.write_bytes(content)
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / "rates.csv"
+        assert main(["rates", "--input", str(path), *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestSimulatePipeline:
     def test_simulate_then_ssp_recovers_zeta(self, scenario_file, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import unscaled_mean_se
+from _oracles import two_pass_cycle_labels, unscaled_mean_se
 from steadycredit.cycles import (
     KIND_MAX,
     KIND_MIN,
@@ -173,6 +173,43 @@ class TestScaledStatistics:
         floats = [v for v in report[:6] if v is not None]
         floats += [v for e in report.extrema for v in (e.value, e.amplitude)]
         assert all(math.isfinite(v) for v in floats)
+
+
+def _near_tie_series(steps):
+    """A series from steps: a fresh value, the last value moved by k ulps
+    (k = 0 repeats it), or the straight-line continuation of the last two
+    moved by k ulps (a near-zero second difference)."""
+    y = []
+    for step, value, k in steps:
+        if step == "near" and y:
+            value = y[-1]
+        elif step == "line" and len(y) >= 2:
+            value = 2.0 * y[-1] - y[-2]
+        for _ in range(abs(k)):
+            value = math.nextafter(value, math.copysign(math.inf, k))
+        y.append(value)
+    return y
+
+
+SIGNED_MAGNITUDES = st.builds(lambda sign, e: sign * 10.0**e,
+                              st.sampled_from([-1.0, 1.0]), st.floats(-100.0, 100.0))
+
+
+class TestOnePass:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["new", "near", "line"]), SIGNED_MAGNITUDES,
+                              st.integers(-3, 3)), min_size=3, max_size=40).map(_near_tie_series))
+    def test_labels_and_extrema_equal_the_two_pass_oracle(self, y):
+        quarters = [Quarter(2000, 1).shift(i) for i in range(len(y))]
+        report = cycle_stats(y, quarters)
+        extrema, labels = two_pass_cycle_labels(y, quarters)
+        assert report.phase_labels == tuple(labels)
+        assert [tuple(e) for e in report.extrema] == extrema
+
+    def test_second_difference_does_not_overflow_near_the_float_limit(self):
+        # 2 * 1.2e308 overflows; the halved form keeps the true sign (+0.3e308)
+        assert cycle_stats([1e308, 1.2e308, 1.7e308]).phase_labels == ("P1",)
+        assert cycle_stats([1.7e308, 1.2e308, 1e308]).phase_labels == ("P4",)
 
 
 class TestExports:

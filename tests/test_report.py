@@ -175,6 +175,19 @@ class TestAnalyze:
         assert without.gap is None
         assert "gap" not in {stage for stage, _ in without.errors}
 
+    def test_partial_gdp_column_is_a_gap_stage_error(self):
+        obs = list(canonical_series().observations)
+        o = obs[20]  # 2010-Q1, inside the crisis window
+        obs[20] = CreditObservation(o.quarter, o.tcu, o.abd, o.loans, None)
+        series = CreditSeries(tuple(obs))
+        report = analyze(series, CRISIS)
+        assert report.gap is None
+        assert [(stage, message) for stage, message in report.errors if stage == "gap"] == [
+            ("gap", "gdp column absent at 2010-Q1")]
+        inside = analyze(series, Window(Quarter(2005, 1), Quarter(2009, 4)))
+        assert inside.gap is not None and len(inside.gap.rows) == 20
+        assert "gap" not in {stage for stage, _ in inside.errors}
+
     def test_ols_is_fit_once_per_analysis(self, monkeypatch):
         calls = []
         fit = ols.fit
