@@ -9,12 +9,13 @@ solved through the symmetric pentadiagonal normal equations
 (L unit lower triangular with two sub-diagonals, D the positive pivots),
 and the same factor solves for the first trend and for every correction of
 the iterative refinement that follows. The normal-equation residual is
-evaluated with an error-free second difference, and refinement continues
-past the 1e-8 relative tolerance for as long as that residual still falls;
-the iterate with the smallest residual is returned. For extreme lam, where
-the tolerance is not representable in double precision, an iterate at the
-machine floor is accepted instead. A non-positive pivot, a non-finite
-input, or a residual that reaches neither bound raises EstimationError.
+evaluated with each second difference correctly rounded, and refinement
+continues past the 1e-8 relative tolerance for as long as that residual
+still falls; the iterate with the smallest residual is returned. For
+extreme lam, where the tolerance is not representable in double
+precision, an iterate at the machine floor is accepted instead. A
+non-positive pivot, a non-finite input, or a residual that reaches
+neither bound raises EstimationError.
 The buffer add-on is 0 at or below ``gap_low`` percentage points,
 ``buffer_max`` at or above ``gap_high``, and linear in between.
 """
@@ -68,30 +69,17 @@ class GapReport(NamedTuple):
     config: GapConfig
 
 
-def _second_difference_exact(v: list[float]) -> list[float]:
-    """v[2:] - 2 v[1:-1] + v[:-2] via error-free two-sum transformations.
-
-    For a smooth trend the plain expression cancels almost completely, so
-    its rounding error (eps * |v|) can dwarf the true value; after scaling
-    by a large smoothing parameter that noise would make the
-    normal-equation residual unmeasurable.
-    """
-    out = []
-    for a, mid, c in zip(v[2:], v[1:-1], v):
-        b = -2.0 * mid
-        s1 = a + c
-        t1 = s1 - a
-        e1 = (a - (s1 - t1)) + (c - t1)
-        s2 = s1 + b
-        t2 = s2 - s1
-        e2 = (s1 - (s2 - t2)) + (b - t2)
-        out.append(s2 + (e1 + e2))
-    return out
-
-
 def _penalty_apply(v: list[float]) -> list[float]:
-    """D'D v for the (n-2) x n second-difference matrix D."""
-    z = _second_difference_exact(v)
+    """D'D v for the (n-2) x n second-difference matrix D.
+
+    Each entry of D v is one correctly rounded sum: for a smooth trend the
+    plain expression cancels almost completely, so its rounding error
+    (eps * |v|) can dwarf the true value, and after scaling by a large
+    smoothing parameter that noise would make the normal-equation residual
+    unmeasurable.
+    """
+    # hp_filter scales every value below 1 first, so no term or sum overflows
+    z = [math.fsum((a, -2.0 * mid, c)) for a, mid, c in zip(v[2:], v[1:-1], v)]
     pad = [0.0, 0.0]
     # row i collects z[i] - 2 z[i-1] + z[i-2], the terms past either end zero
     return [a - 2.0 * b + c for a, b, c in zip(z + pad, [0.0] + z + [0.0], pad + z)]

@@ -55,7 +55,9 @@ class UsageError(Exception):
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
+            # a byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
+            # dropped after decoding so that error offsets still count every byte
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SteadyCreditError(
             f"{path}: not UTF-8 text, {exc.reason} at byte offset {exc.start}") from None
@@ -67,15 +69,16 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
     Each file is first opened without truncation, and held open until the
     writes end so that a FIFO's reader sees one stream. If one cannot be
     opened, or two paths open one regular file (same device and inode), the
-    files this call created are removed and nothing is written.
+    files this call created are removed and nothing is written; through a
+    dangling symlink that is the link's target, never the link.
     """
     with contextlib.ExitStack() as held:
         created, first_path = [], {}
         try:
             for path in [path for path, _ in outputs if path != STDOUT]:
-                new = not os.path.lexists(path)
+                new = not os.path.exists(path)
                 opened = os.fstat(held.enter_context(open(path, "a", encoding="utf-8")).fileno())
-                created += [path] if new else []
+                created += [os.path.realpath(path)] if new else []
                 key = (opened.st_dev, opened.st_ino)
                 if stat.S_ISREG(opened.st_mode) and key in first_path:
                     raise UsageError(f"outputs {first_path[key]} and {path} are one file")

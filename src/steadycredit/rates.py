@@ -103,8 +103,6 @@ def credit_growth_rates(series: CreditSeries, cfg: RatesConfig = RatesConfig()) 
     points = []
     for prev, cur in zip(series.observations, series.observations[1:]):
         d = cur.abd / prev.tcu
-        if d >= 1.0:
-            raise InvariantError(f"{cur.quarter}: default rate {d} is not below 1")
         surviving = prev.tcu * (1.0 - d)
         if surviving <= 0.0:
             raise EstimationError(f"{cur.quarter}: surviving credit base is not positive")

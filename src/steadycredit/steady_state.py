@@ -153,6 +153,9 @@ def _finalize(rates: RateSeries, zeta: float, method: str,
     n = len(d)
     expected = [(di + zeta) / (1.0 - di) for di in d]
     sse = fsum((fi - ei) * (fi - ei) for fi, ei in zip(f, expected))
+    if sigma_ref is None and not math.isfinite(sse):
+        # the default scale may be formed from sse; its overflow is not the scale's fault
+        raise EstimationError("residual sum of squares overflows the float range")
     # chi_squared rejects an explicit scale that is not a positive float; only
     # a default scale may be zero, and then only for an exact fit
     ref = sigma_ref if sigma_ref is not None else _default_sigma_ref(d, f, sse)

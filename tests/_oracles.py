@@ -9,7 +9,8 @@ density numerically, the exact HP oracle eliminates the dense normal
 equations in rational arithmetic, the JSON oracle rounds a copy of the
 document before handing it to ``json.dumps``, the window oracle
 compares each quarter with the window's bounds instead of using indices,
-and the mean and standard error are the textbook formula on unscaled values.
+the mean and standard error are the textbook formula on unscaled values,
+and the HP second difference is the two-sum cascade the filter once used.
 """
 
 from __future__ import annotations
@@ -262,3 +263,24 @@ def two_pass_cycle_labels(y, quarters=None) -> tuple[list[tuple], list[str]]:
         if kind is not None
     ]
     return extrema, [label for _, label in classes]
+
+
+def two_sum_second_difference(v) -> list[float]:
+    """v[2:] - 2 v[1:-1] + v[:-2] by two chained two-sum transformations.
+
+    The HP filter formed its normal-equation residual with this cascade
+    before each entry became one ``math.fsum``. Its final rounding of the
+    two error terms is not exact, so a few entries differ from the
+    correctly rounded sum by one ulp; the trend the filter returns must not.
+    """
+    out = []
+    for a, mid, c in zip(v[2:], v[1:-1], v):
+        b = -2.0 * mid
+        s1 = a + c
+        t1 = s1 - a
+        e1 = (a - (s1 - t1)) + (c - t1)
+        s2 = s1 + b
+        t2 = s2 - s1
+        e2 = (s1 - (s2 - t2)) + (b - t2)
+        out.append(s2 + (e1 + e2))
+    return out

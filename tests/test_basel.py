@@ -1,13 +1,15 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import dense_hp_oracle, exact_hp_oracle
+from _oracles import dense_hp_oracle, exact_hp_oracle, two_sum_second_difference
 from conftest import build_series, canonical_series
+from steadycredit import basel
 from steadycredit.basel import (
     GapConfig,
     GapRow,
@@ -98,6 +100,46 @@ class TestHpFilter:
     def test_degenerate_problem_raises_estimation_error(self, y, lam):
         with pytest.raises(EstimationError):
             hp_filter(y, lam)
+
+
+def _two_sum_penalty_apply(v):
+    """D'D v with D v formed by the two-sum oracle, the outer D' as the filter forms it."""
+    z = two_sum_second_difference(v)
+    pad = [0.0, 0.0]
+    return [a - 2.0 * b + c for a, b, c in zip(z + pad, [0.0] + z + [0.0], pad + z)]
+
+
+def _trend_bits(y, lam):
+    try:
+        return [v.hex() for v in hp_filter(y, lam)]
+    except EstimationError as exc:
+        return str(exc)
+
+
+_SMOOTH = st.builds(
+    lambda n, level, slope, amp, period: [
+        level + slope * t + amp * math.sin(t / period) for t in range(n)],
+    st.integers(3, 60), st.floats(-1e3, 1e3), st.floats(-10.0, 10.0),
+    st.floats(0.0, 10.0), st.floats(1.0, 20.0),
+)
+_NOISY = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=60)
+
+
+class TestCorrectlyRoundedResidual:
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.one_of(_SMOOTH, _NOISY), lam=st.sampled_from([1600.0, 4e5, 1e12]))
+    def test_trend_bits_equal_those_of_the_two_sum_residual(self, y, lam):
+        with mock.patch.object(basel, "_penalty_apply", _two_sum_penalty_apply):
+            expected = _trend_bits(y, lam)
+        assert _trend_bits(y, lam) == expected
+
+    # the two-sum cascade rounds this entry one ulp away from the exact sum
+    @example(a=-7.473496561871182e-216, mid=-0.0017656869460580173, c=-0.05823711509353713)
+    @given(a=st.floats(-1.0, 1.0), mid=st.floats(-1.0, 1.0), c=st.floats(-1.0, 1.0))
+    def test_second_difference_is_correctly_rounded(self, a, mid, c):
+        # hp_filter scales every value into [-1, 1] before forming the residual
+        exact = Fraction(a) - 2 * Fraction(mid) + Fraction(c)
+        assert basel._penalty_apply([a, mid, c])[0] == float(exact)
 
 
 class TestBufferMapping:

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import hashlib
 import io
@@ -78,6 +79,18 @@ class TestValidate:
     def test_valid_file(self, canonical_csv, capsys):
         assert main(["validate", "--input", str(canonical_csv)]) == 0
         assert capsys.readouterr().out.startswith("OK: 34 observations")
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_byte_order_mark_is_dropped(self, canonical_csv, tmp_path, command, capsys):
+        # spreadsheet "CSV UTF-8" exports start with the UTF-8 byte-order mark
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + canonical_csv.read_bytes())
+        assert main([command, "--input", str(canonical_csv)]) == 0
+        plain = capsys.readouterr()
+        assert main([command, "--input", str(marked)]) == 0
+        assert capsys.readouterr() == plain
+        if command == "validate":
+            assert plain.out == "OK: 34 observations, 2005-Q1..2013-Q2\n"
 
     def test_gapped_file_names_missing_quarter(self, tmp_path, capsys):
         path = tmp_path / "gapped.csv"
@@ -265,6 +278,18 @@ class TestAnalyze:
 
     def test_non_utf8_input_names_the_file(self, canonical_csv, capsys):
         data = canonical_csv.read_bytes()
+        offset = data.index(b"2006-Q1")
+        canonical_csv.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        assert main(["analyze", "--input", str(canonical_csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {canonical_csv}: not UTF-8 text, invalid start byte at byte offset {offset}\n"
+        )
+
+    def test_non_utf8_input_after_a_byte_order_mark_counts_the_mark(self, canonical_csv,
+                                                                    capsys):
+        data = codecs.BOM_UTF8 + canonical_csv.read_bytes()
         offset = data.index(b"2006-Q1")
         canonical_csv.write_bytes(data[:offset] + b"\xff" + data[offset:])
         assert main(["analyze", "--input", str(canonical_csv)]) == 1
@@ -553,6 +578,22 @@ class TestOtherCommands:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_overflowing_residuals_are_not_blamed_on_the_default_scale(self, tmp_path,
+                                                                       capsys):
+        # loans of 1e308 on a credit stock of 1: the OLS sums overflow, and so
+        # does every squared irr-root residual
+        path = tmp_path / "overflow.csv"
+        path.write_text(emit_csv(build_series([1.0] * 5, loans=[None, *[1e308] * 3, None])),
+                        encoding="utf-8")
+        assert main(["analyze", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["errors"] == [
+            {"stage": "ols", "message": "sum overflows the float range"},
+            {"stage": "ssp-least-squares", "message": "sum overflows the float range"},
+            {"stage": "ssp-irr-root",
+             "message": "residual sum of squares overflows the float range"},
+            {"stage": "trajectory", "message": "no steady-state estimate available"},
+        ]
+
     def test_analyze_records_gap_stage_error(self, tiny_gdp_csv, capsys):
         assert main(["analyze", "--input", str(tiny_gdp_csv), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -637,6 +678,26 @@ class TestOtherCommands:
         assert main(["cycles", "--input", str(canonical_csv), "--csv", str(overlay),
                      "--json", str(tmp_path / "no" / "c.json")]) == 1
         assert overlay.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symbolic links")
+    @pytest.mark.parametrize("existing", [None, "kept\n"], ids=["dangling", "existing"])
+    def test_failing_command_through_a_symlink_removes_only_the_target_it_created(
+            self, canonical_csv, tmp_path, existing, capsys):
+        link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        link.symlink_to("target.csv")
+        if existing is not None:
+            target.write_text(existing, encoding="utf-8")
+        missing = tmp_path / "no" / "such" / "dir" / "c.json"
+        assert main(["cycles", "--input", str(canonical_csv), "--csv", str(link),
+                     "--json", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert link.is_symlink() and os.readlink(link) == "target.csv"
+        if existing is None:
+            assert not os.path.lexists(target)
+        else:
+            assert target.read_text(encoding="utf-8") == existing
 
 
 @pytest.mark.parametrize("window, message", [

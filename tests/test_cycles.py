@@ -55,6 +55,10 @@ class TestFindExtrema:
         (e,) = cycle_stats([1.0, 3.0, 2.0], quarters).extrema
         assert e.quarter == Quarter(2008, 2)
 
+    def test_quarters_must_align_with_the_values(self):
+        with pytest.raises(EstimationError, match="^quarters must align with the values$"):
+            cycle_stats([1.0, 3.0, 2.0], [Quarter(2008, 1), Quarter(2008, 2)])
+
 
 class TestPhaseLabels:
     def test_max_label(self):

@@ -301,6 +301,9 @@ class TestJson:
             resolve_precision()
         with pytest.raises(SteadyCreditError, match="must be an integer"):
             dump_json(doc)
+        monkeypatch.setenv("STEADYCREDIT_PRECISION", "0")
+        with pytest.raises(SteadyCreditError, match="must be >= 1, got 0$"):
+            dump_json(doc)
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_number_is_rejected(self, value):
@@ -521,6 +524,15 @@ class TestSvg:
         series, _ = synth.generate(steady_scenario())
         report = analyze(series)
         assert 'class="obs-out"' not in render_svg(report, KIND_SCATTER)
+
+    def test_scatter_without_defaults_centres_its_one_default_rate(self):
+        # abd 0 throughout: every d is 0, so the x axis spans one value
+        series = build_series([100.0 * 1.01**i + i % 3 for i in range(12)])
+        text = render_svg(analyze(series), KIND_SCATTER)
+        ET.fromstring(text)
+        markers = [line for line in text.splitlines() if 'class="obs-in"' in line]
+        assert len(markers) == 11
+        assert all('cx="388.00"' in line for line in markers)  # mid-axis, (80 + 696) / 2
 
     def test_time_panel_has_three_series(self):
         text = render_svg(canonical_report(), KIND_TIME_PANEL)

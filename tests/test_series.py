@@ -131,6 +131,17 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="line 3"):
             parse_csv(text)
 
+    def test_blank_rows_are_skipped(self):
+        rows = ["quarter,tcu_eur,abd_eur,loans_eur,gdp_eur", "2008-Q2,910e9,3.6e9,,",
+                "2008-Q3,915e9,3.8e9,,"]
+        blanks = [rows[0], "", rows[1], "   ", rows[2], ""]
+        assert parse_csv("\n".join(blanks)) == parse_csv("\n".join(rows) + "\n")
+
+    def test_row_with_an_extra_field_names_its_line(self):
+        text = "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n2008-Q2,910e9,3.6e9,,,\n"
+        with pytest.raises(ParseError, match="^line 2: expected 5 fields, got 6$"):
+            parse_csv(text)
+
     def test_quarter_outside_four_digit_years_names_its_line(self):
         text = (
             "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"

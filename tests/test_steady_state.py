@@ -19,6 +19,7 @@ from steadycredit.errors import EstimationError
 from steadycredit.rates import F_SOURCE_BALANCE, RatePoint, RateSeries, credit_growth_rates
 from steadycredit.report import dump_json
 from steadycredit.series import Quarter
+from steadycredit.sums import fsum
 from steadycredit.steady_state import (
     METHOD_IRR_ROOT,
     METHOD_LEAST_SQUARES,
@@ -88,6 +89,23 @@ class TestChiSquared:
     def test_overflowing_statistic_is_an_estimation_error(self):
         with pytest.raises(EstimationError, match="overflows"):
             chi_squared([1.0, 2.0], [0.0, 0.0], 1e-300)
+
+    @pytest.mark.parametrize("observed, expected, message", [
+        (1.0, [1.0, 2.0], "observed and expected must be one-dimensional, equal length"),
+        ([[1.0], [2.0]], [1.0, 2.0],
+         "observed and expected must be one-dimensional, equal length"),
+        ([1.0, 2.0], [1.0, 2.0, 3.0],
+         "observed and expected must be one-dimensional, equal length"),
+        ([1.0], [1.0], "need at least 2 values, got 1"),
+    ], ids=["scalar", "nested", "unequal", "single"])
+    def test_rejects_samples_of_the_wrong_shape(self, observed, expected, message):
+        with pytest.raises(EstimationError, match=f"^{message}$"):
+            chi_squared(observed, expected, 1.0)
+
+
+def test_fsum_of_both_infinities_is_an_estimation_error():
+    with pytest.raises(EstimationError, match=r"^sum adds \+inf and -inf$"):
+        fsum([math.inf, -math.inf])
 
 
 class TestChi2PValue:
