@@ -87,9 +87,13 @@ def analyze(
     errors: list[tuple[str, str]] = []
 
     def stage(name, fn, *args, **kwargs):
-        # a failing stage is recorded and leaves its result absent
+        # a stage that fails or returns a non-finite field is recorded, its result absent
         try:
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            for field, value in zip(result._fields, result):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise SteadyCreditError(f"{field} is not finite, got {value}")
+            return result
         except SteadyCreditError as exc:
             errors.append((name, str(exc)))
             return None
@@ -125,7 +129,8 @@ def resolve_precision() -> int:
         raise SteadyCreditError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
     if value < 1:
         raise SteadyCreditError(f"{PRECISION_ENV} must be >= 1, got {value}")
-    return value
+    # 17 significant digits name every double, so more write the same bytes
+    return min(value, 17)
 
 
 def to_json_dict(report: AnalysisReport) -> dict:

@@ -207,16 +207,16 @@ class CreditSeries(NamedTuple):
         return tuple.__new__(CreditSeries, (kept,))
 
 
-def _parse_amount(field: str, column: str, line: int, required: bool) -> float | None:
+def _parse_amount(field: str, column: str, required: bool) -> float | None:
     text = field.strip()
     if not text:
         if required:
-            raise ParseError(f"column {column} must not be empty", line)
+            raise ParseError(f"column {column} must not be empty")
         return None
     try:
         return float(text)
     except ValueError:
-        raise ParseError(f"column {column}: not a number: {text!r}", line) from None
+        raise ParseError(f"column {column}: not a number: {text!r}") from None
 
 
 def parse_csv(text: str) -> CreditSeries:
@@ -224,34 +224,30 @@ def parse_csv(text: str) -> CreditSeries:
 
     Expected header: ``quarter,tcu_eur,abd_eur,loans_eur,gdp_eur``. Amounts
     are decimal euros, scientific notation accepted; ``loans_eur`` and
-    ``gdp_eur`` may be empty. Errors carry 1-based line numbers.
+    ``gdp_eur`` may be empty. A header or record error, the csv module's own
+    too, names the physical line it stopped on (line 1 for an empty input).
     """
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input, header row required", 1) from None
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise ParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}", 1)
-
     observations = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}", lineno)
-        try:
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty input, header row required")
+        if tuple(h.strip() for h in header) != CSV_HEADER:
+            raise ParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
             quarter = Quarter.parse(row[0])
-        except ParseError as exc:
-            raise ParseError(str(exc), lineno) from None
-        tcu = _parse_amount(row[1], "tcu_eur", lineno, required=True)
-        abd = _parse_amount(row[2], "abd_eur", lineno, required=True)
-        loans = _parse_amount(row[3], "loans_eur", lineno, required=False)
-        gdp = _parse_amount(row[4], "gdp_eur", lineno, required=False)
-        try:
+            tcu = _parse_amount(row[1], "tcu_eur", required=True)
+            abd = _parse_amount(row[2], "abd_eur", required=True)
+            loans = _parse_amount(row[3], "loans_eur", required=False)
+            gdp = _parse_amount(row[4], "gdp_eur", required=False)
             observations.append(CreditObservation(quarter, tcu, abd, loans, gdp))
-        except InvariantError as exc:
-            raise ParseError(str(exc), lineno) from None
+    except (csv.Error, ParseError, InvariantError) as exc:
+        raise ParseError(str(exc), reader.line_num or 1) from None
     return CreditSeries(tuple(observations))
 
 

@@ -84,6 +84,11 @@ class TestHpFilter:
         with pytest.raises(EstimationError):
             hp_filter([1.0, 2.0], 1600.0)
 
+    def test_scalar_series_rejected(self):
+        with pytest.raises(EstimationError,
+                           match="^need a one-dimensional series of length >= 3$"):
+            hp_filter(5, 1.0)
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(EstimationError):
             hp_filter([1.0, 2.0, 3.0], -1.0)

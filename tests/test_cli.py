@@ -115,6 +115,15 @@ class TestValidate:
         assert captured.err.startswith("error: line 6: ")
         assert "must be finite" in captured.err
 
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"{','.join(CSV_HEADER)}\n2008-Q1,{'1' * 140_000},1,,\n",
+                        encoding="utf-8")
+        assert main(["validate", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: field larger than field limit (131072)\n"
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -308,6 +317,28 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(canonical_csv), "--window", "crisis",
                      "--json", str(out_coarse)]) == 0
         assert out_default.read_text() != out_coarse.read_text()
+
+    @pytest.mark.parametrize("digits", ["18", "400", "2147483648", str(10**20)])
+    def test_precision_above_17_writes_the_bytes_of_17(self, canonical_csv, digits,
+                                                      monkeypatch, capsys):
+        monkeypatch.setenv("STEADYCREDIT_PRECISION", "17")
+        assert main(["analyze", "--input", str(canonical_csv)]) == 0
+        at_17 = capsys.readouterr()
+        monkeypatch.setenv("STEADYCREDIT_PRECISION", digits)
+        assert main(["analyze", "--input", str(canonical_csv)]) == 0
+        assert capsys.readouterr() == at_17
+
+    @pytest.mark.parametrize("digits, message", [
+        ("0", "STEADYCREDIT_PRECISION must be >= 1, got 0"),
+        ("x", "STEADYCREDIT_PRECISION must be an integer, got 'x'"),
+    ])
+    def test_unusable_precision_is_a_one_line_error(self, canonical_csv, digits, message,
+                                                    monkeypatch, capsys):
+        monkeypatch.setenv("STEADYCREDIT_PRECISION", digits)
+        assert main(["analyze", "--input", str(canonical_csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestOtherCommands:
@@ -593,6 +624,28 @@ class TestOtherCommands:
              "message": "residual sum of squares overflows the float range"},
             {"stage": "trajectory", "message": "no steady-state estimate available"},
         ]
+
+    def test_non_finite_field_under_an_explicit_scale_is_a_stage_error(self, tmp_path,
+                                                                       capsys):
+        # the scale keeps chi-squared finite, but the irr-root sigma overflows
+        path = tmp_path / "overflow.csv"
+        path.write_text(emit_csv(build_series([1.0] * 5, loans=[None, *[1e308] * 3, None])),
+                        encoding="utf-8")
+        assert main(["analyze", "--input", str(path), "--sigma-ref", "1e300"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ssf"] == {"least_squares": None, "irr_root": None}
+        assert doc["errors"] == [
+            {"stage": "ols", "message": "sum overflows the float range"},
+            {"stage": "ssp-least-squares", "message": "sum overflows the float range"},
+            {"stage": "ssp-irr-root", "message": "sigma is not finite, got inf"},
+            {"stage": "trajectory", "message": "no steady-state estimate available"},
+        ]
+        out = tmp_path / "panel.svg"
+        assert main(["render", "--input", str(path), "--kind", "exhibit1",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: time panel rendering needs a trajectory\n"
 
     def test_analyze_records_gap_stage_error(self, tiny_gdp_csv, capsys):
         assert main(["analyze", "--input", str(tiny_gdp_csv), "--json"]) == 0

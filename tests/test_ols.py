@@ -36,6 +36,15 @@ class TestFitBasics:
         with pytest.raises(EstimationError):
             fit([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 1.0, 2.0], [0.0, 1.0]),
+        ([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0]),
+    ])
+    def test_unequal_or_nested_samples_rejected(self, x, y):
+        with pytest.raises(EstimationError,
+                           match="^x and y must be one-dimensional and of equal length$"):
+            fit(x, y)
+
     @pytest.mark.parametrize("scale", [1e-160, 1e100])
     def test_correlation_survives_extreme_variances(self, scale):
         # sxx * syy underflows to zero at 1e-160 and overflows at 1e100

@@ -144,6 +144,10 @@ _BAD_ARGUMENTS = [
      "gap_high", float("inf"), InvariantError, "gap_high must be finite, got inf"),
     (GapConfig, dict(lam=1600.0, gap_low=2.0, gap_high=10.0, buffer_max=0.025), "lam", math.nan,
      InvariantError, "lam must be finite, got nan"),
+    (Scenario, _SCENARIO, "tcu0", 0.0,
+     InvariantError, "tcu0 must be positive, got 0.0"),
+    (Scenario, _SCENARIO, "d_period_quarters", 0,
+     InvariantError, "cycle length must be >= 1, got 0"),
     (Scenario, _SCENARIO, "noise_sigma", -0.5,
      InvariantError, "noise_sigma must be >= 0, got -0.5"),
     (Scenario, _SCENARIO, "noise_sigma", math.nan,

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from _oracles import round_sig, rounded_json_dumps, window_filter_oracle
 from conftest import build_series, canonical_series, steady_scenario
+from steadycredit import cycles as cycles_mod
 from steadycredit import ols, synth
 from steadycredit.basel import GapRow
 from steadycredit.cli import main
@@ -187,6 +188,17 @@ class TestAnalyze:
         inside = analyze(series, Window(Quarter(2005, 1), Quarter(2009, 4)))
         assert inside.gap is not None and len(inside.gap.rows) == 20
         assert "gap" not in {stage for stage, _ in inside.errors}
+
+    @pytest.mark.parametrize("value", [math.inf, np.float64(-np.inf), np.float64(np.nan)])
+    def test_non_finite_record_field_is_its_stage_error(self, value, monkeypatch):
+        stats = cycles_mod.cycle_stats
+        monkeypatch.setattr(cycles_mod, "cycle_stats",
+                            lambda *args: stats(*args)._replace(series_se=value))
+        report = analyze(canonical_series(), CRISIS)
+        assert report.cycles is None
+        assert [(stage, message) for stage, message in report.errors if stage == "cycles"] == [
+            ("cycles", f"series_se is not finite, got {value}")]
+        assert json.loads(to_json(report))["cycles"] is None
 
     def test_ols_is_fit_once_per_analysis(self, monkeypatch):
         calls = []

@@ -17,6 +17,7 @@ from steadycredit.errors import (
 )
 from steadycredit.rates import RatePoint, credit_growth_rates
 from steadycredit.series import (
+    CSV_HEADER,
     CreditObservation,
     CreditSeries,
     Quarter,
@@ -87,6 +88,9 @@ class TestQuarter:
         for quarter, step, year in ((Quarter(1000, 1), -1, 999), (Quarter(9999, 4), 1, 10000)):
             with pytest.raises(InvariantError, match=f"got {year}"):
                 quarter.shift(step)
+
+
+_HEADER = ",".join(CSV_HEADER) + "\n"
 
 
 class TestParseCsv:
@@ -177,6 +181,26 @@ class TestParseCsv:
         )
         with pytest.raises(ParseError, match="tcu_eur"):
             parse_csv(text)
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("", "line 1: empty input, header row required", id="empty"),
+        pytest.param("\n", "line 1: bad header [], expected " + ",".join(CSV_HEADER),
+                     id="blank-header"),
+        pytest.param(_HEADER + "\n\n2008-Q1,1,2,\n", "line 4: expected 5 fields, got 4",
+                     id="after-blank-lines"),
+        pytest.param(_HEADER + "2008-Q1,1,2,,\n2008-Q2,1,-1,,\n",
+                     "line 3: 2008-Q2: abd must be >= 0, got -1.0", id="invariant"),
+        # the quoted line break makes the first record two lines long
+        pytest.param(_HEADER + '"2008-Q1\n",100,1,,\n2008-Q2,abc,1,,\n',
+                     "line 4: column tcu_eur: not a number: 'abc'", id="quoted-line-break"),
+        pytest.param(_HEADER + "2008-Q1," + "1" * 140_000 + ",1,,\n",
+                     "line 2: field larger than field limit (131072)", id="csv-field-limit"),
+    ])
+    def test_errors_name_the_physical_line(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_csv(text)
+        assert str(info.value) == message
+        assert message.startswith(f"line {info.value.line}: ")
 
     def test_emit_parse_round_trip_is_exact(self):
         series, _ = synth.generate(steady_scenario(noise_sigma=0.003, seed=9))

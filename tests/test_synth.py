@@ -161,6 +161,10 @@ class TestScenarioConfig:
         with pytest.raises(ParseError, match="unknown"):
             synth.parse_scenario("bogus=1\n")
 
+    def test_line_without_equals_sign_names_its_line(self):
+        with pytest.raises(ParseError, match=r"^line 1: expected key=value, got 'n_quarters 8'$"):
+            synth.parse_scenario("n_quarters 8\n")
+
     def test_bad_value_reports_line(self):
         with pytest.raises(ParseError, match="line 1"):
             synth.parse_scenario("n_quarters=eighteen\n")
