@@ -28,6 +28,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import ColumnAbsentError, EstimationError, InvariantError
 from .series import CreditSeries, Quarter, validated
+from .sums import floats
 
 _RESID_TOL = 1e-8
 _MAX_REFINEMENTS = 12
@@ -131,10 +132,7 @@ def _ldl_solve(factor, r: list[float]) -> list[float]:
 
 def hp_filter(y: Sequence[float], lam: float) -> list[float]:
     """Trend component of y for smoothing parameter lam (lam = 0 returns y)."""
-    try:
-        ys = [float(v) for v in y]
-    except TypeError:
-        raise EstimationError("need a one-dimensional series of length >= 3") from None
+    ys = floats(y, "need a one-dimensional series of length >= 3")
     n = len(ys)
     if n < 3:
         raise EstimationError(f"need a one-dimensional series of length >= 3, got {(n,)}")

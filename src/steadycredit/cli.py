@@ -193,7 +193,7 @@ def _cmd_render(args: argparse.Namespace) -> list[tuple[str, str]]:
     rep = _analyze(args, series, window)
     # only a scatter that can be drawn takes the rates outside the window, so that
     # a bad one there never replaces the error analyze or the scatter would give
-    drawn = args.kind == report_mod.KIND_SCATTER and rep.ssp_ls is not None
+    drawn = args.kind == report_mod.KIND_SCATTER and rep.trajectory is not None
     out = outside_window(series, window, RatesConfig(f_mode=args.f_mode)) if drawn else ()
     return [(args.out, report_mod.render_svg(rep, args.kind, out))]
 

@@ -24,13 +24,14 @@ from typing import NamedTuple, Sequence
 
 from .errors import EstimationError
 from .series import Quarter, csv_text
-from .sums import fsum
+from .sums import floats, fsum
 
 KIND_MAX = "maximum"
 KIND_MIN = "minimum"
 KIND_STEADY = "steady"
 
 QUARTERS_PER_YEAR = 4
+_SHAPE_MESSAGE = "y must be a one-dimensional sequence of numbers"
 
 
 class Extremum(NamedTuple):
@@ -80,7 +81,7 @@ def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -
     the same kind, converted to years; frequency is its reciprocal. With
     no same-kind pair both are reported absent, never silently zero.
     """
-    ys = [float(v) for v in y]
+    ys = floats(y, _SHAPE_MESSAGE)
     if len(ys) < 3:
         raise EstimationError(f"need at least 3 points, got {len(ys)}")
     if quarters is not None and len(quarters) != len(ys):
@@ -125,7 +126,7 @@ def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -
 def overlays_to_csv(report: CycleReport, y: Sequence[float],
                     quarters: Sequence[Quarter] | None = None) -> str:
     """Per-point CSV of values, phase labels, and detected extrema."""
-    ys = [float(v) for v in y]
+    ys = floats(y, _SHAPE_MESSAGE)
     kinds = {e.index: e for e in report.extrema}
     phases = (None, *report.phase_labels, None)  # the end points have no phase
     rows = []

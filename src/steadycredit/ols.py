@@ -16,7 +16,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import EstimationError
-from .sums import fsum
+from .sums import floats, fsum
 
 
 class OlsFit(NamedTuple):
@@ -38,11 +38,7 @@ def fit(x: Sequence[float], y: Sequence[float]) -> OlsFit:
     Requires n >= 3 and non-constant x.
     """
     shape_message = "x and y must be one-dimensional and of equal length"
-    try:
-        xs = [float(v) for v in x]
-        ys = [float(v) for v in y]
-    except TypeError:
-        raise EstimationError(shape_message) from None
+    xs, ys = floats(x, shape_message), floats(y, shape_message)
     if len(xs) != len(ys):
         raise EstimationError(shape_message)
     n = len(xs)

@@ -90,7 +90,7 @@ def analyze(
         # a stage that fails or returns a non-finite field is recorded, its result absent
         try:
             result = fn(*args, **kwargs)
-            for field, value in zip(result._fields, result):
+            for field, value in zip(getattr(result, "_fields", ()), result):
                 if isinstance(value, float) and not math.isfinite(value):
                     raise SteadyCreditError(f"{field} is not finite, got {value}")
             return result
@@ -111,11 +111,9 @@ def analyze(
                          sliced.tcu_values(), sliced.quarters())
     gap_report = stage("gap", credit_gap, sliced, gap_cfg) if sliced.has_gdp() else None
 
-    traj = None
-    if ssp_ls is not None:
-        traj = steady_state.trajectory(rates_in, ssp_ls.zeta)
-    else:
+    if ssp_ls is None:
         errors.append(("trajectory", "no steady-state estimate available"))
+    traj = stage("trajectory", steady_state.trajectory, rates_in, ssp_ls.zeta) if ssp_ls else None
 
     return AnalysisReport(window, len(rates_in), ols_fit, ssp_ls, ssp_irr, cycle_report,
                           gap_report, traj, rates_in, tuple(errors))

@@ -43,7 +43,7 @@ from . import ols
 from .errors import EstimationError
 from .rates import RateSeries
 from .series import Quarter
-from .sums import fsum
+from .sums import floats, fsum
 
 METHOD_LEAST_SQUARES = "least-squares"
 METHOD_IRR_ROOT = "irr-root"
@@ -86,11 +86,7 @@ def chi_squared(
 ) -> tuple[float, int]:
     """Sum of squared standardized deviations and its degrees of freedom n - 1."""
     shape_message = "observed and expected must be one-dimensional, equal length"
-    try:
-        obs = [float(v) for v in observed]
-        exp = [float(v) for v in expected]
-    except TypeError:
-        raise EstimationError(shape_message) from None
+    obs, exp = floats(observed, shape_message), floats(expected, shape_message)
     if len(obs) != len(exp):
         raise EstimationError(shape_message)
     if len(obs) < 2:
@@ -148,6 +144,8 @@ def _default_sigma_ref(d: list[float], f: list[float], sse: float) -> float:
 
 def _finalize(rates: RateSeries, zeta: float, method: str,
               sigma_ref: float | None) -> SspEstimate:
+    if zeta == -1.0:
+        raise EstimationError("zeta is -1, so s = 1 / (1 + zeta) is undefined")
     d = rates.d_values()
     f = rates.f_values()
     n = len(d)
@@ -286,4 +284,6 @@ def trajectory(rates: RateSeries, zeta: float) -> tuple[TrajectoryPoint, ...]:
         points.append(TrajectoryPoint(p.interval_end, p.f, expected_growth(p.d, zeta),
                                       index, direction))
         prev_f = p.f
+    if not math.isfinite(index):  # a product that leaves the float range stays out of it
+        raise EstimationError(f"cumulative_index is not finite, got {index}")
     return tuple(points)

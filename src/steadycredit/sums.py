@@ -6,7 +6,8 @@ always has, and the JSON writers reject the non-finite result. ``fsum``
 itself raises instead of returning inf or nan when its running total leaves
 the float range or meets both infinities; those failures become an
 ``EstimationError`` here, so the stage reports them like any other
-degenerate sample.
+degenerate sample. ``floats`` converts an estimator's input the same way: a
+value ``float`` cannot take, such as a nested list, is an ``EstimationError``.
 """
 
 from __future__ import annotations
@@ -25,3 +26,11 @@ def fsum(values: Iterable[float]) -> float:
         raise EstimationError("sum overflows the float range") from None
     except ValueError:
         raise EstimationError("sum adds +inf and -inf") from None
+
+
+def floats(values: Iterable[float], message: str) -> list[float]:
+    """The values as floats; a value that is no number raises EstimationError(message)."""
+    try:
+        return [float(v) for v in values]
+    except TypeError:
+        raise EstimationError(message) from None

@@ -89,8 +89,8 @@ def _document(title: str, body: list[str]) -> str:
 
 def scatter(report: AnalysisReport, rates_out: tuple[RatePoint, ...]) -> str:
     """The ``exhibit2`` scatter, ``rates_out`` drawn as hollow markers."""
-    if report.ssp_ls is None:
-        raise SteadyCreditError("scatter rendering needs a steady-state estimate")
+    if report.trajectory is None:  # a trajectory implies the steady-state estimate
+        raise SteadyCreditError("scatter rendering needs a trajectory")
     zeta = report.ssp_ls.zeta
     pts_in = list(report.rates_in.points)
     pts_out = list(rates_out)

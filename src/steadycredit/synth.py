@@ -110,10 +110,12 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
     """Parse a key=value scenario description.
 
     Blank lines and ``#`` comments are ignored. ``seed`` may be supplied
-    in the text or as the argument (the argument wins).
+    in the text or as the argument (the argument wins). A line ends at a
+    line feed, a carriage return, or the two in turn, and at nothing else.
     """
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -22,6 +22,26 @@ def published() -> dict:
     return json.loads(REFERENCE_STATISTICS.read_text(encoding="utf-8"))
 
 
+# Every stage of the whole window succeeds, with least-squares zeta
+# -0.9999999999999998 after a default rate of 1 - 1.1e-16, but the trajectory's
+# cumulative index, divided by 1 + zeta each quarter, overflows to inf.
+OVERFLOWING_INDEX_CSV = "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n" + "".join(
+    f"{Quarter(2008, 1).shift(i)},{tcu},{abd},,\n" for i, (tcu, abd) in enumerate(
+        [("1e9", "0"), ("2.3e-07", "999999999.9999999")]
+        + [("2.3e-07", ("0", "2.3e-10", "4.6e-10")[i % 3]) for i in range(22)]))
+
+# The least-squares zeta of this series is exactly -1, so s = 1 / (1 + zeta)
+# is undefined; the irr-root falls above its cap.
+UNIT_ZETA_CSV = (
+    "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
+    "2000-Q1,1.5060646339770115e+263,0.0,1.96756545905645e-295,\n"
+    "2000-Q2,1.997750115153093e+215,1.5060646161394967e+263,2.8396117211645614e-232,\n"
+    "2000-Q3,1.1171875632981821e+215,4.419300797491853e+214,1.302449747926975e-299,\n"
+    "2000-Q4,1.3268754333182286e+191,1.117187563298182e+215,,\n"
+    "2001-Q1,2.5283619206029445e-188,1.3268754333180462e+191,1.7112809645440625e+54,\n"
+)
+
+
 def build_series(tcu, abd=None, loans=None, gdp=None, start=Quarter(2008, 1)):
     """Assemble a CreditSeries from parallel value lists."""
     n = len(tcu)

@@ -18,7 +18,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_series, canonical_series, scenario_to_text, steady_scenario
+from conftest import (
+    OVERFLOWING_INDEX_CSV,
+    UNIT_ZETA_CSV,
+    build_series,
+    canonical_series,
+    scenario_to_text,
+    steady_scenario,
+)
 from steadycredit import synth
 from steadycredit.cli import build_parser, main
 from steadycredit.rates import RatePoint
@@ -646,6 +653,43 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err == "error: time panel rendering needs a trajectory\n"
+
+    def test_overflowing_trajectory_is_a_stage_error(self, tmp_path, capsys):
+        path = tmp_path / "overflow.csv"
+        path.write_text(OVERFLOWING_INDEX_CSV, encoding="utf-8")
+        assert main(["analyze", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["errors"] == [
+            {"stage": "trajectory", "message": "cumulative_index is not finite, got inf"}]
+        assert doc["trajectory"] is None
+        assert doc["ssf"]["least_squares"]["zeta"] == -1.0  # -0.9999999999999998 at 6 digits
+        for kind, message in [("exhibit1", "time panel rendering needs a trajectory"),
+                              ("exhibit2", "scatter rendering needs a trajectory")]:
+            out = tmp_path / f"{kind}.svg"
+            assert main(["render", "--input", str(path), "--kind", kind,
+                         "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err == f"error: {message}\n"
+
+    def test_zeta_of_minus_one_is_a_stage_error(self, tmp_path, capsys):
+        path = tmp_path / "unit_zeta.csv"
+        path.write_text(UNIT_ZETA_CSV, encoding="utf-8")
+        assert main(["analyze", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        message = "zeta is -1, so s = 1 / (1 + zeta) is undefined"
+        assert json.loads(captured.out)["errors"] == [
+            {"stage": "ssp-least-squares", "message": message},
+            {"stage": "ssp-irr-root",
+             "message": "discount-factor root is above s=10.0, so zeta is below -0.9"},
+            {"stage": "trajectory", "message": "no steady-state estimate available"},
+        ]
+        assert main(["ssp", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_analyze_records_gap_stage_error(self, tiny_gdp_csv, capsys):
         assert main(["analyze", "--input", str(tiny_gdp_csv), "--json"]) == 0

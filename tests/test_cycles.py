@@ -55,6 +55,14 @@ class TestFindExtrema:
         (e,) = cycle_stats([1.0, 3.0, 2.0], quarters).extrema
         assert e.quarter == Quarter(2008, 2)
 
+    def test_values_that_are_not_numbers_rejected(self):
+        # the typed shape error of ols.fit, hp_filter and chi_squared, not float()'s TypeError
+        message = "^y must be a one-dimensional sequence of numbers$"
+        with pytest.raises(EstimationError, match=message):
+            cycle_stats([[1.0], [2.0], [3.0]])
+        with pytest.raises(EstimationError, match=message):
+            overlays_to_csv(cycle_stats([1.0, 3.0, 2.0]), [[1.0], [3.0], [2.0]])
+
     def test_quarters_must_align_with_the_values(self):
         with pytest.raises(EstimationError, match="^quarters must align with the values$"):
             cycle_stats([1.0, 3.0, 2.0], [Quarter(2008, 1), Quarter(2008, 2)])

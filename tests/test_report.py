@@ -15,8 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import round_sig, rounded_json_dumps, window_filter_oracle
-from conftest import build_series, canonical_series, steady_scenario
+from _oracles import log_space_irr_root, round_sig, rounded_json_dumps, window_filter_oracle
+from conftest import (
+    OVERFLOWING_INDEX_CSV,
+    UNIT_ZETA_CSV,
+    build_series,
+    canonical_series,
+    steady_scenario,
+)
 from steadycredit import cycles as cycles_mod
 from steadycredit import ols, synth
 from steadycredit.basel import GapRow
@@ -34,7 +40,15 @@ from steadycredit.report import (
     to_json,
     to_json_dict,
 )
-from steadycredit.series import CreditObservation, CreditSeries, Quarter, Window, emit_csv
+from steadycredit.series import (
+    CSV_HEADER,
+    CreditObservation,
+    CreditSeries,
+    Quarter,
+    Window,
+    emit_csv,
+    parse_csv,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -246,6 +260,73 @@ class TestAnalyze:
             p.interval_end for p in late.rates_in.points
         }
         assert len(covered) == 66
+
+
+# an amount anywhere from 1e-300 to 1e300, drawn by its exponent, and a factor
+# of at most two orders of magnitude either way
+_MAGNITUDES = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_STEPS = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+# a default rate of zero, anywhere in [0, 1), or 1 - 2**-k up to 1.0, which the
+# CSV writes as the largest bad debt below the previous stock
+_DEFAULT_RATES = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+                           st.integers(1, 60).map(lambda k: 1.0 - 2.0**-k))
+
+
+@st.composite
+def _extreme_register_csv(draw) -> str:
+    """Contiguous quarters whose amounts span 1e-300..1e300 and whose default
+    rates run up to 1, as a CSV."""
+
+    def amount(last):
+        # a fresh magnitude one time in four, else a step from the last amount,
+        # so that most rates stay finite and above -1
+        if last is None or draw(st.integers(0, 3)) == 0:
+            return draw(_MAGNITUDES)
+        return min(max(last * draw(_STEPS), 1e-300), 1e300)
+
+    rows = []
+    tcu = loans = gdp = None
+    with_gdp = draw(st.booleans())
+    for i in range(draw(st.integers(2, 24))):
+        prev, tcu = tcu, amount(tcu)
+        abd = 0.0 if prev is None else min(prev * draw(_DEFAULT_RATES), math.nextafter(prev, 0.0))
+        loans = amount(loans) if draw(st.booleans()) else None
+        gdp = amount(gdp) if with_gdp else None
+        rows.append([str(Quarter(2000, 1).shift(i)), repr(tcu), repr(abd),
+                     "" if loans is None else repr(loans), "" if gdp is None else repr(gdp)])
+    return "".join(",".join(row) + "\n" for row in [list(CSV_HEADER), *rows])
+
+
+def _floats_of(record):
+    """Every float of a record, walking its nested records and tuples."""
+    for value in record:
+        if isinstance(value, tuple):
+            yield from _floats_of(value)
+        elif isinstance(value, float):
+            yield value
+
+
+class TestExtremeMagnitudes:
+    @settings(max_examples=150, deadline=None)
+    @given(text=_extreme_register_csv())
+    @example(text=OVERFLOWING_INDEX_CSV)
+    @example(text=UNIT_ZETA_CSV)
+    def test_every_stage_ends_in_finite_records_or_a_typed_error(self, text):
+        series = parse_csv(text)
+        try:
+            report = analyze(series)
+        except SteadyCreditError:
+            return
+        stages = [report.ols_fit, report.ssp_ls, report.ssp_irr, report.cycles, report.gap,
+                  report.trajectory]
+        for record in filter(None, stages):
+            assert all(map(math.isfinite, _floats_of(record))), record
+        with mock.patch.dict(os.environ):
+            os.environ.pop("STEADYCREDIT_PRECISION", None)
+            to_json(report)
+        if report.ssp_irr is not None:
+            factors = [(1.0 + p.f) * (1.0 - p.d) for p in report.rates_in.points]
+            assert report.ssp_irr.s == pytest.approx(log_space_irr_root(factors), rel=1e-12)
 
 
 class TestJson:

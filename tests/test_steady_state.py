@@ -13,12 +13,12 @@ from _oracles import (
     log_space_irr_root,
     zeta_grid_oracle,
 )
-from conftest import steady_scenario
+from conftest import UNIT_ZETA_CSV, steady_scenario
 from steadycredit import synth
 from steadycredit.errors import EstimationError
 from steadycredit.rates import F_SOURCE_BALANCE, RatePoint, RateSeries, credit_growth_rates
 from steadycredit.report import dump_json
-from steadycredit.series import Quarter
+from steadycredit.series import Quarter, parse_csv
 from steadycredit.sums import fsum
 from steadycredit.steady_state import (
     METHOD_IRR_ROOT,
@@ -194,6 +194,12 @@ class TestLeastSquares:
         with pytest.raises(EstimationError):
             ssp_least_squares(rate_series([0.004], [0.005]))
 
+    def test_zeta_of_minus_one_is_an_estimation_error(self):
+        rates = credit_growth_rates(parse_csv(UNIT_ZETA_CSV))
+        with pytest.raises(EstimationError,
+                           match=r"^zeta is -1, so s = 1 / \(1 \+ zeta\) is undefined$"):
+            ssp_least_squares(rates)
+
     def test_estimate_invariants(self):
         scenario = steady_scenario(n_quarters=18, noise_sigma=0.006, seed=2)
         series, _ = synth.generate(scenario)
@@ -366,6 +372,11 @@ class TestTrajectory:
         rates = rate_series([0.004] * 4, [0.01, 0.02, 0.015, 0.015])
         traj = trajectory(rates, 0.0)
         assert [p.direction for p in traj] == [None, "rising", "falling", "flat"]
+
+    def test_index_leaving_the_float_range_is_an_estimation_error(self):
+        # the second factor of 1e300 overflows, and the third cannot bring it back
+        with pytest.raises(EstimationError, match="^cumulative_index is not finite, got inf$"):
+            trajectory(rate_series([0.0] * 3, [1e300, 1e300, 1e-300]), 0.0)
 
     def test_final_index_close_to_par_over_many_seeds(self):
         for seed in range(200):

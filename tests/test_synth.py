@@ -169,6 +169,19 @@ class TestScenarioConfig:
         with pytest.raises(ParseError, match="line 1"):
             synth.parse_scenario("n_quarters=eighteen\n")
 
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                           "\u2028", "\u2029"])
+    def test_only_line_feeds_and_carriage_returns_end_a_line(self, separator):
+        # str.splitlines breaks at these as well; an editor shows one line
+        with pytest.raises(ParseError, match=r"^line 1: bad value for n_quarters: ") as info:
+            synth.parse_scenario(f"n_quarters=18{separator}bogus=1\n")
+        assert info.value.line == 1
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_each_newline_convention_numbers_lines_alike(self, newline):
+        with pytest.raises(ParseError, match=r"^line 3: unknown scenario key 'bogus'$"):
+            synth.parse_scenario(newline.join(["# run", "n_quarters=18", "bogus=1", ""]))
+
     def test_bad_start_reports_line(self):
         with pytest.raises(ParseError, match=r"^line 3: bad quarter '2008-Q7', expected YYYY-Qn$"):
             synth.parse_scenario("# run\n\nstart=2008-Q7\n")
