@@ -75,9 +75,9 @@ def analyze(
     quarter, so a window starting after the first series quarter gains one
     look-back interval and an n-quarter window carries an n-point sample;
     ``window_rates`` rates the cut's quarters and that look-back quarter
-    only. OLS is fit once; unless ``sigma_ref`` is given, its
-    ``s_for_residual`` is the chi-squared reference of both steady-state
-    estimators.
+    only. Unless ``sigma_ref`` is given, a positive OLS ``s_for_residual``
+    is the chi-squared reference of both steady-state estimators, so OLS is
+    fit once; otherwise each estimator picks its default scale itself.
     """
     if window is None:
         window = Window(series.first_quarter, series.last_quarter)
@@ -99,8 +99,8 @@ def analyze(
             return None
 
     ols_fit = stage("ols", ols_mod.fit, rates_in.d_values(), rates_in.f_values())
-    # Pass on only a positive OLS scale; a zero one is left to the estimators,
-    # which accept it for an exact steady-state fit and reject it otherwise.
+    # A positive OLS scale spares the estimators a refit; any other case is left
+    # to the default-scale rule of steady_state._finalize.
     if sigma_ref is None and ols_fit is not None and ols_fit.s_for_residual > 0.0:
         sigma_ref = ols_fit.s_for_residual
     ssp_ls = stage("ssp-least-squares", steady_state.ssp_least_squares,

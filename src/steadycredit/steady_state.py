@@ -130,18 +130,6 @@ def chi2_p_value(chi2: float, dof: int) -> float:
     return min(fsum(terms), 1.0)
 
 
-def _default_sigma_ref(d: list[float], f: list[float], sse: float) -> float:
-    """Default reference scale is the OLS residual s of the same sample.
-
-    When the sample cannot be fit by OLS (fewer than 3 points or constant d)
-    the estimate's own s_for_residual is used instead.
-    """
-    try:
-        return ols.fit(d, f).s_for_residual
-    except EstimationError:
-        return math.sqrt(sse / (len(d) - 1))
-
-
 def _finalize(rates: RateSeries, zeta: float, method: str,
               sigma_ref: float | None) -> SspEstimate:
     if zeta == -1.0:
@@ -151,12 +139,20 @@ def _finalize(rates: RateSeries, zeta: float, method: str,
     n = len(d)
     expected = [(di + zeta) / (1.0 - di) for di in d]
     sse = fsum((fi - ei) * (fi - ei) for fi, ei in zip(f, expected))
-    if sigma_ref is None and not math.isfinite(sse):
-        # the default scale may be formed from sse; its overflow is not the scale's fault
-        raise EstimationError("residual sum of squares overflows the float range")
-    # chi_squared rejects an explicit scale that is not a positive float; only
-    # a default scale may be zero, and then only for an exact fit
-    ref = sigma_ref if sigma_ref is not None else _default_sigma_ref(d, f, sse)
+    s_for_residual = math.sqrt(sse / (n - 1))
+    # The default scale is the OLS s_for_residual of the sample, else (fewer than 3
+    # points, constant d, overflow) the estimate's own, which makes chi2 = n - 1.
+    # chi_squared rejects an explicit scale that is not a positive float; only a
+    # default scale may be zero, and then only for an exact fit.
+    ref = sigma_ref
+    if ref is None:
+        if not math.isfinite(sse):  # the overflow is not the default scale's fault
+            raise EstimationError("residual sum of squares overflows the float range")
+        try:
+            ref = ols.fit(d, f).s_for_residual
+        except EstimationError:
+            ref = math.inf
+        ref = ref if math.isfinite(ref) else s_for_residual
     if sigma_ref is not None or ref > 0.0:
         chi2, dof = chi_squared(f, expected, ref)
     elif sse == 0.0:
@@ -169,7 +165,7 @@ def _finalize(rates: RateSeries, zeta: float, method: str,
         s=1.0 / (1.0 + zeta),
         method=method,
         sigma=math.sqrt(sse / n),
-        s_for_residual=math.sqrt(sse / (n - 1)),
+        s_for_residual=s_for_residual,
         chi2=chi2,
         dof=dof,
         p_value=chi2_p_value(chi2, dof),
@@ -268,6 +264,8 @@ def trajectory(rates: RateSeries, zeta: float) -> tuple[TrajectoryPoint, ...]:
     prod_{j<=k} (1 + f_j)(1 - d_j) / (1 + zeta); it stays at 1 when the
     observed rates follow the steady state exactly.
     """
+    if zeta == -1.0:
+        raise EstimationError("zeta is -1, so s = 1 / (1 + zeta) is undefined")
     points = []
     index = 1.0
     prev_f: float | None = None

@@ -41,6 +41,18 @@ UNIT_ZETA_CSV = (
     "2001-Q1,2.5283619206029445e-188,1.3268754333180462e+191,1.7112809645440625e+54,\n"
 )
 
+# Loans of 1e150 on a credit stock of 1: the steady-state fit is exact (zeta =
+# 1e150), but the OLS standard errors and residual scales overflow to inf, so
+# the estimators' default chi-squared scale is their own s_for_residual.
+OLS_SCALE_OVERFLOW_CSV = (
+    "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
+    "2008-Q1,1.0,0.0,,\n"
+    "2008-Q2,1.0,0.0,1e+150,\n"
+    "2008-Q3,1.0,0.5,1e+150,\n"
+    "2008-Q4,1.0,0.9999999999999999,1e+150,\n"
+    "2009-Q1,1.0,0.25,1e+150,\n"
+)
+
 
 def build_series(tcu, abd=None, loans=None, gdp=None, start=Quarter(2008, 1)):
     """Assemble a CreditSeries from parallel value lists."""

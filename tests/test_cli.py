@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    OLS_SCALE_OVERFLOW_CSV,
     OVERFLOWING_INDEX_CSV,
     UNIT_ZETA_CSV,
     build_series,
@@ -690,6 +691,24 @@ class TestOtherCommands:
         assert main(["ssp", "--input", str(path)]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_non_finite_ols_scale_is_not_blamed_on_the_reference_scale(self, tmp_path,
+                                                                       capsys):
+        path = tmp_path / "ols_scale.csv"
+        path.write_text(OLS_SCALE_OVERFLOW_CSV, encoding="utf-8")
+        assert main(["ssp", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        ssf = json.loads(captured.out)
+        for est in ssf.values():
+            assert (est["zeta"], est["chi2"], est["dof"], est["p_value"]) == (1e150, 0.0, 3, 1.0)
+        assert main(["analyze", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["errors"] == [
+            {"stage": "ols", "message": "sigma_intercept is not finite, got inf"}]
+        assert doc["ssf"] == ssf and len(doc["trajectory"]) == 4
 
     def test_analyze_records_gap_stage_error(self, tiny_gdp_csv, capsys):
         assert main(["analyze", "--input", str(tiny_gdp_csv), "--json"]) == 0

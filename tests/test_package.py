@@ -134,6 +134,8 @@ _BAD_ARGUMENTS = [
      InvariantError, "2008-Q1: f must be > -1, got -1.0"),
     (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "f", math.inf,
      InvariantError, "2008-Q1: f must be finite, got inf"),
+    (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"),
+     "f_source", "bogus", InvariantError, "unknown f_source 'bogus'"),
     (RateSeries, dict(points=[_POINT]), "points", [],
      InvariantError, "rate series must not be empty"),
     (RateSeries, dict(points=[_POINT]), "points", [_POINT, _POINT],

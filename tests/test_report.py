@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from _oracles import log_space_irr_root, round_sig, rounded_json_dumps, window_filter_oracle
 from conftest import (
+    OLS_SCALE_OVERFLOW_CSV,
     OVERFLOWING_INDEX_CSV,
     UNIT_ZETA_CSV,
     build_series,
@@ -311,6 +312,7 @@ class TestExtremeMagnitudes:
     @given(text=_extreme_register_csv())
     @example(text=OVERFLOWING_INDEX_CSV)
     @example(text=UNIT_ZETA_CSV)
+    @example(text=OLS_SCALE_OVERFLOW_CSV)
     def test_every_stage_ends_in_finite_records_or_a_typed_error(self, text):
         series = parse_csv(text)
         try:

@@ -13,7 +13,7 @@ from _oracles import (
     log_space_irr_root,
     zeta_grid_oracle,
 )
-from conftest import UNIT_ZETA_CSV, steady_scenario
+from conftest import OLS_SCALE_OVERFLOW_CSV, UNIT_ZETA_CSV, steady_scenario
 from steadycredit import synth
 from steadycredit.errors import EstimationError
 from steadycredit.rates import F_SOURCE_BALANCE, RatePoint, RateSeries, credit_growth_rates
@@ -335,6 +335,26 @@ class TestIrrRoot:
         assert est.s == pytest.approx(s_oracle, rel=1e-12)
 
 
+class TestDefaultReferenceScale:
+    def test_non_finite_ols_scale_falls_back_to_the_estimate_scale(self):
+        rates = credit_growth_rates(parse_csv(OLS_SCALE_OVERFLOW_CSV))
+        for estimator in (ssp_least_squares, ssp_irr_root):
+            est = estimator(rates)
+            assert est.zeta == pytest.approx(1e150, rel=1e-12)
+            assert (est.s_for_residual, est.chi2, est.dof, est.p_value) == (0.0, 0.0, 3, 1.0)
+
+    # without an OLS fit the scale is the estimate's own, so chi2 = n - 1 by construction
+    @pytest.mark.parametrize("d, f, p_value", [
+        ([0.004, 0.006], [0.01, 0.02], 0.31731),
+        ([0.004] * 3, [0.01, 0.02, 0.015], 0.36788),
+    ], ids=["two-points", "constant-d"])
+    def test_own_scale_makes_chi2_the_degrees_of_freedom(self, d, f, p_value):
+        for estimator in (ssp_least_squares, ssp_irr_root):
+            est = estimator(rate_series(d, f))
+            assert est.chi2 == pytest.approx(est.dof, rel=1e-12) and est.dof == len(d) - 1
+            assert est.p_value == pytest.approx(p_value, abs=5e-6)
+
+
 class TestChiSquaredCalibration:
     def test_coverage_under_correct_model(self):
         # residual noise drawn at exactly the reference scale: the scaled
@@ -377,6 +397,11 @@ class TestTrajectory:
         # the second factor of 1e300 overflows, and the third cannot bring it back
         with pytest.raises(EstimationError, match="^cumulative_index is not finite, got inf$"):
             trajectory(rate_series([0.0] * 3, [1e300, 1e300, 1e-300]), 0.0)
+
+    def test_zeta_of_minus_one_is_an_estimation_error(self):
+        with pytest.raises(EstimationError,
+                           match=r"^zeta is -1, so s = 1 / \(1 \+ zeta\) is undefined$"):
+            trajectory(rate_series([0.0], [1.0]), -1.0)
 
     def test_final_index_close_to_par_over_many_seeds(self):
         for seed in range(200):
