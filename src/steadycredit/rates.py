@@ -122,17 +122,13 @@ def select_window(rates: RateSeries, window: Window) -> RateSeries:
 
     An interval ending at the window's first quarter uses the preceding
     quarter's credit stock as denominator, so a window of n quarters drawn
-    from a longer series yields an n-point sample. A window that keeps every
-    point returns ``rates`` itself.
+    from a longer series yields an n-point sample.
     """
     points = rates.points
     kept = points[window.positions(points[0].interval_end.index)]
     if not kept:
         raise WindowError(f"window {window} selects no rate points")
-    if len(kept) == len(points):
-        return rates
-    # a contiguous run of a checked sample is valid as it is
-    return tuple.__new__(RateSeries, (kept,))
+    return RateSeries(kept)
 
 
 def window_rates(series: CreditSeries, cut: CreditSeries,

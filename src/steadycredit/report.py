@@ -163,9 +163,6 @@ class _NonFinite(Exception):
     """A float ``_write`` cannot write; ``args`` is its key path."""
 
 
-_ROWS: dict = {}  # (record class, indent) -> the %-template of one record
-
-
 def _texts(values, indent: str, spec: str, short: bool) -> list[str] | None:
     """The texts of values of one scalar type, or of records of one class, written at
     ``indent``, each field in one pass; None if the item walk must write them."""
@@ -187,8 +184,7 @@ def _texts(values, indent: str, spec: str, short: bool) -> list[str] | None:
     if not (getattr(kind, "_fields", ()) and issubclass(kind, tuple)):
         return None
     columns = [_texts(column, indent + "  ", spec, short) for column in zip(*values)]
-    row = _ROWS.get((kind, indent)) or _ROWS.setdefault((kind, indent), "{" + ",".join(
-        f"\n  {indent}{_quote(field)}: %s" for field in kind._fields) + f"\n{indent}}}")
+    row = "{" + ",".join(f"\n  {indent}{_quote(field)}: %s" for field in kind._fields) + f"\n{indent}}}"
     return None if None in columns else [*map(row.__mod__, zip(*columns))]
 
 

@@ -26,7 +26,7 @@ from .errors import ContiguityError, InvariantError, ParseError, WindowError
 
 CSV_HEADER = ("quarter", "tcu_eur", "abd_eur", "loans_eur", "gdp_eur")
 
-_QUARTER_RE = re.compile(r"^([1-9]\d{3})-Q([1-4])$")
+_QUARTER_RE = re.compile(r"^([1-9][0-9]{3})-Q([1-4])$")
 
 
 def validated(cls):

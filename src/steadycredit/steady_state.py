@@ -207,7 +207,7 @@ def _irr_value_slope(factors: list[float], s: float) -> tuple[float, float]:
             exp += e + e_step + shift
         mantissa = product
         exp += s_exp
-        term = math.ldexp(mantissa, exp) if exp else mantissa
+        term = math.ldexp(mantissa, exp)
         terms.append(term)
         weighted.append(k * term)
     slope = fsum(weighted) / s

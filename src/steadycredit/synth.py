@@ -26,7 +26,7 @@ from .series import CreditObservation, CreditSeries, Quarter, validated
 HYPOTHESIS_NULL = "H0"
 HYPOTHESIS_STEADY_STATE = "H1"
 
-_INT_FIELDS = {"n_quarters", "d_period_quarters", "seed"}
+_INT_FIELDS = ("n_quarters", "d_period_quarters", "seed")
 _FLOAT_FIELDS = ("tcu0", "d_base", "d_amp", "zeta_true", "noise_sigma")
 
 
@@ -44,6 +44,12 @@ class Scenario(NamedTuple):
     seed: int
 
     def _checked(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or type(value) is bool:
+                raise InvariantError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.start, Quarter):
+            raise InvariantError(f"start must be a Quarter, got {self.start!r}")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value):

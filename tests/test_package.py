@@ -160,21 +160,32 @@ _BAD_ARGUMENTS = [
      InvariantError, "hypothesis must be H0 or H1, got 'H2'"),
     (Scenario, _SCENARIO, "seed", -1,
      InvariantError, "seed must be >= 0, got -1"),
+    (Scenario, _SCENARIO, "n_quarters", 8.5,
+     InvariantError, "n_quarters must be an integer, got 8.5"),
+    (Scenario, _SCENARIO, "start", "2008-Q1",
+     InvariantError, "start must be a Quarter, got '2008-Q1'"),
+    (Scenario, _SCENARIO, "d_period_quarters", 2.5,
+     InvariantError, "d_period_quarters must be an integer, got 2.5"),
+    (Scenario, _SCENARIO, "seed", 1.5,
+     InvariantError, "seed must be an integer, got 1.5"),
+    (Scenario, _SCENARIO, "seed", True,
+     InvariantError, "seed must be an integer, got True"),
 ]
 
 
-def _case_id(cls, field, bad) -> str:
-    """Class and field; a NaN, bool or inf case that shares its field with
-    another case names the value too."""
+def _case_id(cls, valid, field, bad) -> str:
+    """Class and field; a NaN, bool, inf or fractional case (in an integer
+    field) that shares its field with another case names the value too."""
     shared = sum((c, f) == (cls, field) for c, _, f, *_ in _BAD_ARGUMENTS) > 1
     kind = ("-nan" if bad != bad else "-bool" if type(bad) is bool
-            else "-inf" if bad == math.inf else "")
+            else "-inf" if bad == math.inf
+            else "-fraction" if type(valid[field]) is int and bad % 1 else "")
     return f"{cls.__name__}-{field}" + (kind if shared else "")
 
 
 @pytest.mark.parametrize("cls, valid, field, bad, error, message", _BAD_ARGUMENTS,
-                         ids=[_case_id(cls, field, bad)
-                              for cls, _, field, bad, *_ in _BAD_ARGUMENTS])
+                         ids=[_case_id(cls, valid, field, bad)
+                              for cls, valid, field, bad, *_ in _BAD_ARGUMENTS])
 def test_constructors_validate_positional_and_keyword_arguments(
         cls, valid, field, bad, error, message):
     assert cls(*valid.values()) == cls(**valid)

@@ -298,6 +298,19 @@ def _extreme_register_csv(draw) -> str:
     return "".join(",".join(row) + "\n" for row in [list(CSV_HEADER), *rows])
 
 
+@st.composite
+def _collapse_then_flat_csv(draw) -> str:
+    """The shape of OVERFLOWING_INDEX_CSV, as a CSV: a stock near 1e9 that loses
+    all but about 2**-k of itself to bad debt, then 20 to 40 quarters flat at a
+    stock in [5e-8, 1e-6] with default rates of zero or at most 2e-3."""
+    first, stock = draw(st.floats(5e8, 2e9)), draw(st.floats(5e-8, 1e-6))
+    rows = [(first, 0.0), (stock, first * (1.0 - 2.0**-draw(st.integers(40, 53))))]
+    rates = st.one_of(st.just(0.0), st.floats(0.0, 2e-3))
+    rows += [(stock, stock * draw(rates)) for _ in range(draw(st.integers(20, 40)))]
+    return ",".join(CSV_HEADER) + "\n" + "".join(
+        f"{Quarter(2008, 1).shift(i)},{tcu!r},{abd!r},,\n" for i, (tcu, abd) in enumerate(rows))
+
+
 def _floats_of(record):
     """Every float of a record, walking its nested records and tuples."""
     for value in record:
@@ -309,7 +322,7 @@ def _floats_of(record):
 
 class TestExtremeMagnitudes:
     @settings(max_examples=150, deadline=None)
-    @given(text=_extreme_register_csv())
+    @given(text=st.one_of(_extreme_register_csv(), _collapse_then_flat_csv()))
     @example(text=OVERFLOWING_INDEX_CSV)
     @example(text=UNIT_ZETA_CSV)
     @example(text=OLS_SCALE_OVERFLOW_CSV)

@@ -35,7 +35,8 @@ class TestQuarter:
         assert str(q) == "2008-Q2"
 
     @pytest.mark.parametrize("text", ["2008Q2", "2008-Q5", "2008-Q0", "08-Q1", "x",
-                                      "0999-Q4", "10000-Q1"])
+                                      "0999-Q4", "10000-Q1", "2٠٠٨-Q2",
+                                      "2００８-Q2"])
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(ParseError):
             Quarter.parse(text)
@@ -195,6 +196,9 @@ class TestParseCsv:
                      "line 4: column tcu_eur: not a number: 'abc'", id="quoted-line-break"),
         pytest.param(_HEADER + "2008-Q1," + "1" * 140_000 + ",1,,\n",
                      "line 2: field larger than field limit (131072)", id="csv-field-limit"),
+        pytest.param(_HEADER + "2٠٠٨-Q1,1,0,,\n",
+                     "line 2: bad quarter '2٠٠٨-Q1', expected YYYY-Qn",
+                     id="non-ascii-digits"),
     ])
     def test_errors_name_the_physical_line(self, text, message):
         with pytest.raises(ParseError) as info:
