@@ -11,14 +11,19 @@ on f only), and rolls the credit stock forward with
 so the rates module recovers the prescribed (d, f) exactly. Quarters with
 negative growth leave the loans column empty (disbursements cannot be
 negative); the balance identity covers those intervals. Output is
-deterministic given the scenario, including its seed.
+deterministic given the scenario, including its seed: the noise is
+``numpy.random.default_rng(seed).normal(0.0, noise_sigma, n_quarters - 1)``,
+numpy's PCG64 generator and ziggurat normal, which ``_pcg64`` draws bit for
+bit without importing numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
+from . import _pcg64
 from .errors import InvariantError, ParseError
 from .rates import F_SOURCE_BALANCE, F_SOURCE_LOANS, RatePoint, RateSeries
 from .series import CreditObservation, CreditSeries, Quarter, validated
@@ -52,7 +57,10 @@ class Scenario(NamedTuple):
             raise InvariantError(f"start must be a Quarter, got {self.start!r}")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if not math.isfinite(value):
+            # a float subclass is a number; an int is one if a float can hold it
+            if not isinstance(value, (int, float)) or type(value) is bool:
+                raise InvariantError(f"{name} must be a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:
                 raise InvariantError(f"{name} must be finite, got {value}")
         if self.n_quarters < 3:
             raise InvariantError(f"need at least 3 quarters, got {self.n_quarters}")
@@ -79,12 +87,7 @@ def generate(sc: Scenario) -> tuple[CreditSeries, RateSeries]:
     zeta = sc.zeta_true if sc.hypothesis == HYPOTHESIS_STEADY_STATE else 0.0
     n_intervals = sc.n_quarters - 1
     if sc.noise_sigma > 0.0:
-        # the seeded PCG64 normal stream defines every noisy scenario; numpy is
-        # imported here so that the analysis commands never load it
-        import numpy as np
-
-        rng = np.random.default_rng(sc.seed)
-        noise = rng.normal(0.0, sc.noise_sigma, n_intervals).tolist()
+        noise = _pcg64.normal(sc.seed, sc.noise_sigma, n_intervals)
     else:
         noise = [0.0] * n_intervals
 

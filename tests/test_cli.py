@@ -920,7 +920,7 @@ class TestInstalledEntryPoint:
         assert "analyze" in proc.stdout
 
     @pytest.mark.parametrize("command", list(IMPORT_GRAPH_ARGS))
-    def test_numpy_loads_only_for_simulate(self, command, canonical_csv, tmp_path):
+    def test_no_command_imports_numpy(self, command, canonical_csv, tmp_path):
         args = IMPORT_GRAPH_ARGS[command]
         if command == "simulate":
             scenario = tmp_path / "noisy.cfg"
@@ -938,13 +938,11 @@ class TestInstalledEntryPoint:
                    if line.startswith("import time:")]
         tops = {m.split(".")[0] for m in modules}
         assert "scipy" not in tops
+        assert "numpy" not in tops
         if command == "simulate":
             # the seeded PCG64 noise stream defines the scenario; the digest pins its bytes
-            assert "numpy" in tops
             digest = hashlib.blake2b(proc.stdout.encode("utf-8"), digest_size=16).hexdigest()
             assert digest == "fbc9aa0fe22777f08682a09e2afe317e"
-        else:
-            assert "numpy" not in tops
         if command == "analyze":
             assert "steadycredit.basel" in modules
             assert json.loads(proc.stdout)["gap"] is not None

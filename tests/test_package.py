@@ -156,6 +156,12 @@ _BAD_ARGUMENTS = [
      InvariantError, "noise_sigma must be finite, got nan"),
     (Scenario, _SCENARIO, "d_base", math.inf,
      InvariantError, "d_base must be finite, got inf"),
+    (Scenario, _SCENARIO, "tcu0", "9e11",
+     InvariantError, "tcu0 must be a number, got '9e11'"),
+    (Scenario, _SCENARIO, "noise_sigma", True,
+     InvariantError, "noise_sigma must be a number, got True"),
+    (Scenario, _SCENARIO, "zeta_true", 10**400,
+     InvariantError, f"zeta_true must be finite, got {10**400}"),
     (Scenario, _SCENARIO, "hypothesis", "H2",
      InvariantError, "hypothesis must be H0 or H1, got 'H2'"),
     (Scenario, _SCENARIO, "seed", -1,
@@ -174,11 +180,11 @@ _BAD_ARGUMENTS = [
 
 
 def _case_id(cls, valid, field, bad) -> str:
-    """Class and field; a NaN, bool, inf or fractional case (in an integer
-    field) that shares its field with another case names the value too."""
+    """Class and field; a NaN, bool, string, inf or fractional case (in an
+    integer field) that shares its field with another case names the value too."""
     shared = sum((c, f) == (cls, field) for c, _, f, *_ in _BAD_ARGUMENTS) > 1
     kind = ("-nan" if bad != bad else "-bool" if type(bad) is bool
-            else "-inf" if bad == math.inf
+            else "-str" if isinstance(bad, str) else "-inf" if bad == math.inf
             else "-fraction" if type(valid[field]) is int and bad % 1 else "")
     return f"{cls.__name__}-{field}" + (kind if shared else "")
 

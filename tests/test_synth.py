@@ -1,8 +1,12 @@
+import hashlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import scenario_to_text, steady_scenario
-from steadycredit import synth
+from steadycredit import _pcg64, synth
 from steadycredit.cycles import cycle_stats
 from steadycredit.errors import InvariantError, ParseError
 from steadycredit.rates import F_SOURCE_BALANCE, F_SOURCE_LOANS, credit_growth_rates
@@ -101,6 +105,43 @@ class TestGenerate:
         assert report.peak_amplitude_mean == pytest.approx(39.2e9, rel=0.02)
 
 
+class TestNumpyStream:
+    """``_pcg64.normal(seed, sigma, n)`` is
+    ``numpy.random.default_rng(seed).normal(0.0, sigma, n).tolist()``.
+
+    The identity relies on CPython's ``math.exp`` and ``math.log1p`` being the
+    libm functions numpy's ``distributions.c`` calls, and on numpy's build
+    fusing no multiply-add. It was verified on x86-64 only; on any other
+    platform a difference fails these tests rather than skipping them.
+    """
+
+    # one to four 32-bit entropy words
+    SEEDS = [*range(300), 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3]
+
+    def test_streams_equal_numpys(self):
+        for seed in self.SEEDS:
+            for n in (1, 17, 66, 1000):
+                for sigma in (0.004, 0.0087, 1.0):
+                    want = np.random.default_rng(seed).normal(0.0, sigma, n).tolist()
+                    assert _pcg64.normal(seed, sigma, n) == want, (seed, n, sigma)
+
+    def test_long_stream_equals_numpys(self):
+        # 400,000 draws reach every layer's wedge test and the tail beyond r
+        want = np.random.default_rng(7).normal(0.0, 1.0, 400_000).tolist()
+        assert _pcg64.normal(7, 1.0, 400_000) == want
+
+    def test_simulate_prints_its_pinned_bytes_without_numpy(self, tmp_path):
+        scenario = tmp_path / "noisy.cfg"
+        scenario.write_text(scenario_to_text(steady_scenario(noise_sigma=0.004)),
+                            encoding="utf-8")
+        code = ('import sys; sys.modules["numpy"] = None; from steadycredit.cli import main; '
+                f'sys.exit(main(["simulate", "--scenario", {str(scenario)!r}, "--seed", "7"]))')
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.blake2b(proc.stdout.encode("utf-8"), digest_size=16).hexdigest()
+        assert digest == "fbc9aa0fe22777f08682a09e2afe317e"
+
+
 class TestScenarioValidation:
     def test_rejects_rate_range_leaving_unit_interval(self):
         with pytest.raises(InvariantError):
@@ -113,6 +154,10 @@ class TestScenarioValidation:
     def test_rejects_unknown_hypothesis(self):
         with pytest.raises(InvariantError):
             steady_scenario(hypothesis="H2")
+
+    def test_accepts_ints_and_float_subclasses_in_float_fields(self):
+        scenario = steady_scenario(tcu0=900_000_000_000, d_amp=0, noise_sigma=np.float64(0.004))
+        assert synth.generate(scenario)[0].observations[0].tcu == 9.0e11
 
     def test_rejects_negative_seed_in_text(self):
         text = scenario_to_text(steady_scenario(noise_sigma=0.004)) + "seed=-1\n"
