@@ -27,7 +27,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .errors import ColumnAbsentError, EstimationError, InvariantError
-from .series import CreditSeries, Quarter, validated
+from .series import CreditSeries, Quarter, number, validated
 from .sums import floats
 
 _RESID_TOL = 1e-8
@@ -43,9 +43,7 @@ class GapConfig(NamedTuple):
 
     def _checked(self):
         for name in ("lam", "gap_low", "gap_high", "buffer_max"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvariantError(f"{name} must be finite, got {value}")
+            number(name, getattr(self, name))
         if self.lam < 0.0:
             raise InvariantError(f"smoothing parameter must be >= 0, got {self.lam}")
         if not self.gap_low < self.gap_high:

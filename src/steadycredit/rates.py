@@ -19,11 +19,10 @@ the points of a rate series whose interval ends inside the window.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .errors import EstimationError, InvariantError, WindowError
-from .series import CreditSeries, Quarter, Window, validated
+from .series import CreditSeries, Quarter, Window, number, validated
 
 F_SOURCE_LOANS = "loans-formula"
 F_SOURCE_BALANCE = "balance-identity"
@@ -52,12 +51,14 @@ class RatePoint(NamedTuple):
     f_source: str
 
     def _checked(self):
+        if not isinstance(self.interval_end, Quarter):
+            raise InvariantError(f"interval_end must be a Quarter, got {self.interval_end!r}")
+        number("d", self.d, self.interval_end)
+        number("f", self.f, self.interval_end)
         if not 0.0 <= self.d < 1.0:
             raise InvariantError(f"{self.interval_end}: d must be in [0,1), got {self.d}")
         if not self.f > -1.0:
             raise InvariantError(f"{self.interval_end}: f must be > -1, got {self.f}")
-        if self.f == math.inf:
-            raise InvariantError(f"{self.interval_end}: f must be finite, got {self.f}")
         if self.f_source not in (F_SOURCE_LOANS, F_SOURCE_BALANCE):
             raise InvariantError(f"unknown f_source {self.f_source!r}")
         return self

@@ -7,6 +7,7 @@ immutable after construction and all operations are pure: observations are
 a frozen dataclass, so ``dataclasses.replace`` validates anew, and the other
 types are named tuples under ``@validated``, which run their ``_checked``
 method on every construction, ``_make`` and ``_replace`` included.
+``number`` is the one rule every record applies to its numeric fields.
 ``Window.positions`` is the one place that maps a window onto a run of
 quarters, and ``CreditSeries.slice`` the one check of a window against a
 series; a slice of a checked series is a contiguous run of it, so it is
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -27,6 +28,7 @@ from .errors import ContiguityError, InvariantError, ParseError, WindowError
 CSV_HEADER = ("quarter", "tcu_eur", "abd_eur", "loans_eur", "gdp_eur")
 
 _QUARTER_RE = re.compile(r"^([1-9][0-9]{3})-Q([1-4])$")
+_FLOAT_MAX = sys.float_info.max
 
 
 def validated(cls):
@@ -39,6 +41,14 @@ def validated(cls):
     cls.__new__ = __new__
     cls._make = classmethod(lambda c, iterable: c(*iterable))
     return cls
+
+
+def number(name: str, value, where=None) -> None:
+    """Refuse a field that is not an int or float (no bool) a float holds finitely."""
+    is_number = type(value) is not bool and isinstance(value, (int, float))
+    if not (is_number and -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        problem = f"must be finite, got {value}" if is_number else f"must be a number, got {value!r}"
+        raise InvariantError(f"{name} {problem}" if where is None else f"{where}: {name} {problem}")
 
 
 @validated
@@ -94,10 +104,11 @@ class CreditObservation:
     gdp: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.quarter, Quarter):
+            raise InvariantError(f"quarter must be a Quarter, got {self.quarter!r}")
         for name in ("tcu", "abd", "loans", "gdp"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise InvariantError(f"{self.quarter}: {name} must be finite, got {value}")
+            if name in ("tcu", "abd") or getattr(self, name) is not None:
+                number(name, getattr(self, name), self.quarter)
         if not self.tcu > 0:
             raise InvariantError(f"{self.quarter}: tcu must be > 0, got {self.tcu}")
         if self.abd < 0:
@@ -118,6 +129,9 @@ class Window(NamedTuple):
     end_inclusive: bool = True
 
     def _checked(self):
+        for name, value in (("start", self.start), ("end", self.end)):
+            if not isinstance(value, Quarter):
+                raise InvariantError(f"{name} must be a Quarter, got {value!r}")
         if not self.start < self.end:
             raise WindowError(f"window start {self.start} must precede end {self.end}")
         return self

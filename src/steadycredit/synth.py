@@ -20,13 +20,12 @@ bit without importing numpy.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 from . import _pcg64
 from .errors import InvariantError, ParseError
 from .rates import F_SOURCE_BALANCE, F_SOURCE_LOANS, RatePoint, RateSeries
-from .series import CreditObservation, CreditSeries, Quarter, validated
+from .series import CreditObservation, CreditSeries, Quarter, number, validated
 
 HYPOTHESIS_NULL = "H0"
 HYPOTHESIS_STEADY_STATE = "H1"
@@ -56,12 +55,7 @@ class Scenario(NamedTuple):
         if not isinstance(self.start, Quarter):
             raise InvariantError(f"start must be a Quarter, got {self.start!r}")
         for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            # a float subclass is a number; an int is one if a float can hold it
-            if not isinstance(value, (int, float)) or type(value) is bool:
-                raise InvariantError(f"{name} must be a number, got {value!r}")
-            if not abs(value) <= sys.float_info.max:
-                raise InvariantError(f"{name} must be finite, got {value}")
+            number(name, getattr(self, name))
         if self.n_quarters < 3:
             raise InvariantError(f"need at least 3 quarters, got {self.n_quarters}")
         if not self.tcu0 > 0.0:

@@ -4,10 +4,13 @@ construction contract of its records."""
 import ast
 import dataclasses
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import steadycredit
 from steadycredit.basel import GapConfig
@@ -103,6 +106,16 @@ def test_credit_observation_is_the_one_dataclass():
         dataclasses.replace(obs, gdp=0.0)
 
 
+def test_numeric_fields_have_one_rule():
+    # series.number is the one check that a record's numeric field is a finite number
+    forks = [(path.name, node.name)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef) and node.name in ("_checked", "__post_init__")
+             and {"isfinite", "float_info"} & set(_uses(node))]
+    assert forks == []
+
+
 _Q = Quarter(2008, 1)
 _OBS = [CreditObservation(Quarter(2008, q), 100.0, 1.0) for q in (1, 2, 3)]
 _POINT = RatePoint(_Q, 0.01, 0.02, "loans-formula")
@@ -122,6 +135,10 @@ _BAD_ARGUMENTS = [
      InvariantError, "quarter fields must be integers, got True-Q1"),
     (Window, dict(start=_Q, end=Quarter(2009, 1), start_inclusive=True, end_inclusive=False),
      "end", _Q, WindowError, "window start 2008-Q1 must precede end 2008-Q1"),
+    (Window, dict(start=_Q, end=Quarter(2009, 1), start_inclusive=True, end_inclusive=False),
+     "end", "2009-Q1", InvariantError, "end must be a Quarter, got '2009-Q1'"),
+    (Window, dict(start=_Q, end=Quarter(2009, 1), start_inclusive=True, end_inclusive=False),
+     "start", "2008-Q1", InvariantError, "start must be a Quarter, got '2008-Q1'"),
     (CreditSeries, dict(observations=_OBS[:2]), "observations", _OBS[:1],
      InvariantError, "series needs at least 2 observations, got 1"),
     (CreditSeries, dict(observations=_OBS[:2]), "observations", _OBS[::2],
@@ -134,6 +151,16 @@ _BAD_ARGUMENTS = [
      InvariantError, "2008-Q1: f must be > -1, got -1.0"),
     (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "f", math.inf,
      InvariantError, "2008-Q1: f must be finite, got inf"),
+    (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "d", "0.01",
+     InvariantError, "2008-Q1: d must be a number, got '0.01'"),
+    (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "f", True,
+     InvariantError, "2008-Q1: f must be a number, got True"),
+    (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "f", 10**400,
+     InvariantError, f"2008-Q1: f must be finite, got {10**400}"),
+    (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "d", math.nan,
+     InvariantError, "2008-Q1: d must be finite, got nan"),
+    (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"),
+     "interval_end", "x", InvariantError, "interval_end must be a Quarter, got 'x'"),
     (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"),
      "f_source", "bogus", InvariantError, "unknown f_source 'bogus'"),
     (RateSeries, dict(points=[_POINT]), "points", [],
@@ -146,6 +173,12 @@ _BAD_ARGUMENTS = [
      "gap_high", float("inf"), InvariantError, "gap_high must be finite, got inf"),
     (GapConfig, dict(lam=1600.0, gap_low=2.0, gap_high=10.0, buffer_max=0.025), "lam", math.nan,
      InvariantError, "lam must be finite, got nan"),
+    (GapConfig, dict(lam=1600.0, gap_low=2.0, gap_high=10.0, buffer_max=0.025), "lam", "1600",
+     InvariantError, "lam must be a number, got '1600'"),
+    (GapConfig, dict(lam=1600.0, gap_low=2.0, gap_high=10.0, buffer_max=0.025), "lam", True,
+     InvariantError, "lam must be a number, got True"),
+    (GapConfig, dict(lam=1600.0, gap_low=2.0, gap_high=10.0, buffer_max=0.025), "lam", 10**400,
+     InvariantError, f"lam must be finite, got {10**400}"),
     (Scenario, _SCENARIO, "tcu0", 0.0,
      InvariantError, "tcu0 must be positive, got 0.0"),
     (Scenario, _SCENARIO, "d_period_quarters", 0,
@@ -180,11 +213,13 @@ _BAD_ARGUMENTS = [
 
 
 def _case_id(cls, valid, field, bad) -> str:
-    """Class and field; a NaN, bool, string, inf or fractional case (in an
-    integer field) that shares its field with another case names the value too."""
+    """Class and field; a NaN, bool, string, inf, huge (an int past the float
+    range) or fractional case (in an integer field) that shares its field with
+    another case names the value too."""
     shared = sum((c, f) == (cls, field) for c, _, f, *_ in _BAD_ARGUMENTS) > 1
     kind = ("-nan" if bad != bad else "-bool" if type(bad) is bool
             else "-str" if isinstance(bad, str) else "-inf" if bad == math.inf
+            else "-huge" if type(bad) is int and abs(bad) > sys.float_info.max
             else "-fraction" if type(valid[field]) is int and bad % 1 else "")
     return f"{cls.__name__}-{field}" + (kind if shared else "")
 
@@ -202,6 +237,50 @@ def test_constructors_validate_positional_and_keyword_arguments(
         with pytest.raises(error) as info:
             construct()
         assert type(info.value) is error and str(info.value) == message
+
+
+_OBS_FIELDS = dict(quarter=_Q, tcu=1e9, abd=0.0, loans=None, gdp=None)
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("tcu", "1e9", "2008-Q1: tcu must be a number, got '1e9'"),
+    ("tcu", True, "2008-Q1: tcu must be a number, got True"),
+    ("tcu", 10**400, f"2008-Q1: tcu must be finite, got {10**400}"),
+    ("quarter", "2008-Q1", "quarter must be a Quarter, got '2008-Q1'"),
+], ids=["tcu-str", "tcu-bool", "tcu-huge", "quarter-str"])
+def test_credit_observation_validates_field_types(field, bad, message):
+    args = {**_OBS_FIELDS, field: bad}
+    for construct in (lambda: CreditObservation(*args.values()),
+                      lambda: CreditObservation(**args),
+                      lambda: dataclasses.replace(CreditObservation(**_OBS_FIELDS), **{field: bad})):
+        with pytest.raises(InvariantError) as info:
+            construct()
+        assert type(info.value) is InvariantError and str(info.value) == message
+
+
+# a record and its numeric fields, each with whether None is a valid value there
+_NUMERIC_FIELDS = [
+    (CreditObservation, _OBS_FIELDS, dict(tcu=False, abd=False, loans=True, gdp=True)),
+    (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"),
+     dict(d=False, f=False)),
+    (GapConfig, dict(lam=1600.0, gap_low=2.0, gap_high=10.0, buffer_max=0.025),
+     dict.fromkeys(("lam", "gap_low", "gap_high", "buffer_max"), False)),
+    (Scenario, _SCENARIO,
+     dict.fromkeys(("tcu0", "d_base", "d_amp", "zeta_true", "noise_sigma"), False)),
+]
+_PAST_FLOAT = int(sys.float_info.max) + 1
+_NOT_A_FINITE_NUMBER = st.one_of(
+    st.text(), st.booleans(), st.none(), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(_PAST_FLOAT, 10**400), st.integers(-10**400, -_PAST_FLOAT))
+
+
+@given(record=st.sampled_from(_NUMERIC_FIELDS), data=st.data())
+def test_a_numeric_field_refuses_anything_but_a_finite_number(record, data):
+    cls, valid, fields = record
+    field = data.draw(st.sampled_from(sorted(fields)))
+    bad = data.draw(_NOT_A_FINITE_NUMBER.filter(lambda v: v is not None or not fields[field]))
+    with pytest.raises(InvariantError):
+        cls(**{**valid, field: bad})
 
 
 def test_make_and_replace_validate():
