@@ -1,13 +1,13 @@
 """Command-line front end.
 
-``analyze``, ``render`` and ``ssp`` run one ``report.analyze`` over the
-window and print the whole report, a chart of it, or its ``ssf`` section.
-``rates`` and ``ols`` print ``analyze``'s rate sample or its regression,
-and ``cycles`` and ``gap`` their stage on the window's slice; each cuts the
-series once. A handler returns each output's path and text; ``main`` opens
-every file before it writes any, so a failing command, or two outputs on
-one file, writes nothing. Each flag is declared once, as a parent parser
-that every subcommand taking it inherits.
+``analyze``, ``render``, ``rates``, ``ols`` and ``ssp`` are views of one
+``report.analyze`` run: the report, its chart, its rate sample, or its
+``ols`` or ``ssf`` section, which fails on the first error of its stages.
+``cycles`` and ``gap`` run their one stage on the window's slice, so they
+serve a series the analysis cannot rate. A handler returns each output's
+path and text; ``main`` opens every file before it writes any, so a failing
+command, or two outputs on one file, writes nothing. Each flag is declared
+once, as a parent parser that every subcommand taking it inherits.
 
 Exit codes: 0 success, 1 validation or data error (one-line diagnostic on
 stderr), 2 usage error.
@@ -23,19 +23,10 @@ import sys
 from typing import Sequence
 
 from . import cycles as cycles_mod
-from . import ols as ols_mod
 from . import report as report_mod
 from .basel import GapConfig, GapRow, credit_gap
 from .errors import SteadyCreditError
-from .rates import (
-    MODE_FORCE_BALANCE,
-    MODE_PREFER_LOANS,
-    RatePoint,
-    RatesConfig,
-    RateSeries,
-    outside_window,
-    window_rates,
-)
+from .rates import MODE_FORCE_BALANCE, MODE_PREFER_LOANS, RatePoint, RatesConfig, outside_window
 from .series import CreditSeries, Quarter, Window, csv_text, emit_csv, parse_csv
 
 NAMED_WINDOWS = {
@@ -121,21 +112,13 @@ def _load(args: argparse.Namespace) -> tuple[CreditSeries, Window]:
     return series, NAMED_WINDOWS.get(args.named_window, whole)
 
 
-def _rates(args: argparse.Namespace) -> RateSeries:
-    """The rate sample ``analyze`` takes for the same flags, from one cut of the series."""
-    series, window = _load(args)
-    return window_rates(series, series.slice(window), RatesConfig(f_mode=args.f_mode))
-
-
 def _analyze(args: argparse.Namespace, series: CreditSeries,
              window: Window) -> report_mod.AnalysisReport:
-    """The one analysis behind ``analyze``, ``render`` and ``ssp``.
-
-    Commands without the gap flags analyze with the default gap settings.
-    """
+    """The one analysis behind every view, with the default gap settings and
+    chi-squared scale where the command has no flags for them."""
     gap_cfg = _gap_cfg(args) if "lam" in args else GapConfig()
     return report_mod.analyze(series, window, RatesConfig(f_mode=args.f_mode), gap_cfg,
-                              args.sigma_ref)
+                              getattr(args, "sigma_ref", None))
 
 
 def _cmd_validate(args: argparse.Namespace) -> list[tuple[str, str]]:
@@ -145,20 +128,20 @@ def _cmd_validate(args: argparse.Namespace) -> list[tuple[str, str]]:
 
 
 def _cmd_rates(args: argparse.Namespace) -> list[tuple[str, str]]:
-    return [(args.out, csv_text(RatePoint._fields, _rates(args).points))]
+    return [(args.out, csv_text(RatePoint._fields, _analyze(args, *_load(args)).rates_in.points))]
 
 
-def _cmd_ols(args: argparse.Namespace) -> list[tuple[str, str]]:
-    rates = _rates(args)
-    return [(args.json_path, report_mod.dump_json(ols_mod.fit(rates.d_values(), rates.f_values())))]
+# each section command's key in the report and the stages whose errors are its own
+SECTIONS = {"ols": ("ols", ("ols",)), "ssp": ("ssf", ("ssp-least-squares", "ssp-irr-root"))}
 
 
-def _cmd_ssp(args: argparse.Namespace) -> list[tuple[str, str]]:
+def _cmd_section(args: argparse.Namespace) -> list[tuple[str, str]]:
+    key, stages = SECTIONS[args.command]
     rep = _analyze(args, *_load(args))
     for stage, message in rep.errors:
-        if stage in ("ssp-least-squares", "ssp-irr-root"):
+        if stage in stages:
             raise SteadyCreditError(message)
-    return [(args.json_path, report_mod.dump_json(report_mod.to_json_dict(rep)["ssf"]))]
+    return [(args.json_path, report_mod.dump_json(report_mod.to_json_dict(rep)[key]))]
 
 
 def _cmd_cycles(args: argparse.Namespace) -> list[tuple[str, str]]:
@@ -246,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("validate", _cmd_validate, "parse and validate a series CSV", input_)
     command("rates", _cmd_rates, "emit per-interval default and growth rates as CSV",
             input_, window, f_mode, out)
-    command("ols", _cmd_ols, "regression of growth rate on default rate",
+    command("ols", _cmd_section, "regression of growth rate on default rate",
             input_, window, f_mode, json_)
-    command("ssp", _cmd_ssp, "steady-state parameter estimates",
+    command("ssp", _cmd_section, "steady-state parameter estimates",
             input_, window, f_mode, sigma_ref, json_)
     command("cycles", _cmd_cycles, "cycle statistics of the credit stock",
             input_, window,

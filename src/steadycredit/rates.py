@@ -12,8 +12,8 @@ already known to default within the interval. The paper's sliding
 retrospection parameter is zero: each rate uses the stock of the quarter
 just before its interval, and no other lag is offered.
 ``window_rates`` rates the cut ``CreditSeries.slice`` takes: it is the one
-rate sample of a window, which ``analyze`` and the ``rates`` and ``ols``
-commands share. ``select_window`` is the public rule that sample keeps:
+rate sample of a window, which ``analyze`` takes, and with it every CLI
+view of the analysis. ``select_window`` is the public rule that sample keeps:
 the points of a rate series whose interval ends inside the window.
 """
 

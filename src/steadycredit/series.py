@@ -7,7 +7,8 @@ immutable after construction and all operations are pure: observations are
 a frozen dataclass, so ``dataclasses.replace`` validates anew, and the other
 types are named tuples under ``@validated``, which run their ``_checked``
 method on every construction, ``_make`` and ``_replace`` included.
-``number`` is the one rule every record applies to its numeric fields.
+``number`` is the one rule every record applies to its numeric fields, and
+``shown`` the one text of a value in a message, an int past ``str``'s limit too.
 ``Window.positions`` is the one place that maps a window onto a run of
 quarters, and ``CreditSeries.slice`` the one check of a window against a
 series; a slice of a checked series is a contiguous run of it, so it is
@@ -43,11 +44,20 @@ def validated(cls):
     return cls
 
 
+def shown(value, text=str) -> str:
+    """``text(value)`` in a message, or the size of an int too long for a decimal text."""
+    try:
+        return text(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
 def number(name: str, value, where=None) -> None:
     """Refuse a field that is not an int or float (no bool) a float holds finitely."""
     is_number = type(value) is not bool and isinstance(value, (int, float))
     if not (is_number and -_FLOAT_MAX <= value <= _FLOAT_MAX):
-        problem = f"must be finite, got {value}" if is_number else f"must be a number, got {value!r}"
+        problem = (f"must be finite, got {shown(value)}" if is_number
+                   else f"must be a number, got {value!r}")
         raise InvariantError(f"{name} {problem}" if where is None else f"{where}: {name} {problem}")
 
 
@@ -62,12 +72,13 @@ class Quarter(NamedTuple):
         year, q = self
         # a bool is an int subclass, but Quarter(2008, True) is no quarter
         if not (isinstance(year, int) and isinstance(q, int)) or bool in (type(year), type(q)):
-            raise InvariantError(f"quarter fields must be integers, got {year!r}-Q{q!r}")
+            raise InvariantError(
+                f"quarter fields must be integers, got {shown(year, repr)}-Q{shown(q, repr)}")
         if q not in (1, 2, 3, 4):
-            raise InvariantError(f"quarter number must be in 1..4, got {q}")
+            raise InvariantError(f"quarter number must be in 1..4, got {shown(q)}")
         # so that every quarter prints as text that ``parse`` reads back
         if not 1000 <= year <= 9999:
-            raise InvariantError(f"quarter year must be in 1000..9999, got {year}")
+            raise InvariantError(f"quarter year must be in 1000..9999, got {shown(year)}")
         return self
 
     @classmethod

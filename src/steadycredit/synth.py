@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import _pcg64
 from .errors import InvariantError, ParseError
 from .rates import F_SOURCE_BALANCE, F_SOURCE_LOANS, RatePoint, RateSeries
-from .series import CreditObservation, CreditSeries, Quarter, number, validated
+from .series import CreditObservation, CreditSeries, Quarter, number, shown, validated
 
 HYPOTHESIS_NULL = "H0"
 HYPOTHESIS_STEADY_STATE = "H1"
@@ -57,7 +57,11 @@ class Scenario(NamedTuple):
         for name in _FLOAT_FIELDS:
             number(name, getattr(self, name))
         if self.n_quarters < 3:
-            raise InvariantError(f"need at least 3 quarters, got {self.n_quarters}")
+            raise InvariantError(f"need at least 3 quarters, got {shown(self.n_quarters)}")
+        most = Quarter(9999, 4).index - self.start.index + 1  # quarters up to 9999-Q4
+        if self.n_quarters > most:
+            raise InvariantError(
+                f"n_quarters from {self.start} must be <= {most}, got {shown(self.n_quarters)}")
         if not self.tcu0 > 0.0:
             raise InvariantError(f"tcu0 must be positive, got {self.tcu0}")
         if self.d_base - self.d_amp < 0.0 or self.d_base + self.d_amp >= 1.0:
@@ -66,13 +70,13 @@ class Scenario(NamedTuple):
                 f"{self.d_base + self.d_amp}] must stay within [0, 1)"
             )
         if self.d_period_quarters < 1:
-            raise InvariantError(f"cycle length must be >= 1, got {self.d_period_quarters}")
+            raise InvariantError(f"cycle length must be >= 1, got {shown(self.d_period_quarters)}")
         if self.noise_sigma < 0.0:
             raise InvariantError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.hypothesis not in (HYPOTHESIS_NULL, HYPOTHESIS_STEADY_STATE):
             raise InvariantError(f"hypothesis must be H0 or H1, got {self.hypothesis!r}")
         if self.seed < 0:
-            raise InvariantError(f"seed must be >= 0, got {self.seed}")
+            raise InvariantError(f"seed must be >= 0, got {shown(self.seed)}")
         return self
 
 

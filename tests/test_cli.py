@@ -227,7 +227,10 @@ class TestSimulatePipeline:
     @pytest.mark.parametrize("text, seed, message", [
         ("", "-1", "seed must be >= 0, got -1"),
         # 9999-Q2 plus seven quarters would print a quarter parse_csv refuses
-        ("n_quarters=8\nstart=9999-Q2\n", "1", "quarter year must be in 1000..9999, got 10000"),
+        ("n_quarters=8\nstart=9999-Q2\n", "1", "n_quarters from 9999-Q2 must be <= 3, got 8"),
+        # refused as a record, before generate makes a list of 10**20 - 1 noise values
+        (f"n_quarters={10**20}\nnoise_sigma=0.0\n", "1",
+         f"n_quarters from 2008-Q1 must be <= 31968, got {10**20}"),
     ])
     def test_bad_scenario_is_one_line_error(self, tmp_path, text, seed, message, capsys):
         scenario = tmp_path / "bad.cfg"
@@ -545,7 +548,7 @@ class TestOtherCommands:
         assert main(["cycles", "--input", str(canonical_csv), "--csv", "-", "--json", "-"]) == 0
         assert got == [capsys.readouterr().out.encode("utf-8")]
 
-    @pytest.mark.parametrize("command", ["rates", "analyze"])
+    @pytest.mark.parametrize("command", ["rates", "ols", "ssp", "analyze"])
     def test_infinite_growth_rate_names_its_quarter(self, tmp_path, command, capsys):
         # loans of 1e300 on a credit stock of 1e-300 give f = inf at 2008-Q2
         path = tmp_path / "inf.csv"
@@ -554,6 +557,9 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: 2008-Q2: f must be finite, got inf\n"
+        # cycles reads the credit stock alone, so it runs its stage where the analysis cannot
+        assert main(["cycles", "--input", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["analyze", "ssp"])
@@ -709,6 +715,10 @@ class TestOtherCommands:
         assert doc["errors"] == [
             {"stage": "ols", "message": "sigma_intercept is not finite, got inf"}]
         assert doc["ssf"] == ssf and len(doc["trajectory"]) == 4
+        # ols fails on its own stage's error, the one analyze records
+        assert main(["ols", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: sigma_intercept is not finite, got inf\n")
 
     def test_analyze_records_gap_stage_error(self, tiny_gdp_csv, capsys):
         assert main(["analyze", "--input", str(tiny_gdp_csv), "--json"]) == 0

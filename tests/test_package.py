@@ -133,6 +133,10 @@ _BAD_ARGUMENTS = [
      InvariantError, "quarter fields must be integers, got 2008-QTrue"),
     (Quarter, dict(year=2008, q=1), "year", True,
      InvariantError, "quarter fields must be integers, got True-Q1"),
+    (Quarter, dict(year=2008, q=1), "year", 10**5000,
+     InvariantError, "quarter year must be in 1000..9999, got an int of 16610 bits"),
+    (Quarter, dict(year=2008, q=1), "q", 10**5000,
+     InvariantError, "quarter number must be in 1..4, got an int of 16610 bits"),
     (Window, dict(start=_Q, end=Quarter(2009, 1), start_inclusive=True, end_inclusive=False),
      "end", _Q, WindowError, "window start 2008-Q1 must precede end 2008-Q1"),
     (Window, dict(start=_Q, end=Quarter(2009, 1), start_inclusive=True, end_inclusive=False),
@@ -157,6 +161,8 @@ _BAD_ARGUMENTS = [
      InvariantError, "2008-Q1: f must be a number, got True"),
     (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "f", 10**400,
      InvariantError, f"2008-Q1: f must be finite, got {10**400}"),
+    (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "d", 10**5000,
+     InvariantError, "2008-Q1: d must be finite, got an int of 16610 bits"),
     (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "d", math.nan,
      InvariantError, "2008-Q1: d must be finite, got nan"),
     (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"),
@@ -209,6 +215,14 @@ _BAD_ARGUMENTS = [
      InvariantError, "seed must be an integer, got 1.5"),
     (Scenario, _SCENARIO, "seed", True,
      InvariantError, "seed must be an integer, got True"),
+    (Scenario, _SCENARIO, "seed", -10**5000,
+     InvariantError, "seed must be >= 0, got a negative int of 16610 bits"),
+    (Scenario, _SCENARIO, "d_period_quarters", -10**5000,
+     InvariantError, "cycle length must be >= 1, got a negative int of 16610 bits"),
+    (Scenario, _SCENARIO, "tcu0", 10**5000,
+     InvariantError, "tcu0 must be finite, got an int of 16610 bits"),
+    (Scenario, _SCENARIO, "n_quarters", 10**5000,
+     InvariantError, "n_quarters from 2008-Q1 must be <= 31968, got an int of 16610 bits"),
 ]
 
 
@@ -246,8 +260,9 @@ _OBS_FIELDS = dict(quarter=_Q, tcu=1e9, abd=0.0, loans=None, gdp=None)
     ("tcu", "1e9", "2008-Q1: tcu must be a number, got '1e9'"),
     ("tcu", True, "2008-Q1: tcu must be a number, got True"),
     ("tcu", 10**400, f"2008-Q1: tcu must be finite, got {10**400}"),
+    ("tcu", 10**5000, "2008-Q1: tcu must be finite, got an int of 16610 bits"),
     ("quarter", "2008-Q1", "quarter must be a Quarter, got '2008-Q1'"),
-], ids=["tcu-str", "tcu-bool", "tcu-huge", "quarter-str"])
+], ids=["tcu-str", "tcu-bool", "tcu-huge", "tcu-past-str-limit", "quarter-str"])
 def test_credit_observation_validates_field_types(field, bad, message):
     args = {**_OBS_FIELDS, field: bad}
     for construct in (lambda: CreditObservation(*args.values()),
@@ -271,7 +286,8 @@ _NUMERIC_FIELDS = [
 _PAST_FLOAT = int(sys.float_info.max) + 1
 _NOT_A_FINITE_NUMBER = st.one_of(
     st.text(), st.booleans(), st.none(), st.sampled_from([math.nan, math.inf, -math.inf]),
-    st.integers(_PAST_FLOAT, 10**400), st.integers(-10**400, -_PAST_FLOAT))
+    st.integers(_PAST_FLOAT, 10**400), st.integers(-10**400, -_PAST_FLOAT),
+    st.sampled_from([10**5000, -10**5000]))
 
 
 @given(record=st.sampled_from(_NUMERIC_FIELDS), data=st.data())

@@ -116,7 +116,7 @@ class TestNumpyStream:
     """
 
     # one to four 32-bit entropy words
-    SEEDS = [*range(300), 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3]
+    SEEDS = [*range(300), 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3, 2**128 + 5, 2**200 + 7]
 
     def test_streams_equal_numpys(self):
         for seed in self.SEEDS:
@@ -167,8 +167,12 @@ class TestScenarioValidation:
     def test_rejects_scenario_running_past_9999_q4(self):
         series, _ = synth.generate(steady_scenario(n_quarters=8, start=Quarter(9998, 1)))
         assert series.last_quarter == Quarter(9999, 4)
-        with pytest.raises(InvariantError, match="^quarter year must be in 1000..9999, got 10000"):
-            synth.generate(steady_scenario(n_quarters=8, start=Quarter(9998, 2)))
+        with pytest.raises(InvariantError, match=r"^n_quarters from 9998-Q2 must be <= 7, got 8$"):
+            steady_scenario(n_quarters=8, start=Quarter(9998, 2))
+        # refused as a record, so generate never draws its noise stream
+        message = rf"^n_quarters from 2008-Q1 must be <= 31968, got {10**20}$"
+        with pytest.raises(InvariantError, match=message):
+            steady_scenario(n_quarters=10**20, noise_sigma=0.004)
 
 
 class TestScenarioConfig:
