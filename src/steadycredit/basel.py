@@ -27,8 +27,8 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .errors import ColumnAbsentError, EstimationError, InvariantError
-from .series import CreditSeries, Quarter, number, validated
-from .sums import floats
+from .series import CreditSeries, Quarter, number, shown, validated
+from .sums import floats, scalar
 
 _RESID_TOL = 1e-8
 _MAX_REFINEMENTS = 12
@@ -134,8 +134,8 @@ def hp_filter(y: Sequence[float], lam: float) -> list[float]:
     n = len(ys)
     if n < 3:
         raise EstimationError(f"need a one-dimensional series of length >= 3, got {(n,)}")
-    if not 0.0 <= lam < math.inf:
-        raise EstimationError(f"smoothing parameter must be finite and >= 0, got {lam}")
+    if not 0.0 <= scalar("lam", lam) <= sys.float_info.max:
+        raise EstimationError(f"smoothing parameter must be finite and >= 0, got {shown(lam)}")
     if not all(math.isfinite(v) for v in ys):
         raise EstimationError("series values must be finite")
     if lam == 0.0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import EstimationError, InvariantError, WindowError
-from .series import CreditSeries, Quarter, Window, number, validated
+from .series import CreditSeries, Quarter, Window, number, typed, validated
 
 F_SOURCE_LOANS = "loans-formula"
 F_SOURCE_BALANCE = "balance-identity"
@@ -51,8 +51,7 @@ class RatePoint(NamedTuple):
     f_source: str
 
     def _checked(self):
-        if not isinstance(self.interval_end, Quarter):
-            raise InvariantError(f"interval_end must be a Quarter, got {self.interval_end!r}")
+        typed("interval_end", self.interval_end, Quarter)
         number("d", self.d, self.interval_end)
         number("f", self.f, self.interval_end)
         if not 0.0 <= self.d < 1.0:
@@ -146,10 +145,7 @@ def window_rates(series: CreditSeries, cut: CreditSeries,
 
 def outside_window(series: CreditSeries, window: Window,
                    cfg: RatesConfig = RatesConfig()) -> tuple[RatePoint, ...]:
-    """The series' rate points whose interval ends outside the window; none,
-    and no rate computed, for a window that keeps every point."""
+    """The series' rate points whose interval ends outside the window."""
     cut = window.positions(series.first_quarter.index + 1)  # the first point's end
-    if cut.start == 0 and cut.stop >= len(series) - 1:
-        return ()
     points = credit_growth_rates(series, cfg).points
     return points[:cut.start] + points[cut.stop:]

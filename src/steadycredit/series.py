@@ -7,8 +7,9 @@ immutable after construction and all operations are pure: observations are
 a frozen dataclass, so ``dataclasses.replace`` validates anew, and the other
 types are named tuples under ``@validated``, which run their ``_checked``
 method on every construction, ``_make`` and ``_replace`` included.
-``number`` is the one rule every record applies to its numeric fields, and
-``shown`` the one text of a value in a message, an int past ``str``'s limit too.
+``number`` is the one rule every record applies to its float fields and
+``typed`` the one rule for its int, bool and ``Quarter`` fields; ``shown``
+is the one text of a value in a message, an int past ``str``'s limit too.
 ``Window.positions`` is the one place that maps a window onto a run of
 quarters, and ``CreditSeries.slice`` the one check of a window against a
 series; a slice of a checked series is a contiguous run of it, so it is
@@ -61,6 +62,13 @@ def number(name: str, value, where=None) -> None:
         raise InvariantError(f"{name} {problem}" if where is None else f"{where}: {name} {problem}")
 
 
+def typed(name: str, value, kind: type) -> None:
+    """Refuse a field that is not a ``kind``; a bool, an int subclass, is one only of bool."""
+    if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
+        article = {int: "an integer", bool: "a bool"}.get(kind, f"a {kind.__name__}")
+        raise InvariantError(f"{name} must be {article}, got {shown(value, repr)}")
+
+
 @validated
 class Quarter(NamedTuple):
     """A calendar quarter of a four-digit year, ordered lexicographically by (year, q)."""
@@ -70,10 +78,8 @@ class Quarter(NamedTuple):
 
     def _checked(self):
         year, q = self
-        # a bool is an int subclass, but Quarter(2008, True) is no quarter
-        if not (isinstance(year, int) and isinstance(q, int)) or bool in (type(year), type(q)):
-            raise InvariantError(
-                f"quarter fields must be integers, got {shown(year, repr)}-Q{shown(q, repr)}")
+        typed("year", year, int)
+        typed("q", q, int)
         if q not in (1, 2, 3, 4):
             raise InvariantError(f"quarter number must be in 1..4, got {shown(q)}")
         # so that every quarter prints as text that ``parse`` reads back
@@ -115,8 +121,7 @@ class CreditObservation:
     gdp: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.quarter, Quarter):
-            raise InvariantError(f"quarter must be a Quarter, got {self.quarter!r}")
+        typed("quarter", self.quarter, Quarter)
         for name in ("tcu", "abd", "loans", "gdp"):
             if name in ("tcu", "abd") or getattr(self, name) is not None:
                 number(name, getattr(self, name), self.quarter)
@@ -140,9 +145,8 @@ class Window(NamedTuple):
     end_inclusive: bool = True
 
     def _checked(self):
-        for name, value in (("start", self.start), ("end", self.end)):
-            if not isinstance(value, Quarter):
-                raise InvariantError(f"{name} must be a Quarter, got {value!r}")
+        for name, kind, value in zip(self._fields, (Quarter, Quarter, bool, bool), self):
+            typed(name, value, kind)
         if not self.start < self.end:
             raise WindowError(f"window start {self.start} must precede end {self.end}")
         return self

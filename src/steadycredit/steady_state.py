@@ -37,13 +37,14 @@ p-value, its fields named like the published steady-state table column.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 from . import ols
 from .errors import EstimationError
 from .rates import RateSeries
-from .series import Quarter
-from .sums import floats, fsum
+from .series import Quarter, shown
+from .sums import floats, fsum, scalar
 
 METHOD_LEAST_SQUARES = "least-squares"
 METHOD_IRR_ROOT = "irr-root"
@@ -91,10 +92,10 @@ def chi_squared(
         raise EstimationError(shape_message)
     if len(obs) < 2:
         raise EstimationError(f"need at least 2 values, got {len(obs)}")
-    if not sigma_ref > 0.0:
-        raise EstimationError(f"sigma_ref must be positive, got {sigma_ref}")
-    if sigma_ref == math.inf:
-        raise EstimationError(f"sigma_ref must be finite, got {sigma_ref}")
+    if not scalar("sigma_ref", sigma_ref) > 0.0:
+        raise EstimationError(f"sigma_ref must be positive, got {shown(sigma_ref)}")
+    if sigma_ref > sys.float_info.max:
+        raise EstimationError(f"sigma_ref must be finite, got {shown(sigma_ref)}")
     z = [(o - e) / sigma_ref for o, e in zip(obs, exp)]
     chi2 = fsum(v * v for v in z)
     if chi2 == math.inf:
@@ -113,10 +114,10 @@ def chi2_p_value(chi2: float, dof: int) -> float:
     plus erfc(sqrt(x)) when dof is odd. Each term is formed in logs, so none
     overflows; the clamp absorbs the sum's rounding above 1.
     """
-    if chi2 < 0.0:
-        raise EstimationError(f"chi2 must be non-negative, got {chi2}")
-    if dof < 1:
-        raise EstimationError(f"dof must be at least 1, got {dof}")
+    if not 0.0 <= scalar("chi2", chi2) <= sys.float_info.max:
+        raise EstimationError(f"chi2 must be finite and non-negative, got {shown(chi2)}")
+    if type(dof) is not int or dof < 1:
+        raise EstimationError(f"dof must be an integer of at least 1, got {shown(dof, repr)}")
     x = chi2 / 2.0
     if x == 0.0:
         return 1.0

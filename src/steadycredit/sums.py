@@ -6,8 +6,8 @@ always has, and the JSON writers reject the non-finite result. ``fsum``
 itself raises instead of returning inf or nan when its running total leaves
 the float range or meets both infinities; those failures become an
 ``EstimationError`` here, so the stage reports them like any other
-degenerate sample. ``floats`` converts an estimator's input the same way: a
-value ``float`` cannot take, such as a nested list, is an ``EstimationError``.
+degenerate sample. ``floats`` and ``scalar`` check an estimator's input the
+same way: a nested list, or a scalar that is no number, is an ``EstimationError``.
 """
 
 from __future__ import annotations
@@ -34,3 +34,10 @@ def floats(values: Iterable[float], message: str) -> list[float]:
         return [float(v) for v in values]
     except TypeError:
         raise EstimationError(message) from None
+
+
+def scalar(name: str, value):
+    """An estimator's scalar argument, refused unless it is an int or float (no bool)."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise EstimationError(f"{name} must be a number, got {value!r}")
+    return value

@@ -20,18 +20,15 @@ bit without importing numpy.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from . import _pcg64
 from .errors import InvariantError, ParseError
 from .rates import F_SOURCE_BALANCE, F_SOURCE_LOANS, RatePoint, RateSeries
-from .series import CreditObservation, CreditSeries, Quarter, number, shown, validated
+from .series import CreditObservation, CreditSeries, Quarter, number, shown, typed, validated
 
 HYPOTHESIS_NULL = "H0"
 HYPOTHESIS_STEADY_STATE = "H1"
-
-_INT_FIELDS = ("n_quarters", "d_period_quarters", "seed")
-_FLOAT_FIELDS = ("tcu0", "d_base", "d_amp", "zeta_true", "noise_sigma")
 
 
 @validated
@@ -48,14 +45,11 @@ class Scenario(NamedTuple):
     seed: int
 
     def _checked(self):
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or type(value) is bool:
-                raise InvariantError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.start, Quarter):
-            raise InvariantError(f"start must be a Quarter, got {self.start!r}")
-        for name in _FLOAT_FIELDS:
-            number(name, getattr(self, name))
+        for (name, kind), value in zip(_KINDS.items(), self):
+            if kind is float:
+                number(name, value)
+            elif kind is not str:  # hypothesis, checked against its two values below
+                typed(name, value, kind)
         if self.n_quarters < 3:
             raise InvariantError(f"need at least 3 quarters, got {shown(self.n_quarters)}")
         most = Quarter(9999, 4).index - self.start.index + 1  # quarters up to 9999-Q4
@@ -78,6 +72,10 @@ class Scenario(NamedTuple):
         if self.seed < 0:
             raise InvariantError(f"seed must be >= 0, got {shown(self.seed)}")
         return self
+
+
+# the one table of the fields' kinds, read by _checked and parse_scenario
+_KINDS = get_type_hints(Scenario)
 
 
 def generate(sc: Scenario) -> tuple[CreditSeries, RateSeries]:
@@ -132,16 +130,9 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
         key = key.strip()
         value = value.strip()
         try:
-            if key in _INT_FIELDS:
-                values[key] = int(value)
-            elif key in _FLOAT_FIELDS:
-                values[key] = float(value)
-            elif key == "start":
-                values[key] = Quarter.parse(value)
-            elif key == "hypothesis":
-                values[key] = value
-            else:
+            if key not in _KINDS:
                 raise ParseError(f"unknown scenario key {key!r}")
+            values[key] = Quarter.parse(value) if _KINDS[key] is Quarter else _KINDS[key](value)
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from None
         except ValueError:

@@ -93,6 +93,20 @@ class TestHpFilter:
         with pytest.raises(EstimationError):
             hp_filter([1.0, 2.0, 3.0], -1.0)
 
+    @pytest.mark.parametrize("lam, message", [
+        ("1600", "lam must be a number, got '1600'"),
+        (True, "lam must be a number, got True"),
+        (None, "lam must be a number, got None"),
+        (math.nan, "smoothing parameter must be finite and >= 0, got nan"),
+        (10**400, f"smoothing parameter must be finite and >= 0, got {10**400}"),
+        (-10**5000,
+         "smoothing parameter must be finite and >= 0, got a negative int of 16610 bits"),
+    ], ids=["str", "bool", "none", "nan", "huge", "past-str-limit"])
+    def test_lambda_that_is_no_float_rejected(self, lam, message):
+        with pytest.raises(EstimationError) as info:
+            hp_filter([1.0, 2.0, 3.0], lam)
+        assert type(info.value) is EstimationError and str(info.value) == message
+
     @pytest.mark.parametrize(
         "y, lam",
         [

@@ -7,6 +7,7 @@ import math
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from steadycredit.basel import GapConfig
 from steadycredit.errors import ContiguityError, InvariantError, WindowError
 from steadycredit.rates import RatePoint, RateSeries, RatesConfig
 from steadycredit.series import CreditObservation, CreditSeries, Quarter, Window
-from steadycredit.synth import Scenario
+from steadycredit.synth import Scenario, parse_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "steadycredit"
@@ -107,12 +108,13 @@ def test_credit_observation_is_the_one_dataclass():
 
 
 def test_numeric_fields_have_one_rule():
-    # series.number is the one check that a record's numeric field is a finite number
+    # series.number is the one check that a record's float field is a finite number,
+    # and series.typed the one check of its int, bool and Quarter fields
     forks = [(path.name, node.name)
              for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.FunctionDef) and node.name in ("_checked", "__post_init__")
-             and {"isfinite", "float_info"} & set(_uses(node))]
+             and {"isinstance", "isfinite", "float_info"} & set(_uses(node))]
     assert forks == []
 
 
@@ -128,11 +130,11 @@ _BAD_ARGUMENTS = [
     (Quarter, dict(year=2008, q=1), "q", 5,
      InvariantError, "quarter number must be in 1..4, got 5"),
     (Quarter, dict(year=2008, q=1), "year", 2008.0,
-     InvariantError, "quarter fields must be integers, got 2008.0-Q1"),
+     InvariantError, "year must be an integer, got 2008.0"),
     (Quarter, dict(year=2008, q=1), "q", True,
-     InvariantError, "quarter fields must be integers, got 2008-QTrue"),
+     InvariantError, "q must be an integer, got True"),
     (Quarter, dict(year=2008, q=1), "year", True,
-     InvariantError, "quarter fields must be integers, got True-Q1"),
+     InvariantError, "year must be an integer, got True"),
     (Quarter, dict(year=2008, q=1), "year", 10**5000,
      InvariantError, "quarter year must be in 1000..9999, got an int of 16610 bits"),
     (Quarter, dict(year=2008, q=1), "q", 10**5000,
@@ -143,6 +145,12 @@ _BAD_ARGUMENTS = [
      "end", "2009-Q1", InvariantError, "end must be a Quarter, got '2009-Q1'"),
     (Window, dict(start=_Q, end=Quarter(2009, 1), start_inclusive=True, end_inclusive=False),
      "start", "2008-Q1", InvariantError, "start must be a Quarter, got '2008-Q1'"),
+    (Window, dict(start=_Q, end=Quarter(2009, 1), start_inclusive=True, end_inclusive=False),
+     "start_inclusive", "no", InvariantError, "start_inclusive must be a bool, got 'no'"),
+    (Window, dict(start=_Q, end=Quarter(2009, 1), start_inclusive=True, end_inclusive=False),
+     "end_inclusive", 0, InvariantError, "end_inclusive must be a bool, got 0"),
+    (Window, dict(start=_Q, end=Quarter(2009, 1), start_inclusive=True, end_inclusive=False),
+     "end_inclusive", None, InvariantError, "end_inclusive must be a bool, got None"),
     (CreditSeries, dict(observations=_OBS[:2]), "observations", _OBS[:1],
      InvariantError, "series needs at least 2 observations, got 1"),
     (CreditSeries, dict(observations=_OBS[:2]), "observations", _OBS[::2],
@@ -227,11 +235,11 @@ _BAD_ARGUMENTS = [
 
 
 def _case_id(cls, valid, field, bad) -> str:
-    """Class and field; a NaN, bool, string, inf, huge (an int past the float
-    range) or fractional case (in an integer field) that shares its field with
-    another case names the value too."""
+    """Class and field; a None, NaN, bool, string, inf, huge (an int past the
+    float range) or fractional case (in an integer field) that shares its
+    field with another case names the value too."""
     shared = sum((c, f) == (cls, field) for c, _, f, *_ in _BAD_ARGUMENTS) > 1
-    kind = ("-nan" if bad != bad else "-bool" if type(bad) is bool
+    kind = ("-none" if bad is None else "-nan" if bad != bad else "-bool" if type(bad) is bool
             else "-str" if isinstance(bad, str) else "-inf" if bad == math.inf
             else "-huge" if type(bad) is int and abs(bad) > sys.float_info.max
             else "-fraction" if type(valid[field]) is int and bad % 1 else "")
@@ -297,6 +305,57 @@ def test_a_numeric_field_refuses_anything_but_a_finite_number(record, data):
     bad = data.draw(_NOT_A_FINITE_NUMBER.filter(lambda v: v is not None or not fields[field]))
     with pytest.raises(InvariantError):
         cls(**{**valid, field: bad})
+
+
+# a record and the kind of each of its int, bool and Quarter fields
+_TYPED_FIELDS = [
+    (Quarter, dict(year=2008, q=1), dict(year=int, q=int)),
+    (CreditObservation, _OBS_FIELDS, dict(quarter=Quarter)),
+    (Window, dict(start=_Q, end=Quarter(2009, 1), start_inclusive=True, end_inclusive=False),
+     dict(start=Quarter, end=Quarter, start_inclusive=bool, end_inclusive=bool)),
+    (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"),
+     dict(interval_end=Quarter)),
+    (Scenario, _SCENARIO, dict(n_quarters=int, start=Quarter, d_period_quarters=int, seed=int)),
+]
+_OF_NO_FIELD_KIND = [st.text(), st.floats(), st.none()]
+_HUGE_INTS = st.sampled_from([10**5000, -10**5000])
+_OF_ANOTHER_KIND = {
+    int: st.one_of(*_OF_NO_FIELD_KIND, st.booleans()),
+    bool: st.one_of(*_OF_NO_FIELD_KIND, st.integers(), _HUGE_INTS),
+    Quarter: st.one_of(*_OF_NO_FIELD_KIND, st.booleans(), st.integers(), _HUGE_INTS,
+                       st.tuples(st.integers(1000, 9999), st.integers(1, 4))),
+}
+
+
+@given(record=st.sampled_from(_TYPED_FIELDS), data=st.data())
+def test_a_typed_field_refuses_a_value_of_another_kind(record, data):
+    cls, valid, fields = record
+    field = data.draw(st.sampled_from(sorted(fields)))
+    bad = data.draw(_OF_ANOTHER_KIND[fields[field]])
+    args = {**valid, field: bad}
+    constructions = [lambda: cls(*args.values()), lambda: cls(**args)]
+    if dataclasses.is_dataclass(cls):
+        constructions.append(lambda: dataclasses.replace(cls(**valid), **{field: bad}))
+    else:
+        constructions += [lambda: cls._make(args.values()),
+                          lambda: cls(**valid)._replace(**{field: bad})]
+    for construct in constructions:
+        with pytest.raises(InvariantError) as info:
+            construct()
+        assert type(info.value) is InvariantError
+        assert str(info.value).startswith(f"{field} must be ")
+
+
+def test_scenario_field_kinds_are_declared_once():
+    # _checked and parse_scenario both read these kinds; an annotation edit would
+    # change how a scenario file parses
+    kinds = dict(n_quarters=int, start=Quarter, tcu0=float, d_base=float, d_amp=float,
+                 d_period_quarters=int, zeta_true=float, noise_sigma=float, hypothesis=str,
+                 seed=int)
+    assert list(get_type_hints(Scenario).items()) == list(kinds.items())
+    parsed = parse_scenario("".join(f"{key}={value}\n" for key, value in _SCENARIO.items()))
+    assert parsed == Scenario(**_SCENARIO)
+    assert [type(value) for value in parsed] == list(kinds.values())
 
 
 def test_make_and_replace_validate():

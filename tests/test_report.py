@@ -572,13 +572,13 @@ class TestWindowSelection:
             assert built == [crisis.n] == [17]
             whole = analyze(series)
             assert outside_window(series, whole.window) == ()
-            assert built == [17, 33]
+            assert built == [17, 33, 33]
             # the scatter's hollow markers are computed only when asked for
             assert len(outside_window(series, crisis.window)) == 33 - 17
-            assert built == [17, 33, 33]
+            assert built == [17, 33, 33, 33]
             for command in ("rates", "ols"):
                 assert main([command, "--input", str(path), "--window", "crisis"]) == 0
-            assert built == [17, 33, 33, 17, 17]
+            assert built == [17, 33, 33, 33, 17, 17]
 
     def test_each_stage_runs_once_per_analysis(self):
         series = canonical_series()

@@ -86,6 +86,18 @@ class TestChiSquared:
         with pytest.raises(EstimationError, match="must be finite"):
             chi_squared([1.0, 2.0], [1.0, 2.0], math.inf)
 
+    @pytest.mark.parametrize("sigma_ref, message", [
+        ("0.1", "sigma_ref must be a number, got '0.1'"),
+        (True, "sigma_ref must be a number, got True"),
+        (None, "sigma_ref must be a number, got None"),
+        (10**400, f"sigma_ref must be finite, got {10**400}"),
+        (-10**5000, "sigma_ref must be positive, got a negative int of 16610 bits"),
+    ], ids=["str", "bool", "none", "huge", "past-str-limit"])
+    def test_rejects_a_scale_that_is_no_float(self, sigma_ref, message):
+        with pytest.raises(EstimationError) as info:
+            chi_squared([1.0, 2.0], [1.0, 2.0], sigma_ref)
+        assert type(info.value) is EstimationError and str(info.value) == message
+
     def test_overflowing_statistic_is_an_estimation_error(self):
         with pytest.raises(EstimationError, match="overflows"):
             chi_squared([1.0, 2.0], [0.0, 0.0], 1e-300)
@@ -145,10 +157,22 @@ class TestChi2PValue:
         assert 0.0 <= chi2_p_value(chi2, dof) <= 1.0
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(EstimationError):
-            chi2_p_value(-1.0, 4)
-        with pytest.raises(EstimationError):
-            chi2_p_value(1.0, 0)
+        for chi2, dof, message in [
+            (-1.0, 4, "chi2 must be finite and non-negative, got -1.0"),
+            (math.nan, 3, "chi2 must be finite and non-negative, got nan"),
+            (math.inf, 3, "chi2 must be finite and non-negative, got inf"),
+            (10**5000, 3, "chi2 must be finite and non-negative, got an int of 16610 bits"),
+            ("3", 2, "chi2 must be a number, got '3'"),
+            (True, 2, "chi2 must be a number, got True"),
+            (1.0, 0, "dof must be an integer of at least 1, got 0"),
+            (3.0, 2.5, "dof must be an integer of at least 1, got 2.5"),
+            (1.0, True, "dof must be an integer of at least 1, got True"),
+            (1.0, -10**5000,
+             "dof must be an integer of at least 1, got a negative int of 16610 bits"),
+        ]:
+            with pytest.raises(EstimationError) as info:
+                chi2_p_value(chi2, dof)
+            assert type(info.value) is EstimationError and str(info.value) == message
 
 
 class TestLeastSquares:
@@ -232,11 +256,14 @@ class TestLeastSquares:
 
     @pytest.mark.parametrize("sigma_ref, message", [(math.inf, "must be finite"),
                                                     (math.nan, "must be positive"),
-                                                    (0.0, "must be positive")])
+                                                    (0.0, "must be positive"),
+                                                    ("0.1", "must be a number"),
+                                                    (True, "must be a number")])
     def test_rejects_reference_scale_outside_the_positive_floats(self, sigma_ref, message):
         d = np.linspace(0.002, 0.008, 10)
-        with pytest.raises(EstimationError, match=message):
-            ssp_least_squares(rate_series(d, d / (1 - d)), sigma_ref=sigma_ref)
+        for estimator in (ssp_least_squares, ssp_irr_root):
+            with pytest.raises(EstimationError, match=message):
+                estimator(rate_series(d, d / (1 - d)), sigma_ref=sigma_ref)
 
 
 class TestIrrRoot:
