@@ -14,8 +14,8 @@ continues past the 1e-8 relative tolerance for as long as that residual
 still falls; the iterate with the smallest residual is returned. For
 extreme lam, where the tolerance is not representable in double
 precision, an iterate at the machine floor is accepted instead. A
-non-positive pivot, a non-finite input, or a residual that reaches
-neither bound raises EstimationError.
+non-positive pivot or a residual that reaches neither bound raises
+EstimationError, and ``sums.floats`` refuses a non-finite input.
 The buffer add-on is 0 at or below ``gap_low`` percentage points,
 ``buffer_max`` at or above ``gap_high``, and linear in between.
 """
@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import ColumnAbsentError, EstimationError, InvariantError
 from .series import CreditSeries, Quarter, number, shown, validated
-from .sums import floats, scalar
+from .sums import floats
 
 _RESID_TOL = 1e-8
 _MAX_REFINEMENTS = 12
@@ -134,10 +134,9 @@ def hp_filter(y: Sequence[float], lam: float) -> list[float]:
     n = len(ys)
     if n < 3:
         raise EstimationError(f"need a one-dimensional series of length >= 3, got {(n,)}")
-    if not 0.0 <= scalar("lam", lam) <= sys.float_info.max:
-        raise EstimationError(f"smoothing parameter must be finite and >= 0, got {shown(lam)}")
-    if not all(math.isfinite(v) for v in ys):
-        raise EstimationError("series values must be finite")
+    number("lam", lam)
+    if lam < 0.0:
+        raise EstimationError(f"smoothing parameter must be >= 0, got {shown(lam)}")
     if lam == 0.0:
         return ys
     # the trend is linear in y, so solving for y scaled by a power of two is
@@ -179,6 +178,12 @@ def hp_filter(y: Sequence[float], lam: float) -> list[float]:
 
 def buffer_add_on(gap: float, cfg: GapConfig = GapConfig()) -> float:
     """Countercyclical add-on for a gap in percentage points."""
+    number("gap", gap)
+    return _add_on(gap, cfg)
+
+
+def _add_on(gap: float, cfg: GapConfig) -> float:
+    # credit_gap's gaps are differences of floats, so its rows skip buffer_add_on's check
     if gap <= cfg.gap_low:
         return 0.0
     if gap >= cfg.gap_high:
@@ -200,6 +205,6 @@ def credit_gap(series: CreditSeries, cfg: GapConfig = GapConfig()) -> GapReport:
     rows = []
     for o, r, t in zip(series.observations, ratio, trend):
         gap = r - t
-        rows.append(GapRow(o.quarter, r, t, gap, buffer_add_on(gap, cfg)))
+        rows.append(GapRow(o.quarter, r, t, gap, _add_on(gap, cfg)))
     return GapReport(tuple(rows), cfg)
 

@@ -7,9 +7,9 @@ immutable after construction and all operations are pure: observations are
 a frozen dataclass, so ``dataclasses.replace`` validates anew, and the other
 types are named tuples under ``@validated``, which run their ``_checked``
 method on every construction, ``_make`` and ``_replace`` included.
-``number`` is the one rule every record applies to its float fields and
-``typed`` the one rule for its int, bool and ``Quarter`` fields; ``shown``
-is the one text of a value in a message, an int past ``str``'s limit too.
+``number`` is the one rule for a record's float field and for every number a
+public function takes, and ``typed`` for int, bool and ``Quarter`` fields;
+``shown`` is the one text of a value in a message, an int past ``str``'s limit too.
 ``Window.positions`` is the one place that maps a window onto a run of
 quarters, and ``CreditSeries.slice`` the one check of a window against a
 series; a slice of a checked series is a contiguous run of it, so it is
@@ -54,7 +54,7 @@ def shown(value, text=str) -> str:
 
 
 def number(name: str, value, where=None) -> None:
-    """Refuse a field that is not an int or float (no bool) a float holds finitely."""
+    """Refuse a field or argument that is not an int or float (no bool) a float holds finitely."""
     is_number = type(value) is not bool and isinstance(value, (int, float))
     if not (is_number and -_FLOAT_MAX <= value <= _FLOAT_MAX):
         problem = (f"must be finite, got {shown(value)}" if is_number

@@ -37,14 +37,13 @@ p-value, its fields named like the published steady-state table column.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple, Sequence
 
 from . import ols
 from .errors import EstimationError
 from .rates import RateSeries
-from .series import Quarter, shown
-from .sums import floats, fsum, scalar
+from .series import Quarter, number, shown
+from .sums import floats, fsum
 
 METHOD_LEAST_SQUARES = "least-squares"
 METHOD_IRR_ROOT = "irr-root"
@@ -53,6 +52,7 @@ _MAX_ITER = 200
 _S_HI_CAP = 10.0
 _MANTISSA_LO = 2.0**-512
 _MANTISSA_HI = 2.0**512
+_MAX_DOF = 100_000  # chi2_p_value sums dof/2 terms; 1000-Q1..9999-Q4 gives dof <= 35,998
 
 
 class SspEstimate(NamedTuple):
@@ -77,6 +77,8 @@ class TrajectoryPoint(NamedTuple):
 
 def expected_growth(d: float, zeta: float) -> float:
     """Growth rate (d + zeta) / (1 - d); the odds of default when zeta = 0."""
+    number("d", d)
+    number("zeta", zeta)
     if not 0.0 <= d < 1.0:
         raise EstimationError(f"default rate must be in [0,1), got {d}")
     return (d + zeta) / (1.0 - d)
@@ -92,10 +94,9 @@ def chi_squared(
         raise EstimationError(shape_message)
     if len(obs) < 2:
         raise EstimationError(f"need at least 2 values, got {len(obs)}")
-    if not scalar("sigma_ref", sigma_ref) > 0.0:
+    number("sigma_ref", sigma_ref)
+    if not sigma_ref > 0.0:
         raise EstimationError(f"sigma_ref must be positive, got {shown(sigma_ref)}")
-    if sigma_ref > sys.float_info.max:
-        raise EstimationError(f"sigma_ref must be finite, got {shown(sigma_ref)}")
     z = [(o - e) / sigma_ref for o, e in zip(obs, exp)]
     chi2 = fsum(v * v for v in z)
     if chi2 == math.inf:
@@ -114,10 +115,11 @@ def chi2_p_value(chi2: float, dof: int) -> float:
     plus erfc(sqrt(x)) when dof is odd. Each term is formed in logs, so none
     overflows; the clamp absorbs the sum's rounding above 1.
     """
-    if not 0.0 <= scalar("chi2", chi2) <= sys.float_info.max:
-        raise EstimationError(f"chi2 must be finite and non-negative, got {shown(chi2)}")
-    if type(dof) is not int or dof < 1:
-        raise EstimationError(f"dof must be an integer of at least 1, got {shown(dof, repr)}")
+    number("chi2", chi2)
+    if chi2 < 0.0:
+        raise EstimationError(f"chi2 must be non-negative, got {shown(chi2)}")
+    if type(dof) is not int or not 1 <= dof <= _MAX_DOF:
+        raise EstimationError(f"dof must be an integer in 1..{_MAX_DOF}, got {shown(dof, repr)}")
     x = chi2 / 2.0
     if x == 0.0:
         return 1.0
@@ -265,6 +267,7 @@ def trajectory(rates: RateSeries, zeta: float) -> tuple[TrajectoryPoint, ...]:
     prod_{j<=k} (1 + f_j)(1 - d_j) / (1 + zeta); it stays at 1 when the
     observed rates follow the steady state exactly.
     """
+    number("zeta", zeta)
     if zeta == -1.0:
         raise EstimationError("zeta is -1, so s = 1 / (1 + zeta) is undefined")
     points = []
@@ -280,7 +283,7 @@ def trajectory(rates: RateSeries, zeta: float) -> tuple[TrajectoryPoint, ...]:
             direction = "falling"
         else:
             direction = "flat"
-        points.append(TrajectoryPoint(p.interval_end, p.f, expected_growth(p.d, zeta),
+        points.append(TrajectoryPoint(p.interval_end, p.f, (p.d + zeta) / (1.0 - p.d),
                                       index, direction))
         prev_f = p.f
     if not math.isfinite(index):  # a product that leaves the float range stays out of it

@@ -97,22 +97,31 @@ class TestHpFilter:
         ("1600", "lam must be a number, got '1600'"),
         (True, "lam must be a number, got True"),
         (None, "lam must be a number, got None"),
-        (math.nan, "smoothing parameter must be finite and >= 0, got nan"),
-        (10**400, f"smoothing parameter must be finite and >= 0, got {10**400}"),
-        (-10**5000,
-         "smoothing parameter must be finite and >= 0, got a negative int of 16610 bits"),
+        (math.nan, "lam must be finite, got nan"),
+        (10**400, f"lam must be finite, got {10**400}"),
+        (-10**5000, "lam must be finite, got a negative int of 16610 bits"),
     ], ids=["str", "bool", "none", "nan", "huge", "past-str-limit"])
     def test_lambda_that_is_no_float_rejected(self, lam, message):
-        with pytest.raises(EstimationError) as info:
+        # series.number's rule and message, as for GapConfig.lam
+        with pytest.raises(InvariantError) as info:
             hp_filter([1.0, 2.0, 3.0], lam)
-        assert type(info.value) is EstimationError and str(info.value) == message
+        assert type(info.value) is InvariantError and str(info.value) == message
+
+    @pytest.mark.parametrize("y, message", [
+        ([1.0, math.inf, 3.0, 4.0], "value at index 1 must be finite, got inf"),
+        ([1.0, 2.0, 10**400], f"value at index 2 must be finite, got {10**400}"),
+        (np.array([1.0, 2.0, np.nan]), "value at index 2 must be finite, got nan"),
+    ], ids=["inf", "huge", "numpy-nan"])
+    def test_non_finite_value_rejected_by_position(self, y, message):
+        with pytest.raises(InvariantError) as info:
+            hp_filter(y, 1600.0)
+        assert type(info.value) is InvariantError and str(info.value) == message
 
     @pytest.mark.parametrize(
         "y, lam",
         [
             ([1.0, 2.0, 3.0], 1e30),
             ([1.0, 2.0, 4.0], 1e30),
-            ([1.0, math.inf, 3.0, 4.0], 1600.0),
             ([1e300, 1e-300, 5.0, 7.0], 1e30),
         ],
     )

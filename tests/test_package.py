@@ -14,10 +14,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import steadycredit
-from steadycredit.basel import GapConfig
-from steadycredit.errors import ContiguityError, InvariantError, WindowError
+from steadycredit.basel import GapConfig, buffer_add_on, hp_filter
+from steadycredit.cycles import cycle_stats
+from steadycredit.errors import ContiguityError, InvariantError, SteadyCreditError, WindowError
+from steadycredit.ols import fit
 from steadycredit.rates import RatePoint, RateSeries, RatesConfig
 from steadycredit.series import CreditObservation, CreditSeries, Quarter, Window
+from steadycredit.steady_state import (
+    chi2_p_value,
+    chi_squared,
+    expected_growth,
+    ssp_irr_root,
+    ssp_least_squares,
+    trajectory,
+)
 from steadycredit.synth import Scenario, parse_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -116,6 +126,13 @@ def test_numeric_fields_have_one_rule():
              if isinstance(node, ast.FunctionDef) and node.name in ("_checked", "__post_init__")
              and {"isinstance", "isfinite", "float_info"} & set(_uses(node))]
     assert forks == []
+
+
+def test_the_float_range_is_checked_in_one_place():
+    # series.number is the one finiteness check of a record's field and of an argument
+    checks = [path.name for path in sorted(PACKAGE.glob("*.py"))
+              if "float_info.max" in path.read_text(encoding="utf-8")]
+    assert checks == ["series.py"]
 
 
 _Q = Quarter(2008, 1)
@@ -305,6 +322,71 @@ def test_a_numeric_field_refuses_anything_but_a_finite_number(record, data):
     bad = data.draw(_NOT_A_FINITE_NUMBER.filter(lambda v: v is not None or not fields[field]))
     with pytest.raises(InvariantError):
         cls(**{**valid, field: bad})
+
+
+_RATES = RateSeries(tuple(RatePoint(_Q.shift(k), 0.002 * k, 0.003 * k * k, "loans-formula")
+                          for k in range(1, 5)))
+# a public function, valid arguments, and the kind of each of its number arguments:
+# a scalar, a scalar where None is valid, or a sequence checked element by element
+# (analyze records a bad sigma_ref as a stage error, so it is not listed)
+_NUMBER_ARGUMENTS = [
+    (fit, ([0.0, 1.0, 2.0], [1.0, 2.0, 4.0]), {0: "each", 1: "each"}),
+    (chi_squared, ([1.0, 2.0], [1.5, 2.5], 0.5), {0: "each", 1: "each", 2: "scalar"}),
+    (chi2_p_value, (3.0, 4), {0: "scalar", 1: "scalar"}),
+    (expected_growth, (0.01, 0.002), {0: "scalar", 1: "scalar"}),
+    (trajectory, (_RATES, 0.002), {1: "scalar"}),
+    (ssp_least_squares, (_RATES, 0.5), {1: "optional"}),
+    (ssp_irr_root, (_RATES, 0.5), {1: "optional"}),
+    (hp_filter, ([1.0, 2.0, 4.0, 3.0], 1600.0), {0: "each", 1: "scalar"}),
+    (buffer_add_on, (5.0,), {0: "scalar"}),
+    (cycle_stats, ([1.0, 3.0, 2.0, 4.0],), {0: "each"}),
+]
+# a value in a sequence may also be bytes or a nested list
+_NOT_A_FINITE_ELEMENT = st.one_of(_NOT_A_FINITE_NUMBER, st.binary(),
+                                  st.lists(st.floats(), max_size=1))
+
+
+@given(case=st.sampled_from(_NUMBER_ARGUMENTS), data=st.data())
+def test_a_number_argument_refuses_anything_but_a_finite_number(case, data):
+    fn, valid, kinds = case
+    args = list(valid)
+    position = data.draw(st.sampled_from(sorted(kinds)))
+    if kinds[position] == "each":
+        values = list(args[position])
+        values[data.draw(st.integers(0, len(values) - 1))] = data.draw(_NOT_A_FINITE_ELEMENT)
+        args[position] = values
+    else:
+        args[position] = data.draw(_NOT_A_FINITE_NUMBER.filter(
+            lambda v: v is not None or kinds[position] != "optional"))
+    fn(*valid)  # the valid arguments are accepted
+    # no other exception, and no result at all, let alone a non-finite one
+    with pytest.raises(SteadyCreditError):
+        fn(*args)
+
+
+# calls that once returned NaN, read text or flags as numbers, or raised a bare error
+@pytest.mark.parametrize("fn, args", [
+    (fit, ([math.nan, 1, 2], [1, 2, 3])),
+    (chi_squared, ([math.nan, 1.0], [1.0, 1.0], 1.0)),
+    (cycle_stats, (["1", "3", "2", "4"],)),
+    (fit, ("123", "124")),
+    (hp_filter, ([True, False, True], 1600.0)),
+    (hp_filter, ([1.0, 2.0, 3.0], math.nan)),
+    (fit, ([10**400, 1, 2], [1, 2, 3])),
+    (cycle_stats, ("abcd",)),
+    (trajectory, (_RATES, "0.1")),
+    (chi2_p_value, (1.0, 100_001)),
+    (chi2_p_value, (1.0, 10**400)),
+    (buffer_add_on, ("5",)),
+    (buffer_add_on, (math.nan,)),
+    (expected_growth, ("5", 0.0)),
+    (expected_growth, (0.01, math.nan)),
+], ids=["fit-nan", "chi-squared-nan", "cycles-text", "fit-digits", "hp-flags", "hp-nan-lam",
+        "fit-huge", "cycles-letters", "trajectory-text", "p-value-dof-cap",
+        "p-value-dof-huge", "buffer-text", "buffer-nan", "growth-text", "growth-nan"])
+def test_a_bad_number_argument_is_a_typed_error(fn, args):
+    with pytest.raises(SteadyCreditError):
+        fn(*args)
 
 
 # a record and the kind of each of its int, bool and Quarter fields

@@ -522,7 +522,7 @@ class TestWindowSelection:
         if any(inside):
             selected = select_window(full, window)
             assert selected.points == tuple(p for p, keep in zip(full.points, inside) if keep)
-            # built without a check, it still passes its own
+            # select_window builds its result checked, so building it again is a no-op
             assert RateSeries(*selected) == selected
         else:
             with pytest.raises(WindowError) as info:

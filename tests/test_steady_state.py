@@ -15,7 +15,7 @@ from _oracles import (
 )
 from conftest import OLS_SCALE_OVERFLOW_CSV, UNIT_ZETA_CSV, steady_scenario
 from steadycredit import synth
-from steadycredit.errors import EstimationError
+from steadycredit.errors import EstimationError, InvariantError
 from steadycredit.rates import F_SOURCE_BALANCE, RatePoint, RateSeries, credit_growth_rates
 from steadycredit.report import dump_json
 from steadycredit.series import Quarter, parse_csv
@@ -83,7 +83,7 @@ class TestChiSquared:
             chi_squared([1.0, 2.0], [1.0, 2.0], 0.0)
 
     def test_rejects_infinite_scale(self):
-        with pytest.raises(EstimationError, match="must be finite"):
+        with pytest.raises(InvariantError, match="must be finite"):
             chi_squared([1.0, 2.0], [1.0, 2.0], math.inf)
 
     @pytest.mark.parametrize("sigma_ref, message", [
@@ -91,12 +91,12 @@ class TestChiSquared:
         (True, "sigma_ref must be a number, got True"),
         (None, "sigma_ref must be a number, got None"),
         (10**400, f"sigma_ref must be finite, got {10**400}"),
-        (-10**5000, "sigma_ref must be positive, got a negative int of 16610 bits"),
+        (-10**5000, "sigma_ref must be finite, got a negative int of 16610 bits"),
     ], ids=["str", "bool", "none", "huge", "past-str-limit"])
     def test_rejects_a_scale_that_is_no_float(self, sigma_ref, message):
-        with pytest.raises(EstimationError) as info:
+        with pytest.raises(InvariantError) as info:
             chi_squared([1.0, 2.0], [1.0, 2.0], sigma_ref)
-        assert type(info.value) is EstimationError and str(info.value) == message
+        assert type(info.value) is InvariantError and str(info.value) == message
 
     def test_overflowing_statistic_is_an_estimation_error(self):
         with pytest.raises(EstimationError, match="overflows"):
@@ -157,22 +157,26 @@ class TestChi2PValue:
         assert 0.0 <= chi2_p_value(chi2, dof) <= 1.0
 
     def test_rejects_bad_arguments(self):
-        for chi2, dof, message in [
-            (-1.0, 4, "chi2 must be finite and non-negative, got -1.0"),
-            (math.nan, 3, "chi2 must be finite and non-negative, got nan"),
-            (math.inf, 3, "chi2 must be finite and non-negative, got inf"),
-            (10**5000, 3, "chi2 must be finite and non-negative, got an int of 16610 bits"),
-            ("3", 2, "chi2 must be a number, got '3'"),
-            (True, 2, "chi2 must be a number, got True"),
-            (1.0, 0, "dof must be an integer of at least 1, got 0"),
-            (3.0, 2.5, "dof must be an integer of at least 1, got 2.5"),
-            (1.0, True, "dof must be an integer of at least 1, got True"),
-            (1.0, -10**5000,
-             "dof must be an integer of at least 1, got a negative int of 16610 bits"),
+        for chi2, dof, error, message in [
+            (-1.0, 4, EstimationError, "chi2 must be non-negative, got -1.0"),
+            (math.nan, 3, InvariantError, "chi2 must be finite, got nan"),
+            (math.inf, 3, InvariantError, "chi2 must be finite, got inf"),
+            (10**5000, 3, InvariantError, "chi2 must be finite, got an int of 16610 bits"),
+            ("3", 2, InvariantError, "chi2 must be a number, got '3'"),
+            (True, 2, InvariantError, "chi2 must be a number, got True"),
+            (1.0, 0, EstimationError, "dof must be an integer in 1..100000, got 0"),
+            (3.0, 2.5, EstimationError, "dof must be an integer in 1..100000, got 2.5"),
+            (1.0, True, EstimationError, "dof must be an integer in 1..100000, got True"),
+            (1.0, -10**5000, EstimationError,
+             "dof must be an integer in 1..100000, got a negative int of 16610 bits"),
+            # the sum has dof/2 terms, so a dof past the cap is refused, not summed
+            (1.0, 100_001, EstimationError, "dof must be an integer in 1..100000, got 100001"),
+            (1.0, 10**400, EstimationError,
+             f"dof must be an integer in 1..100000, got {10**400}"),
         ]:
-            with pytest.raises(EstimationError) as info:
+            with pytest.raises(error) as info:
                 chi2_p_value(chi2, dof)
-            assert type(info.value) is EstimationError and str(info.value) == message
+            assert type(info.value) is error and str(info.value) == message
 
 
 class TestLeastSquares:
@@ -254,15 +258,18 @@ class TestLeastSquares:
         est = ssp_least_squares(rate_series(d, f), sigma_ref=0.5)
         assert est.chi2 < 0.01
 
-    @pytest.mark.parametrize("sigma_ref, message", [(math.inf, "must be finite"),
-                                                    (math.nan, "must be positive"),
-                                                    (0.0, "must be positive"),
-                                                    ("0.1", "must be a number"),
-                                                    (True, "must be a number")])
-    def test_rejects_reference_scale_outside_the_positive_floats(self, sigma_ref, message):
+    @pytest.mark.parametrize("sigma_ref, error, message", [
+        (math.inf, InvariantError, "must be finite"),
+        (math.nan, InvariantError, "must be finite"),
+        (0.0, EstimationError, "must be positive"),
+        ("0.1", InvariantError, "must be a number"),
+        (True, InvariantError, "must be a number"),
+    ])
+    def test_rejects_reference_scale_outside_the_positive_floats(self, sigma_ref, error,
+                                                                 message):
         d = np.linspace(0.002, 0.008, 10)
         for estimator in (ssp_least_squares, ssp_irr_root):
-            with pytest.raises(EstimationError, match=message):
+            with pytest.raises(error, match=message):
                 estimator(rate_series(d, d / (1 - d)), sigma_ref=sigma_ref)
 
 
