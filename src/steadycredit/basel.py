@@ -15,7 +15,7 @@ still falls; the iterate with the smallest residual is returned. For
 extreme lam, where the tolerance is not representable in double
 precision, an iterate at the machine floor is accepted instead. A
 non-positive pivot or a residual that reaches neither bound raises
-EstimationError, and ``sums.floats`` refuses a non-finite input.
+EstimationError, and ``series.floats`` refuses a non-finite input.
 The buffer add-on is 0 at or below ``gap_low`` percentage points,
 ``buffer_max`` at or above ``gap_high``, and linear in between.
 """
@@ -27,8 +27,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .errors import ColumnAbsentError, EstimationError, InvariantError
-from .series import CreditSeries, Quarter, number, shown, validated
-from .sums import floats
+from .series import CreditSeries, Quarter, floats, number, shown, validated
 
 _RESID_TOL = 1e-8
 _MAX_REFINEMENTS = 12

@@ -23,8 +23,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import EstimationError
-from .series import Quarter, csv_text
-from .sums import floats, fsum
+from .series import Quarter, csv_text, floats, fsum, typed
 
 KIND_MAX = "maximum"
 KIND_MIN = "minimum"
@@ -74,6 +73,20 @@ def _mean_se(values: list[float]) -> tuple[float | None, float | None]:
     return math.ldexp(mean, shift), math.ldexp(math.sqrt(var) / math.sqrt(n), shift)
 
 
+def _aligned(quarters: Sequence[Quarter] | None, n: int) -> Sequence[Quarter | None]:
+    """One quarter, or None, per value; anything but a sequence of n quarters is refused."""
+    if quarters is None:
+        return [None] * n
+    try:
+        if len(quarters) == n:
+            for t in range(n):
+                typed(f"quarter at index {t}", quarters[t], Quarter)
+            return quarters
+    except (TypeError, LookupError):  # not a sequence: an iterator, a set
+        pass
+    raise EstimationError("quarters must align with the values")
+
+
 def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -> CycleReport:
     """Full cycle report of a series, from one pass over its interior points.
 
@@ -84,8 +97,7 @@ def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -
     ys = floats(y, _SHAPE_MESSAGE)
     if len(ys) < 3:
         raise EstimationError(f"need at least 3 points, got {len(ys)}")
-    if quarters is not None and len(quarters) != len(ys):
-        raise EstimationError("quarters must align with the values")
+    qs = _aligned(quarters, len(ys))
     series_mean, series_se = _mean_se(ys)
     extrema: list[Extremum] = []
     labels: list[str] = []
@@ -107,8 +119,7 @@ def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -
                 label = "P3" if d2 < 0.0 else "P4"
         labels.append(label)
         if kind is not None:
-            extrema.append(Extremum(t, quarters[t] if quarters is not None else None, kind,
-                                    mid, abs(mid - series_mean)))
+            extrema.append(Extremum(t, qs[t], kind, mid, abs(mid - series_mean)))
 
     strict = [e for e in extrema if e.kind != KIND_STEADY]
     amp_mean, amp_se = _mean_se([e.amplitude for e in strict])
@@ -127,11 +138,12 @@ def overlays_to_csv(report: CycleReport, y: Sequence[float],
                     quarters: Sequence[Quarter] | None = None) -> str:
     """Per-point CSV of values, phase labels, and detected extrema."""
     ys = floats(y, _SHAPE_MESSAGE)
+    qs = _aligned(quarters, len(ys))
     kinds = {e.index: e for e in report.extrema}
     phases = (None, *report.phase_labels, None)  # the end points have no phase
     rows = []
     for t, value in enumerate(ys):
         e = kinds.get(t)
-        rows.append((t, quarters[t] if quarters is not None else None, value, phases[t],
-                     e.kind if e else None, e.amplitude if e else None))
+        rows.append((t, qs[t], value, phases[t], e.kind if e else None,
+                     e.amplitude if e else None))
     return csv_text(("index", "quarter", "value", "phase", "extremum_kind", "amplitude"), rows)

@@ -16,7 +16,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import EstimationError
-from .sums import floats, fsum
+from .series import floats, fsum
 
 
 class OlsFit(NamedTuple):

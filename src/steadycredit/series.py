@@ -10,6 +10,15 @@ method on every construction, ``_make`` and ``_replace`` included.
 ``number`` is the one rule for a record's float field and for every number a
 public function takes, and ``typed`` for int, bool and ``Quarter`` fields;
 ``shown`` is the one text of a value in a message, an int past ``str``'s limit too.
+``floats`` reads an estimator's sample by ``number``, value by value: text,
+bytes or a non-iterable is the caller's EstimationError, another kind of
+number (a numpy scalar, a Fraction, a Decimal, never a bool) is read by
+``float()`` first, and a value that is then no int or float a float holds
+finitely is ``number``'s InvariantError naming its index. ``fsum`` is
+``math.fsum``, whose single rounding makes a sum independent of the order of
+its terms, with its overflow and inf - inf failures as EstimationError. A
+float product that overflows still yields inf, and the JSON writers reject
+the non-finite result.
 ``Window.positions`` is the one place that maps a window onto a run of
 quarters, and ``CreditSeries.slice`` the one check of a window against a
 series; a slice of a checked series is a contiguous run of it, so it is
@@ -20,12 +29,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 import sys
 from dataclasses import dataclass
+from numbers import Number
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ContiguityError, InvariantError, ParseError, WindowError
+from .errors import ContiguityError, EstimationError, InvariantError, ParseError, WindowError
 
 CSV_HEADER = ("quarter", "tcu_eur", "abd_eur", "loans_eur", "gdp_eur")
 
@@ -67,6 +78,38 @@ def typed(name: str, value, kind: type) -> None:
     if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
         article = {int: "an integer", bool: "a bool"}.get(kind, f"a {kind.__name__}")
         raise InvariantError(f"{name} must be {article}, got {shown(value, repr)}")
+
+
+def fsum(values: Iterable[float]) -> float:
+    """``math.fsum`` with its overflow and inf - inf failures as EstimationError."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise EstimationError("sum overflows the float range") from None
+    except ValueError:
+        raise EstimationError("sum adds +inf and -inf") from None
+
+
+def floats(values: Iterable[float], message: str) -> list[float]:
+    """The values as finite floats; text, bytes or a non-iterable is EstimationError(message)."""
+    if isinstance(values, (str, bytes, bytearray, memoryview)):
+        raise EstimationError(message)  # list() would read its characters or bytes
+    try:
+        xs = list(values)
+    except TypeError:
+        raise EstimationError(message) from None
+    if set(map(type, xs)) <= {float} and all(map(math.isfinite, xs)):
+        return xs
+    for i, v in enumerate(xs):
+        if isinstance(v, Number) and not isinstance(v, (int, float)):  # numpy.int64, Fraction
+            try:
+                xs[i] = v = float(v)
+            except OverflowError:  # a huge Fraction is an infinity, as a huge Decimal is
+                xs[i] = v = math.inf if v > 0 else -math.inf
+            except (TypeError, ValueError):  # a complex, a signalling NaN: number refuses it
+                pass
+        number(f"value at index {i}", v)
+    return list(map(float, xs))
 
 
 @validated

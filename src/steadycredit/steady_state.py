@@ -42,8 +42,7 @@ from typing import NamedTuple, Sequence
 from . import ols
 from .errors import EstimationError
 from .rates import RateSeries
-from .series import Quarter, number, shown
-from .sums import floats, fsum
+from .series import Quarter, floats, fsum, number, shown, typed
 
 METHOD_LEAST_SQUARES = "least-squares"
 METHOD_IRR_ROOT = "irr-root"
@@ -81,7 +80,10 @@ def expected_growth(d: float, zeta: float) -> float:
     number("zeta", zeta)
     if not 0.0 <= d < 1.0:
         raise EstimationError(f"default rate must be in [0,1), got {d}")
-    return (d + zeta) / (1.0 - d)
+    growth = (d + zeta) / (1.0 - d)
+    if not math.isfinite(growth):
+        raise EstimationError(f"expected growth is not finite, got {growth}")
+    return growth
 
 
 def chi_squared(
@@ -118,7 +120,8 @@ def chi2_p_value(chi2: float, dof: int) -> float:
     number("chi2", chi2)
     if chi2 < 0.0:
         raise EstimationError(f"chi2 must be non-negative, got {shown(chi2)}")
-    if type(dof) is not int or not 1 <= dof <= _MAX_DOF:
+    typed("dof", dof, int)
+    if not 1 <= dof <= _MAX_DOF:
         raise EstimationError(f"dof must be an integer in 1..{_MAX_DOF}, got {shown(dof, repr)}")
     x = chi2 / 2.0
     if x == 0.0:
@@ -133,6 +136,15 @@ def chi2_p_value(chi2: float, dof: int) -> float:
     return min(fsum(terms), 1.0)
 
 
+def _expected_growths(rates: RateSeries, zeta: float) -> list[float]:
+    """(d + zeta) / (1 - d) per rate point; one that leaves the float range is EstimationError."""
+    expected = [(p.d + zeta) / (1.0 - p.d) for p in rates.points]
+    if not all(map(math.isfinite, expected)):
+        p, e = next((p, e) for p, e in zip(rates.points, expected) if not math.isfinite(e))
+        raise EstimationError(f"{p.interval_end}: f_expected is not finite, got {e}")
+    return expected
+
+
 def _finalize(rates: RateSeries, zeta: float, method: str,
               sigma_ref: float | None) -> SspEstimate:
     if zeta == -1.0:
@@ -140,7 +152,7 @@ def _finalize(rates: RateSeries, zeta: float, method: str,
     d = rates.d_values()
     f = rates.f_values()
     n = len(d)
-    expected = [(di + zeta) / (1.0 - di) for di in d]
+    expected = _expected_growths(rates, zeta)
     sse = fsum((fi - ei) * (fi - ei) for fi, ei in zip(f, expected))
     s_for_residual = math.sqrt(sse / (n - 1))
     # The default scale is the OLS s_for_residual of the sample, else (fewer than 3
@@ -273,7 +285,7 @@ def trajectory(rates: RateSeries, zeta: float) -> tuple[TrajectoryPoint, ...]:
     points = []
     index = 1.0
     prev_f: float | None = None
-    for p in rates.points:
+    for p, expected in zip(rates.points, _expected_growths(rates, zeta)):
         index *= (1.0 + p.f) * (1.0 - p.d) / (1.0 + zeta)
         if prev_f is None:
             direction = None
@@ -283,8 +295,7 @@ def trajectory(rates: RateSeries, zeta: float) -> tuple[TrajectoryPoint, ...]:
             direction = "falling"
         else:
             direction = "flat"
-        points.append(TrajectoryPoint(p.interval_end, p.f, (p.d + zeta) / (1.0 - p.d),
-                                      index, direction))
+        points.append(TrajectoryPoint(p.interval_end, p.f, expected, index, direction))
         prev_f = p.f
     if not math.isfinite(index):  # a product that leaves the float range stays out of it
         raise EstimationError(f"cumulative_index is not finite, got {index}")

@@ -14,7 +14,7 @@ from steadycredit.cycles import (
     cycle_stats,
     overlays_to_csv,
 )
-from steadycredit.errors import EstimationError
+from steadycredit.errors import EstimationError, InvariantError
 from steadycredit.report import dump_json
 from steadycredit.series import Quarter
 
@@ -56,16 +56,44 @@ class TestFindExtrema:
         assert e.quarter == Quarter(2008, 2)
 
     def test_values_that_are_not_numbers_rejected(self):
-        # the typed shape error of ols.fit, hp_filter and chi_squared, not float()'s TypeError
-        message = "^y must be a one-dimensional sequence of numbers$"
-        with pytest.raises(EstimationError, match=message):
+        # the indexed error of ols.fit, hp_filter and chi_squared, not float()'s TypeError
+        message = r"^value at index 0 must be a number, got \[1.0\]$"
+        with pytest.raises(InvariantError, match=message):
             cycle_stats([[1.0], [2.0], [3.0]])
-        with pytest.raises(EstimationError, match=message):
+        with pytest.raises(InvariantError, match=message):
             overlays_to_csv(cycle_stats([1.0, 3.0, 2.0]), [[1.0], [3.0], [2.0]])
 
     def test_quarters_must_align_with_the_values(self):
         with pytest.raises(EstimationError, match="^quarters must align with the values$"):
             cycle_stats([1.0, 3.0, 2.0], [Quarter(2008, 1), Quarter(2008, 2)])
+
+    @pytest.mark.parametrize("quarters", [
+        iter([Quarter(2008, 1), Quarter(2008, 2), Quarter(2008, 3)]),
+        {Quarter(2008, 1), Quarter(2008, 2), Quarter(2008, 3)},
+        [Quarter(2008, 1), Quarter(2008, 2)],
+    ], ids=["iterator", "set", "short"])
+    def test_quarters_that_are_no_aligned_sequence_rejected(self, quarters):
+        # an iterator has no len(), and a set no positions
+        for call in (lambda: cycle_stats([1.0, 3.0, 2.0], quarters),
+                     lambda: overlays_to_csv(cycle_stats([1.0, 3.0, 2.0]), [1.0, 3.0, 2.0],
+                                             quarters)):
+            with pytest.raises(EstimationError,
+                               match="^quarters must align with the values$"):
+                call()
+
+    @pytest.mark.parametrize("quarters, message", [
+        (["a", "b", "c"], "quarter at index 0 must be a Quarter, got 'a'"),
+        ("abc", "quarter at index 0 must be a Quarter, got 'a'"),
+        ([Quarter(2008, 1), (2008, 2), Quarter(2008, 3)],
+         r"quarter at index 1 must be a Quarter, got \(2008, 2\)"),
+    ], ids=["strs", "str", "tuple"])
+    def test_quarters_that_are_not_quarters_rejected(self, quarters, message):
+        # once stored as Extremum.quarter and written to the JSON report
+        for call in (lambda: cycle_stats([1.0, 3.0, 2.0], quarters),
+                     lambda: overlays_to_csv(cycle_stats([1.0, 3.0, 2.0]), [1.0, 3.0, 2.0],
+                                             quarters)):
+            with pytest.raises(InvariantError, match=f"^{message}$"):
+                call()
 
 
 class TestPhaseLabels:

@@ -6,7 +6,7 @@ import pytest
 
 from _oracles import ols_grid_oracle
 from conftest import published, residuals
-from steadycredit.errors import EstimationError
+from steadycredit.errors import EstimationError, InvariantError
 from steadycredit.ols import OlsFit, fit
 from steadycredit.report import dump_json
 
@@ -36,13 +36,14 @@ class TestFitBasics:
         with pytest.raises(EstimationError):
             fit([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
-    @pytest.mark.parametrize("x, y", [
-        ([0.0, 1.0, 2.0], [0.0, 1.0]),
-        ([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0]),
-    ])
-    def test_unequal_or_nested_samples_rejected(self, x, y):
-        with pytest.raises(EstimationError,
-                           match="^x and y must be one-dimensional and of equal length$"):
+    @pytest.mark.parametrize("x, y, error, message", [
+        ([0.0, 1.0, 2.0], [0.0, 1.0], EstimationError,
+         "x and y must be one-dimensional and of equal length"),
+        ([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0], InvariantError,
+         r"value at index 0 must be a number, got \[0.0\]"),
+    ], ids=["x0-y0", "x1-y1"])
+    def test_unequal_or_nested_samples_rejected(self, x, y, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
             fit(x, y)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e100])

@@ -6,9 +6,12 @@ import dataclasses
 import math
 import sys
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -133,6 +136,41 @@ def test_the_float_range_is_checked_in_one_place():
     checks = [path.name for path in sorted(PACKAGE.glob("*.py"))
               if "float_info.max" in path.read_text(encoding="utf-8")]
     assert checks == ["series.py"]
+
+
+_NUMBER_KINDS = {"int", "float", "bool", "Quarter"}
+
+
+def _kind_tests(node: ast.AST, function: str | None = None):
+    """(function, line) of each ``isinstance`` call and ``type(...)`` comparison
+    in the subtree that names a number kind or ``Quarter``."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, ast.FunctionDef) else function
+        if isinstance(child, ast.Call) and ast.unparse(child.func) == "isinstance":
+            tested = child.args[1]
+        elif isinstance(child, ast.Compare) and any(
+                isinstance(side, ast.Call) and ast.unparse(side.func) == "type"
+                for side in (child.left, *child.comparators)):
+            tested = child
+        else:
+            tested = None
+        if tested is not None and _NUMBER_KINDS & {
+                name.id for name in ast.walk(tested) if isinstance(name, ast.Name)}:
+            yield inner, child.lineno
+        yield from _kind_tests(child, inner)
+
+
+def test_what_a_number_is_is_decided_in_one_module():
+    # series.number, series.typed and series.floats decide what a number or a quarter
+    # is; the JSON writer tests the values and key paths it writes, analyze's stage
+    # check a stage's float fields, and the CLI the exit code argparse gives
+    exempt = {("report.py", "_write"), ("report.py", "dump_json"), ("report.py", "stage"),
+              ("cli.py", "main")}
+    tests = [(path.name, function, line)
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "series.py"
+             for function, line in _kind_tests(ast.parse(path.read_text(encoding="utf-8")))
+             if (path.name, function) not in exempt]
+    assert tests == []
 
 
 _Q = Quarter(2008, 1)
@@ -341,9 +379,22 @@ _NUMBER_ARGUMENTS = [
     (buffer_add_on, (5.0,), {0: "scalar"}),
     (cycle_stats, ([1.0, 3.0, 2.0, 4.0],), {0: "each"}),
 ]
-# a value in a sequence may also be bytes or a nested list
-_NOT_A_FINITE_ELEMENT = st.one_of(_NOT_A_FINITE_NUMBER, st.binary(),
-                                  st.lists(st.floats(), max_size=1))
+# numbers of other types than int and float: a scalar argument refuses them, as a
+# float field does, while a sample reads each but numpy's bool by float()
+_FOREIGN_NUMBERS = st.sampled_from([np.bool_(True), np.int64(1), np.float32(1.0),
+                                    Fraction(1, 3), Decimal("1.5")])
+# a value in a sequence may also be bytes, a nested list, or another kind of number
+# that is no finite real
+_NOT_A_FINITE_ELEMENT = st.one_of(
+    _NOT_A_FINITE_NUMBER, st.binary(), st.lists(st.floats(), max_size=1),
+    st.sampled_from([np.bool_(True), 1 + 2j, Fraction(10**400), Decimal("nan"),
+                     np.float32("inf")]))
+
+
+def _byte_samples(n: int):
+    """A sample of the small ints 1..n written as bytes, which list() reads as ints."""
+    values = bytes(range(1, n + 1))
+    return st.sampled_from([values, bytearray(values), memoryview(values)])
 
 
 @given(case=st.sampled_from(_NUMBER_ARGUMENTS), data=st.data())
@@ -354,9 +405,9 @@ def test_a_number_argument_refuses_anything_but_a_finite_number(case, data):
     if kinds[position] == "each":
         values = list(args[position])
         values[data.draw(st.integers(0, len(values) - 1))] = data.draw(_NOT_A_FINITE_ELEMENT)
-        args[position] = values
+        args[position] = data.draw(st.one_of(st.just(values), _byte_samples(len(values))))
     else:
-        args[position] = data.draw(_NOT_A_FINITE_NUMBER.filter(
+        args[position] = data.draw(st.one_of(_NOT_A_FINITE_NUMBER, _FOREIGN_NUMBERS).filter(
             lambda v: v is not None or kinds[position] != "optional"))
     fn(*valid)  # the valid arguments are accepted
     # no other exception, and no result at all, let alone a non-finite one
@@ -381,12 +432,31 @@ def test_a_number_argument_refuses_anything_but_a_finite_number(case, data):
     (buffer_add_on, (math.nan,)),
     (expected_growth, ("5", 0.0)),
     (expected_growth, (0.01, math.nan)),
+    (fit, (np.array([True, False, True, False]), [1.0, 2.0, 3.0, 5.0])),
+    (fit, (b"\x01\x02\x04", b"\x01\x03\x02")),
+    (hp_filter, (bytearray(b"\x01\x02\x04"), 1600.0)),
+    (cycle_stats, (memoryview(b"\x01\x03\x02"),)),
 ], ids=["fit-nan", "chi-squared-nan", "cycles-text", "fit-digits", "hp-flags", "hp-nan-lam",
         "fit-huge", "cycles-letters", "trajectory-text", "p-value-dof-cap",
-        "p-value-dof-huge", "buffer-text", "buffer-nan", "growth-text", "growth-nan"])
+        "p-value-dof-huge", "buffer-text", "buffer-nan", "growth-text", "growth-nan",
+        "fit-numpy-bool", "fit-bytes", "hp-bytearray", "cycles-memoryview"])
 def test_a_bad_number_argument_is_a_typed_error(fn, args):
     with pytest.raises(SteadyCreditError):
         fn(*args)
+
+
+@pytest.mark.parametrize("convert", [
+    lambda xs: np.array(xs, dtype=np.int64), lambda xs: np.array(xs, dtype=np.float32),
+    lambda xs: [Fraction(x) for x in xs], lambda xs: [Decimal(x) for x in xs],
+], ids=["numpy-int64", "numpy-float32", "fraction", "decimal"])
+def test_a_sample_of_other_real_numbers_is_read_by_float(convert):
+    # each value is read as float(value): the results equal those of the float sample
+    xs, ys = [0, 1, 2, 4], [1, 3, 2, 5]
+    floats = [float(x) for x in xs]
+    assert fit(convert(xs), convert(ys)) == fit(floats, [float(y) for y in ys])
+    assert hp_filter(convert(xs), 1600.0) == hp_filter(floats, 1600.0)
+    assert cycle_stats(convert(ys)) == cycle_stats([float(y) for y in ys])
+    assert chi_squared(convert(xs), floats, 1.0) == chi_squared(floats, floats, 1.0)
 
 
 # a record and the kind of each of its int, bool and Quarter fields
