@@ -23,7 +23,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import EstimationError
-from .series import Quarter, csv_text, floats, fsum, typed
+from .series import Quarter, csv_text, finite, floats, fsum, typed
 
 KIND_MAX = "maximum"
 KIND_MIN = "minimum"
@@ -129,9 +129,9 @@ def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -
         idx = [e.index for e in strict if e.kind == kind]
         gaps.extend(b - a for a, b in zip(idx, idx[1:]))
     period_years = sum(gaps) / len(gaps) / QUARTERS_PER_YEAR if gaps else None
-    return CycleReport(series_mean, series_se, amp_mean, amp_se,
-                       1.0 / period_years if gaps else None, period_years,
-                       tuple(extrema), tuple(labels))
+    return finite(CycleReport(series_mean, series_se, amp_mean, amp_se,
+                              1.0 / period_years if gaps else None, period_years,
+                              tuple(extrema), tuple(labels)))
 
 
 def overlays_to_csv(report: CycleReport, y: Sequence[float],

@@ -16,7 +16,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import EstimationError
-from .series import floats, fsum
+from .series import finite, floats, fsum
 
 
 class OlsFit(NamedTuple):
@@ -61,7 +61,7 @@ def fit(x: Sequence[float], y: Sequence[float]) -> OlsFit:
     # the product sxx * syy can underflow to zero or overflow where the roots do not
     correlation = sxy / (math.sqrt(sxx) * math.sqrt(syy)) if syy > 0.0 else 0.0
     s_ols = math.sqrt(sse / (n - 2))
-    return OlsFit(
+    return finite(OlsFit(
         n=n,
         intercept=intercept,
         sigma_intercept=s_ols * math.sqrt(1.0 / n + x_mean * x_mean / sxx),
@@ -72,4 +72,4 @@ def fit(x: Sequence[float], y: Sequence[float]) -> OlsFit:
         r2=correlation * correlation,
         sigma=math.sqrt(sse / n),
         s_for_residual=math.sqrt(sse / (n - 1)),
-    )
+    ))

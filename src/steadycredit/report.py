@@ -87,13 +87,9 @@ def analyze(
     errors: list[tuple[str, str]] = []
 
     def stage(name, fn, *args, **kwargs):
-        # a stage that fails or returns a non-finite field is recorded, its result absent
+        # a stage that fails, series.finite's refusal included, is recorded, its result absent
         try:
-            result = fn(*args, **kwargs)
-            for field, value in zip(getattr(result, "_fields", ()), result):
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise SteadyCreditError(f"{field} is not finite, got {value}")
-            return result
+            return fn(*args, **kwargs)
         except SteadyCreditError as exc:
             errors.append((name, str(exc)))
             return None

@@ -17,8 +17,8 @@ number (a numpy scalar, a Fraction, a Decimal, never a bool) is read by
 finitely is ``number``'s InvariantError naming its index. ``fsum`` is
 ``math.fsum``, whose single rounding makes a sum independent of the order of
 its terms, with its overflow and inf - inf failures as EstimationError. A
-float product that overflows still yields inf, and the JSON writers reject
-the non-finite result.
+float product that overflows still yields inf, so ``finite``, the one rule for
+what a public function returns, names a record's non-finite float field.
 ``Window.positions`` is the one place that maps a window onto a run of
 quarters, and ``CreditSeries.slice`` the one check of a window against a
 series; a slice of a checked series is a contiguous run of it, so it is
@@ -88,6 +88,14 @@ def fsum(values: Iterable[float]) -> float:
         raise EstimationError("sum overflows the float range") from None
     except ValueError:
         raise EstimationError("sum adds +inf and -inf") from None
+
+
+def finite(record):
+    """The record, or EstimationError naming its first float field that is not finite."""
+    for field, value in zip(record._fields, record):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise EstimationError(f"{field} is not finite, got {value}")
+    return record
 
 
 def floats(values: Iterable[float], message: str) -> list[float]:

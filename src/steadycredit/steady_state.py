@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 from . import ols
 from .errors import EstimationError
 from .rates import RateSeries
-from .series import Quarter, floats, fsum, number, shown, typed
+from .series import Quarter, finite, floats, fsum, number, shown, typed
 
 METHOD_LEAST_SQUARES = "least-squares"
 METHOD_IRR_ROOT = "irr-root"
@@ -137,7 +137,10 @@ def chi2_p_value(chi2: float, dof: int) -> float:
 
 
 def _expected_growths(rates: RateSeries, zeta: float) -> list[float]:
-    """(d + zeta) / (1 - d) per rate point; one that leaves the float range is EstimationError."""
+    """(d + zeta) / (1 - d) per rate point; one that leaves the float range, or a zeta
+    of -1 (no s = 1 / (1 + zeta)), is EstimationError."""
+    if zeta == -1.0:
+        raise EstimationError("zeta is -1, so s = 1 / (1 + zeta) is undefined")
     expected = [(p.d + zeta) / (1.0 - p.d) for p in rates.points]
     if not all(map(math.isfinite, expected)):
         p, e = next((p, e) for p, e in zip(rates.points, expected) if not math.isfinite(e))
@@ -147,8 +150,6 @@ def _expected_growths(rates: RateSeries, zeta: float) -> list[float]:
 
 def _finalize(rates: RateSeries, zeta: float, method: str,
               sigma_ref: float | None) -> SspEstimate:
-    if zeta == -1.0:
-        raise EstimationError("zeta is -1, so s = 1 / (1 + zeta) is undefined")
     d = rates.d_values()
     f = rates.f_values()
     n = len(d)
@@ -156,7 +157,7 @@ def _finalize(rates: RateSeries, zeta: float, method: str,
     sse = fsum((fi - ei) * (fi - ei) for fi, ei in zip(f, expected))
     s_for_residual = math.sqrt(sse / (n - 1))
     # The default scale is the OLS s_for_residual of the sample, else (fewer than 3
-    # points, constant d, overflow) the estimate's own, which makes chi2 = n - 1.
+    # points, constant d, a non-finite field) the estimate's own, so chi2 = n - 1.
     # chi_squared rejects an explicit scale that is not a positive float; only a
     # default scale may be zero, and then only for an exact fit.
     ref = sigma_ref
@@ -166,15 +167,14 @@ def _finalize(rates: RateSeries, zeta: float, method: str,
         try:
             ref = ols.fit(d, f).s_for_residual
         except EstimationError:
-            ref = math.inf
-        ref = ref if math.isfinite(ref) else s_for_residual
+            ref = s_for_residual
     if sigma_ref is not None or ref > 0.0:
         chi2, dof = chi_squared(f, expected, ref)
     elif sse == 0.0:
         chi2, dof = 0.0, n - 1  # perfect fit, zero scale: deviation is identically zero
     else:
         raise EstimationError("reference residual scale is zero but residuals are not")
-    return SspEstimate(
+    return finite(SspEstimate(
         n=n,
         zeta=zeta,
         s=1.0 / (1.0 + zeta),
@@ -184,7 +184,7 @@ def _finalize(rates: RateSeries, zeta: float, method: str,
         chi2=chi2,
         dof=dof,
         p_value=chi2_p_value(chi2, dof),
-    )
+    ))
 
 
 def ssp_least_squares(rates: RateSeries, sigma_ref: float | None = None) -> SspEstimate:
@@ -231,12 +231,8 @@ def _irr_value_slope(factors: list[float], s: float) -> tuple[float, float]:
     return fsum(terms) - len(terms), slope
 
 
-def ssp_irr_root(rates: RateSeries, sigma_ref: float | None = None) -> SspEstimate:
-    """Steady-state parameter from the discounted credit-stock root equation."""
-    if len(rates) < 2:
-        raise EstimationError(f"need at least 2 rate points, got {len(rates)}")
-    factors = [(1.0 + p.f) * (1.0 - p.d) for p in rates.points]
-
+def _irr_root(factors: list[float]) -> float:
+    """The discount factor s > 0 with sum_k A_k s^k = n for the per-interval factors."""
     # Newton starts at the smaller of two upper bounds on the root. Every term
     # is at most n, so s <= (n / A_k)^(1/k) for each k; and the terms' geometric
     # mean is at most their mean 1, so log s <= -2 sum_k log A_k / (n (n + 1)).
@@ -268,6 +264,14 @@ def ssp_irr_root(rates: RateSeries, sigma_ref: float | None = None) -> SspEstima
         raise EstimationError(
             f"discount-factor root is above s={_S_HI_CAP}, so zeta is below -0.9"
         )
+    return s
+
+
+def ssp_irr_root(rates: RateSeries, sigma_ref: float | None = None) -> SspEstimate:
+    """Steady-state parameter from the discounted credit-stock root equation."""
+    if len(rates) < 2:
+        raise EstimationError(f"need at least 2 rate points, got {len(rates)}")
+    s = _irr_root([(1.0 + p.f) * (1.0 - p.d) for p in rates.points])
     return _finalize(rates, 1.0 / s - 1.0, METHOD_IRR_ROOT, sigma_ref)
 
 
@@ -280,8 +284,6 @@ def trajectory(rates: RateSeries, zeta: float) -> tuple[TrajectoryPoint, ...]:
     observed rates follow the steady state exactly.
     """
     number("zeta", zeta)
-    if zeta == -1.0:
-        raise EstimationError("zeta is -1, so s = 1 / (1 + zeta) is undefined")
     points = []
     index = 1.0
     prev_f: float | None = None
@@ -297,6 +299,5 @@ def trajectory(rates: RateSeries, zeta: float) -> tuple[TrajectoryPoint, ...]:
             direction = "flat"
         points.append(TrajectoryPoint(p.interval_end, p.f, expected, index, direction))
         prev_f = p.f
-    if not math.isfinite(index):  # a product that leaves the float range stays out of it
-        raise EstimationError(f"cumulative_index is not finite, got {index}")
+    finite(points[-1])  # a product that leaves the float range stays out of it
     return tuple(points)

@@ -161,11 +161,10 @@ def _kind_tests(node: ast.AST, function: str | None = None):
 
 
 def test_what_a_number_is_is_decided_in_one_module():
-    # series.number, series.typed and series.floats decide what a number or a quarter
-    # is; the JSON writer tests the values and key paths it writes, analyze's stage
-    # check a stage's float fields, and the CLI the exit code argparse gives
-    exempt = {("report.py", "_write"), ("report.py", "dump_json"), ("report.py", "stage"),
-              ("cli.py", "main")}
+    # series.number, series.typed, series.floats and series.finite decide what a
+    # number or a quarter is; the JSON writer tests the values and key paths it
+    # writes, and the CLI the exit code argparse gives
+    exempt = {("report.py", "_write"), ("report.py", "dump_json"), ("cli.py", "main")}
     tests = [(path.name, function, line)
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "series.py"
              for function, line in _kind_tests(ast.parse(path.read_text(encoding="utf-8")))
@@ -415,7 +414,14 @@ def test_a_number_argument_refuses_anything_but_a_finite_number(case, data):
         fn(*args)
 
 
-# calls that once returned NaN, read text or flags as numbers, or raised a bare error
+_MAX = sys.float_info.max
+# two points whose expected growths of ~1e300 leave a residual sum of squares past the float range
+_HUGE_RATES = RateSeries((RatePoint(_Q, 0.5, 1e300, "loans-formula"),
+                          RatePoint(_Q.shift(1), 0.0, 1e300, "loans-formula")))
+
+
+# calls that once returned NaN or an infinity, read text or flags as numbers, or
+# raised a bare error
 @pytest.mark.parametrize("fn, args", [
     (fit, ([math.nan, 1, 2], [1, 2, 3])),
     (chi_squared, ([math.nan, 1.0], [1.0, 1.0], 1.0)),
@@ -436,10 +442,17 @@ def test_a_number_argument_refuses_anything_but_a_finite_number(case, data):
     (fit, (b"\x01\x02\x04", b"\x01\x03\x02")),
     (hp_filter, (bytearray(b"\x01\x02\x04"), 1600.0)),
     (cycle_stats, (memoryview(b"\x01\x03\x02"),)),
+    (fit, ([1.0, 2.0, 3.0], [1e308, -1e308, 1e308])),
+    (fit, ([0.0, 1.0, 2.0, 3.0], [_MAX, -_MAX, _MAX, -_MAX])),
+    (cycle_stats, ([_MAX, -_MAX, _MAX, -_MAX, _MAX],)),
+    (ssp_irr_root, (_HUGE_RATES, 1e300)),
+    (ssp_least_squares, (_HUGE_RATES, 1e300)),
 ], ids=["fit-nan", "chi-squared-nan", "cycles-text", "fit-digits", "hp-flags", "hp-nan-lam",
         "fit-huge", "cycles-letters", "trajectory-text", "p-value-dof-cap",
         "p-value-dof-huge", "buffer-text", "buffer-nan", "growth-text", "growth-nan",
-        "fit-numpy-bool", "fit-bytes", "hp-bytearray", "cycles-memoryview"])
+        "fit-numpy-bool", "fit-bytes", "hp-bytearray", "cycles-memoryview",
+        "fit-scale-overflow", "fit-slope-overflow", "cycles-amplitude-overflow",
+        "irr-root-sigma-overflow", "least-squares-sigma-overflow"])
 def test_a_bad_number_argument_is_a_typed_error(fn, args):
     with pytest.raises(SteadyCreditError):
         fn(*args)

@@ -24,11 +24,10 @@ from conftest import (
     canonical_series,
     steady_scenario,
 )
-from steadycredit import cycles as cycles_mod
 from steadycredit import ols, synth
-from steadycredit.basel import GapRow
+from steadycredit.basel import GapRow, credit_gap
 from steadycredit.cli import main
-from steadycredit.cycles import Extremum
+from steadycredit.cycles import Extremum, cycle_stats
 from steadycredit.errors import InvariantError, SteadyCreditError, WindowError
 from steadycredit.rates import RateSeries, credit_growth_rates, outside_window, select_window
 from steadycredit.report import (
@@ -50,6 +49,7 @@ from steadycredit.series import (
     emit_csv,
     parse_csv,
 )
+from steadycredit.steady_state import ssp_irr_root, ssp_least_squares, trajectory
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -204,17 +204,6 @@ class TestAnalyze:
         assert inside.gap is not None and len(inside.gap.rows) == 20
         assert "gap" not in {stage for stage, _ in inside.errors}
 
-    @pytest.mark.parametrize("value", [math.inf, np.float64(-np.inf), np.float64(np.nan)])
-    def test_non_finite_record_field_is_its_stage_error(self, value, monkeypatch):
-        stats = cycles_mod.cycle_stats
-        monkeypatch.setattr(cycles_mod, "cycle_stats",
-                            lambda *args: stats(*args)._replace(series_se=value))
-        report = analyze(canonical_series(), CRISIS)
-        assert report.cycles is None
-        assert [(stage, message) for stage, message in report.errors if stage == "cycles"] == [
-            ("cycles", f"series_se is not finite, got {value}")]
-        assert json.loads(to_json(report))["cycles"] is None
-
     def test_ols_is_fit_once_per_analysis(self, monkeypatch):
         calls = []
         fit = ols.fit
@@ -342,6 +331,36 @@ class TestExtremeMagnitudes:
         if report.ssp_irr is not None:
             factors = [(1.0 + p.f) * (1.0 - p.d) for p in report.rates_in.points]
             assert report.ssp_irr.s == pytest.approx(log_space_irr_root(factors), rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.one_of(_extreme_register_csv(), _collapse_then_flat_csv()),
+           sigma_ref=st.sampled_from([None, 1e300]))
+    @example(text=OVERFLOWING_INDEX_CSV, sigma_ref=None)
+    @example(text=UNIT_ZETA_CSV, sigma_ref=1e300)
+    @example(text=OLS_SCALE_OVERFLOW_CSV, sigma_ref=None)
+    def test_every_function_returns_finite_records_or_a_typed_error(self, text, sigma_ref):
+        # the library contract without analyze: each function checks its own record
+        series = parse_csv(text)
+        results = []
+
+        def call(fn, *args):
+            try:
+                results.append(fn(*args))
+            except SteadyCreditError:
+                return None
+            return results[-1]
+
+        call(cycle_stats, series.tcu_values(), series.quarters())
+        call(credit_gap, series)
+        rates = call(credit_growth_rates, series)
+        if rates is not None:
+            call(ols.fit, rates.d_values(), rates.f_values())
+            for estimator in (ssp_least_squares, ssp_irr_root):
+                estimate = call(estimator, rates, sigma_ref)
+                if estimate is not None:
+                    call(trajectory, rates, estimate.zeta)
+        for result in results:
+            assert all(map(math.isfinite, _floats_of(result))), result
 
 
 class TestJson:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from _oracles import window_filter_oracle
 from conftest import build_series, canonical_series, steady_scenario
 from steadycredit import synth
 from steadycredit.basel import GapRow, credit_gap
+from steadycredit.cycles import cycle_stats
 from steadycredit.errors import (
     ContiguityError,
+    EstimationError,
     InvariantError,
     ParseError,
     WindowError,
 )
+from steadycredit.ols import fit
 from steadycredit.rates import RatePoint, credit_growth_rates
 from steadycredit.series import (
     CSV_HEADER,
@@ -24,6 +28,7 @@ from steadycredit.series import (
     Window,
     csv_text,
     emit_csv,
+    finite,
     parse_csv,
 )
 
@@ -329,3 +334,18 @@ class TestWindow:
         run = [start.shift(offset + k) for k in range(30)]
         inside = [x for x, keep in zip(run, window_filter_oracle(window, run)) if keep]
         assert run[window.positions(run[0].index)] == inside
+
+
+class TestFinite:
+    @pytest.mark.parametrize("value", [math.inf, np.float64(-np.inf), np.float64(np.nan)])
+    def test_a_non_finite_float_field_is_named(self, value):
+        report = cycle_stats([1.0, 3.0, 2.0, 4.0])._replace(series_se=value)
+        with pytest.raises(EstimationError) as info:
+            finite(report)
+        assert str(info.value) == f"series_se is not finite, got {value}"
+
+    def test_none_and_fields_of_other_kinds_pass(self):
+        fitted = fit([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])  # a zero slope: no x axis intercept
+        assert fitted.x_intercept is None and finite(fitted) is fitted
+        report = cycle_stats([1.0, 3.0, 2.0, 4.0], [Quarter(2008, q) for q in (1, 2, 3, 4)])
+        assert finite(report) is report

@@ -14,7 +14,7 @@ from _oracles import (
     zeta_grid_oracle,
 )
 from conftest import OLS_SCALE_OVERFLOW_CSV, UNIT_ZETA_CSV, steady_scenario
-from steadycredit import synth
+from steadycredit import steady_state, synth
 from steadycredit.errors import EstimationError, InvariantError
 from steadycredit.rates import F_SOURCE_BALANCE, RatePoint, RateSeries, credit_growth_rates
 from steadycredit.report import dump_json
@@ -341,23 +341,28 @@ class TestIrrRoot:
 
     def test_root_far_below_the_float_range_of_its_terms(self):
         # three factors of ~1e-32 then three of 1e300: A_k s^k passes below
-        # the float range on the way to a root near 1e-134; a huge reference
-        # scale keeps chi-squared finite at that zeta
+        # the float range on the way to a root near 1e-134; at that zeta the
+        # residual scale sigma overflows, so the estimate is refused
         d = [1.0 - 1e-16] * 3 + [0.0] * 3
         f = [-1.0 + 1e-16] * 3 + [1e300] * 3
-        est = ssp_irr_root(rate_series(d, f), sigma_ref=1e200)
-        s_oracle = log_space_irr_root([(1.0 + fi) * (1.0 - di) for di, fi in zip(d, f)])
-        assert est.s == pytest.approx(s_oracle, rel=1e-12)
+        factors = [(1.0 + fi) * (1.0 - di) for di, fi in zip(d, f)]
+        assert steady_state._irr_root(factors) == pytest.approx(log_space_irr_root(factors),
+                                                                rel=1e-12)
+        with pytest.raises(EstimationError, match="^sigma is not finite, got inf$"):
+            ssp_irr_root(rate_series(d, f), sigma_ref=1e200)
 
     def test_step_beyond_the_float_range_is_formed_from_mantissas(self):
         # with the exponent of s (~1e-211) carried apart, the second step
         # multiplies a mantissa near 2^400 by a factor near 2^1000; the
-        # product is formed again from their mantissas instead of overflowing
+        # product is formed again from their mantissas instead of overflowing;
+        # the estimate's sigma overflows, so it is refused
         d = [0.0, 0.0]
         f = [2.0**400, 2.0**1000]
-        est = ssp_irr_root(rate_series(d, f), sigma_ref=1e300)
-        s_oracle = log_space_irr_root([(1.0 + fi) * (1.0 - di) for di, fi in zip(d, f)])
-        assert est.s == pytest.approx(s_oracle, rel=1e-12)
+        factors = [(1.0 + fi) * (1.0 - di) for di, fi in zip(d, f)]
+        assert steady_state._irr_root(factors) == pytest.approx(log_space_irr_root(factors),
+                                                                rel=1e-12)
+        with pytest.raises(EstimationError, match="^sigma is not finite, got inf$"):
+            ssp_irr_root(rate_series(d, f), sigma_ref=1e300)
 
     def test_extreme_contraction_has_root_above_the_s_cap(self):
         d = np.full(8, 0.5)
@@ -374,13 +379,16 @@ class TestIrrRoot:
         # factors of 1.5e308) lies below the float range; carried with s's
         # exponent apart, no running product underflows. The factor's
         # smallness sits mostly in 1 + f, so that the expected growth
-        # (d + zeta) / (1 - d) of the first point stays finite.
+        # (d + zeta) / (1 - d) of the first point stays finite; the
+        # estimate's sigma does not, so it is refused.
         d = [1.0 - 2.0**-27] + [0.0] * 40
         f = [-1.0 + 2.0**-53] + [1.5e308] * 40
-        est = ssp_irr_root(rate_series(d, f), sigma_ref=1e200)
-        s_oracle = log_space_irr_root([(1.0 + fi) * (1.0 - di) for di, fi in zip(d, f)])
+        factors = [(1.0 + fi) * (1.0 - di) for di, fi in zip(d, f)]
+        s_oracle = log_space_irr_root(factors)
         assert s_oracle == pytest.approx(9.2707e-301, rel=1e-4)
-        assert est.s == pytest.approx(s_oracle, rel=1e-12)
+        assert steady_state._irr_root(factors) == pytest.approx(s_oracle, rel=1e-12)
+        with pytest.raises(EstimationError, match="^sigma is not finite, got inf$"):
+            ssp_irr_root(rate_series(d, f), sigma_ref=1e200)
 
 
 class TestDefaultReferenceScale:
@@ -390,6 +398,18 @@ class TestDefaultReferenceScale:
             est = estimator(rates)
             assert est.zeta == pytest.approx(1e150, rel=1e-12)
             assert (est.s_for_residual, est.chi2, est.dof, est.p_value) == (0.0, 0.0, 3, 1.0)
+
+    def test_an_ols_fit_refused_for_any_field_leaves_the_estimate_scale(self):
+        # d values 1e-160 apart: the OLS slope error overflows while its residual
+        # scale does not, and fit refuses the whole record
+        from steadycredit.ols import fit
+
+        rates = rate_series([0.0, 1e-160, 1e-160, 0.0], [2e150, 2e150, 1e150, 1e150])
+        with pytest.raises(EstimationError, match="^sigma_slope is not finite, got inf$"):
+            fit(rates.d_values(), rates.f_values())
+        for estimator in (ssp_least_squares, ssp_irr_root):
+            est = estimator(rates)
+            assert est.chi2 == pytest.approx(est.dof, rel=1e-12) and est.dof == 3
 
     # without an OLS fit the scale is the estimate's own, so chi2 = n - 1 by construction
     @pytest.mark.parametrize("d, f, p_value", [
