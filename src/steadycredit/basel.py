@@ -27,7 +27,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .errors import ColumnAbsentError, EstimationError, InvariantError
-from .series import CreditSeries, Quarter, floats, number, shown, validated
+from .series import CreditSeries, Quarter, floats, number, validated
 
 _RESID_TOL = 1e-8
 _MAX_REFINEMENTS = 12
@@ -135,7 +135,7 @@ def hp_filter(y: Sequence[float], lam: float) -> list[float]:
         raise EstimationError(f"need a one-dimensional series of length >= 3, got {(n,)}")
     number("lam", lam)
     if lam < 0.0:
-        raise EstimationError(f"smoothing parameter must be >= 0, got {shown(lam)}")
+        raise EstimationError(f"smoothing parameter must be >= 0, got {lam}")
     if lam == 0.0:
         return ys
     # the trend is linear in y, so solving for y scaled by a power of two is
@@ -171,7 +171,10 @@ def hp_filter(y: Sequence[float], lam: float) -> list[float]:
     eps = sys.float_info.epsilon
     floor = 8.0 * eps * (scale + 16.0 * lam * math.hypot(*best))
     if math.isfinite(best_norm) and best_norm <= max(target, floor):
-        return [math.ldexp(v, shift) for v in best]
+        try:
+            return [math.ldexp(v, shift) for v in best]
+        except OverflowError:  # the trend overshoots a series near the float limit
+            raise EstimationError("HP trend leaves the float range") from None
     raise EstimationError("HP normal-equation residual did not converge")
 
 

@@ -151,7 +151,7 @@ def _cmd_cycles(args: argparse.Namespace) -> list[tuple[str, str]]:
     rep = cycles_mod.cycle_stats(values, quarters)
     outputs = [(args.json_path, report_mod.dump_json(rep))]
     if args.csv:
-        outputs.insert(0, (args.csv, cycles_mod.overlays_to_csv(rep, values, quarters)))
+        outputs.insert(0, (args.csv, cycles_mod.overlays_to_csv(values, quarters)))
     return outputs
 
 

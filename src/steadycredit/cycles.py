@@ -13,8 +13,9 @@ sign for a stock near the float limit, where 2 y(t) overflows:
     P2  rising, decelerating        P4  falling, decelerating downward
 
 Zero curvature labels the point steady (a straight trend has no phase).
-``CycleReport`` and ``Extremum`` name their fields like the published cycle
-statistics, in the order of their JSON objects.
+``overlays_to_csv`` writes each value with the phase and extremum that
+``cycle_stats`` finds for it. ``CycleReport`` and ``Extremum`` name their
+fields like the published cycle statistics, in the order of their JSON objects.
 """
 
 from __future__ import annotations
@@ -134,10 +135,10 @@ def cycle_stats(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -
                               tuple(extrema), tuple(labels)))
 
 
-def overlays_to_csv(report: CycleReport, y: Sequence[float],
-                    quarters: Sequence[Quarter] | None = None) -> str:
-    """Per-point CSV of values, phase labels, and detected extrema."""
+def overlays_to_csv(y: Sequence[float], quarters: Sequence[Quarter] | None = None) -> str:
+    """Per-point CSV of values, phase labels, and the extrema ``cycle_stats`` finds."""
     ys = floats(y, _SHAPE_MESSAGE)
+    report = cycle_stats(ys, quarters)
     qs = _aligned(quarters, len(ys))
     kinds = {e.index: e for e in report.extrema}
     phases = (None, *report.phase_labels, None)  # the end points have no phase

@@ -11,10 +11,10 @@ perfect-information assumption: new credit is not extended to borrowers
 already known to default within the interval. The paper's sliding
 retrospection parameter is zero: each rate uses the stock of the quarter
 just before its interval, and no other lag is offered.
-``window_rates`` rates the cut ``CreditSeries.slice`` takes: it is the one
-rate sample of a window, which ``analyze`` takes, and with it every CLI
-view of the analysis. ``select_window`` is the public rule that sample keeps:
-the points of a rate series whose interval ends inside the window.
+``window_rates`` cuts a window with ``CreditSeries.slice`` and rates the
+cut: the one rate sample of a window, taken by ``analyze`` and every CLI
+view of the analysis. ``select_window`` is the public rule that sample
+keeps: the points of a rate series whose interval ends inside the window.
 """
 
 from __future__ import annotations
@@ -131,16 +131,17 @@ def select_window(rates: RateSeries, window: Window) -> RateSeries:
     return RateSeries(kept)
 
 
-def window_rates(series: CreditSeries, cut: CreditSeries,
-                 cfg: RatesConfig = RatesConfig()) -> RateSeries:
-    """The rate sample of the cut ``series.slice(window)``: one point per cut
+def window_rates(series: CreditSeries, window: Window,
+                 cfg: RatesConfig = RatesConfig()) -> tuple[CreditSeries, RateSeries]:
+    """The cut ``series.slice(window)`` and its rate sample: one point per cut
     quarter, the first rated against the series' look-back quarter before it
     (none at the series' start), so every point ends inside the window."""
+    cut = series.slice(window)
     start = cut.first_quarter.index - series.first_quarter.index
     # rate point k spans observations k and k + 1 ([-1:0] is empty at the series'
     # start); a contiguous run of a checked series is valid as it is
     rated = tuple.__new__(CreditSeries, (series.observations[start - 1:start] + cut.observations,))
-    return credit_growth_rates(rated, cfg)
+    return cut, credit_growth_rates(rated, cfg)
 
 
 def outside_window(series: CreditSeries, window: Window,

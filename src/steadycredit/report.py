@@ -2,8 +2,8 @@
 
 ``analyze`` composes the rate, regression, steady-state, cycle, and gap
 computations over one window of a series; every sub-result is derived
-from the window's one ``CreditSeries.slice``, which refuses a bad window,
-and the rate sample ``rates.window_rates`` takes of that cut. Component
+from the window's one cut and its rate sample, which ``rates.window_rates``
+returns together; its ``CreditSeries.slice`` refuses a bad window. Component
 failures (for example a regression on fewer than three points) are
 collected per stage instead of aborting the whole report, which holds
 results only.
@@ -70,19 +70,18 @@ def analyze(
 ) -> AnalysisReport:
     """Run the full pipeline over one window of the series.
 
-    ``series.slice`` checks the window before any stage runs, and every
-    stage takes its one cut. Rate intervals are selected by their end
-    quarter, so a window starting after the first series quarter gains one
-    look-back interval and an n-quarter window carries an n-point sample;
-    ``window_rates`` rates the cut's quarters and that look-back quarter
-    only. Unless ``sigma_ref`` is given, a positive OLS ``s_for_residual``
-    is the chi-squared reference of both steady-state estimators, so OLS is
-    fit once; otherwise each estimator picks its default scale itself.
+    ``window_rates`` cuts the series once, checking the window before any
+    stage runs, and every stage takes that cut or its rate sample. Rate
+    intervals are selected by their end quarter, so a window starting after
+    the first series quarter gains one look-back interval and an n-quarter
+    window carries an n-point sample, one point per cut quarter. Unless
+    ``sigma_ref`` is given, a positive OLS ``s_for_residual`` is the
+    chi-squared reference of both steady-state estimators, so OLS is fit
+    once; otherwise each estimator picks its default scale itself.
     """
     if window is None:
         window = Window(series.first_quarter, series.last_quarter)
-    sliced = series.slice(window)
-    rates_in = window_rates(series, sliced, rates_cfg)
+    sliced, rates_in = window_rates(series, window, rates_cfg)
 
     errors: list[tuple[str, str]] = []
 

@@ -57,7 +57,8 @@ def validated(cls):
 
 
 def shown(value, text=str) -> str:
-    """``text(value)`` in a message, or the size of an int too long for a decimal text."""
+    """``text(value)`` in a message, or the size of an int too long for a decimal text;
+    only an int no check has bounded needs it, never a value ``number`` accepted."""
     try:
         return text(value)
     except ValueError:  # past sys.get_int_max_str_digits()

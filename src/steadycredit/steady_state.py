@@ -98,7 +98,7 @@ def chi_squared(
         raise EstimationError(f"need at least 2 values, got {len(obs)}")
     number("sigma_ref", sigma_ref)
     if not sigma_ref > 0.0:
-        raise EstimationError(f"sigma_ref must be positive, got {shown(sigma_ref)}")
+        raise EstimationError(f"sigma_ref must be positive, got {sigma_ref}")
     z = [(o - e) / sigma_ref for o, e in zip(obs, exp)]
     chi2 = fsum(v * v for v in z)
     if chi2 == math.inf:
@@ -119,7 +119,7 @@ def chi2_p_value(chi2: float, dof: int) -> float:
     """
     number("chi2", chi2)
     if chi2 < 0.0:
-        raise EstimationError(f"chi2 must be non-negative, got {shown(chi2)}")
+        raise EstimationError(f"chi2 must be non-negative, got {chi2}")
     typed("dof", dof, int)
     if not 1 <= dof <= _MAX_DOF:
         raise EstimationError(f"dof must be an integer in 1..{_MAX_DOF}, got {shown(dof, repr)}")

@@ -53,6 +53,13 @@ OLS_SCALE_OVERFLOW_CSV = (
     "2009-Q1,1.0,0.25,1e+150,\n"
 )
 
+# A credit-to-GDP ratio that jumps from 1e-298 to 1.7e308 percent: its HP
+# trend overshoots the float range. Zero new loans keep every growth rate
+# finite, so an analysis reaches its gap stage.
+HP_OVERFLOW_CSV = "quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n" + "".join(
+    f"{Quarter(2008, 1).shift(i)},{tcu},0,0,0.25\n"
+    for i, tcu in enumerate(["1e-300"] * 4 + ["1.7e306"] * 4))
+
 
 def build_series(tcu, abd=None, loans=None, gdp=None, start=Quarter(2008, 1)):
     """Assemble a CreditSeries from parallel value lists."""

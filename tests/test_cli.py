@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    HP_OVERFLOW_CSV,
     OLS_SCALE_OVERFLOW_CSV,
     OVERFLOWING_INDEX_CSV,
     UNIT_ZETA_CSV,
@@ -994,6 +995,7 @@ def _register_csv(draw) -> str:
     flags=st.sampled_from([[], ["--window", "crisis"], ["--f-mode", "force-balance-identity"],
                            ["--sigma-ref", "1e-300"], ["--lambda", "1e300"]]),
 )
+@example(text=HP_OVERFLOW_CSV, flags=[])
 def test_analyze_contract_holds_for_any_csv(text, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.csv"

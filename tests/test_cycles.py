@@ -61,7 +61,7 @@ class TestFindExtrema:
         with pytest.raises(InvariantError, match=message):
             cycle_stats([[1.0], [2.0], [3.0]])
         with pytest.raises(InvariantError, match=message):
-            overlays_to_csv(cycle_stats([1.0, 3.0, 2.0]), [[1.0], [3.0], [2.0]])
+            overlays_to_csv([[1.0], [3.0], [2.0]])
 
     def test_quarters_must_align_with_the_values(self):
         with pytest.raises(EstimationError, match="^quarters must align with the values$"):
@@ -75,8 +75,7 @@ class TestFindExtrema:
     def test_quarters_that_are_no_aligned_sequence_rejected(self, quarters):
         # an iterator has no len(), and a set no positions
         for call in (lambda: cycle_stats([1.0, 3.0, 2.0], quarters),
-                     lambda: overlays_to_csv(cycle_stats([1.0, 3.0, 2.0]), [1.0, 3.0, 2.0],
-                                             quarters)):
+                     lambda: overlays_to_csv([1.0, 3.0, 2.0], quarters)):
             with pytest.raises(EstimationError,
                                match="^quarters must align with the values$"):
                 call()
@@ -90,8 +89,7 @@ class TestFindExtrema:
     def test_quarters_that_are_not_quarters_rejected(self, quarters, message):
         # once stored as Extremum.quarter and written to the JSON report
         for call in (lambda: cycle_stats([1.0, 3.0, 2.0], quarters),
-                     lambda: overlays_to_csv(cycle_stats([1.0, 3.0, 2.0]), [1.0, 3.0, 2.0],
-                                             quarters)):
+                     lambda: overlays_to_csv([1.0, 3.0, 2.0], quarters)):
             with pytest.raises(InvariantError, match=f"^{message}$"):
                 call()
 
@@ -260,8 +258,7 @@ class TestExports:
 
     def test_overlays_csv_aligns_rows(self):
         y = [1.0, 3.0, 2.0]
-        report = cycle_stats(y)
-        lines = overlays_to_csv(report, y).strip().splitlines()
+        lines = overlays_to_csv(y).strip().splitlines()
         assert lines[0] == "index,quarter,value,phase,extremum_kind,amplitude"
         assert len(lines) == 4
         assert "max" in lines[2]
@@ -269,6 +266,6 @@ class TestExports:
     def test_overlays_csv_values_parse_back(self):
         y = [1.0, 3.0, 2.5]
         report = cycle_stats(y)
-        rows = [line.split(",") for line in overlays_to_csv(report, y).splitlines()[1:]]
+        rows = [line.split(",") for line in overlays_to_csv(y).splitlines()[1:]]
         assert [float(row[2]) for row in rows] == y
         assert float(rows[1][5]) == report.extrema[0].amplitude

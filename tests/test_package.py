@@ -418,6 +418,8 @@ _MAX = sys.float_info.max
 # two points whose expected growths of ~1e300 leave a residual sum of squares past the float range
 _HUGE_RATES = RateSeries((RatePoint(_Q, 0.5, 1e300, "loans-formula"),
                           RatePoint(_Q.shift(1), 0.0, 1e300, "loans-formula")))
+# one point whose expected growth (0.5 + 1e308) / 0.5 leaves the float range
+_HALF_RATES = RateSeries((RatePoint(_Q, 0.5, 0.01, "loans-formula"),))
 
 
 # calls that once returned NaN or an infinity, read text or flags as numbers, or
@@ -447,12 +449,17 @@ _HUGE_RATES = RateSeries((RatePoint(_Q, 0.5, 1e300, "loans-formula"),
     (cycle_stats, ([_MAX, -_MAX, _MAX, -_MAX, _MAX],)),
     (ssp_irr_root, (_HUGE_RATES, 1e300)),
     (ssp_least_squares, (_HUGE_RATES, 1e300)),
+    (expected_growth, (0.5, 1e308)),
+    (trajectory, (_HALF_RATES, 1e308)),
+    (cycle_stats, ([1.0, 3.0, 2.0], iter([_Q, _Q.shift(1), _Q.shift(2)]))),
+    (hp_filter, ([1e-300] * 4 + [_MAX] * 4, 1600.0)),
 ], ids=["fit-nan", "chi-squared-nan", "cycles-text", "fit-digits", "hp-flags", "hp-nan-lam",
         "fit-huge", "cycles-letters", "trajectory-text", "p-value-dof-cap",
         "p-value-dof-huge", "buffer-text", "buffer-nan", "growth-text", "growth-nan",
         "fit-numpy-bool", "fit-bytes", "hp-bytearray", "cycles-memoryview",
         "fit-scale-overflow", "fit-slope-overflow", "cycles-amplitude-overflow",
-        "irr-root-sigma-overflow", "least-squares-sigma-overflow"])
+        "irr-root-sigma-overflow", "least-squares-sigma-overflow", "growth-overflow",
+        "trajectory-growth-overflow", "cycles-quarter-iterator", "hp-trend-overflow"])
 def test_a_bad_number_argument_is_a_typed_error(fn, args):
     with pytest.raises(SteadyCreditError):
         fn(*args)

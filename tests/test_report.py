@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from _oracles import log_space_irr_root, round_sig, rounded_json_dumps, window_filter_oracle
 from conftest import (
+    HP_OVERFLOW_CSV,
     OLS_SCALE_OVERFLOW_CSV,
     OVERFLOWING_INDEX_CSV,
     UNIT_ZETA_CSV,
@@ -29,7 +30,13 @@ from steadycredit.basel import GapRow, credit_gap
 from steadycredit.cli import main
 from steadycredit.cycles import Extremum, cycle_stats
 from steadycredit.errors import InvariantError, SteadyCreditError, WindowError
-from steadycredit.rates import RateSeries, credit_growth_rates, outside_window, select_window
+from steadycredit.rates import (
+    RateSeries,
+    credit_growth_rates,
+    outside_window,
+    select_window,
+    window_rates,
+)
 from steadycredit.report import (
     KIND_SCATTER,
     KIND_TIME_PANEL,
@@ -315,6 +322,7 @@ class TestExtremeMagnitudes:
     @example(text=OVERFLOWING_INDEX_CSV)
     @example(text=UNIT_ZETA_CSV)
     @example(text=OLS_SCALE_OVERFLOW_CSV)
+    @example(text=HP_OVERFLOW_CSV)
     def test_every_stage_ends_in_finite_records_or_a_typed_error(self, text):
         series = parse_csv(text)
         try:
@@ -338,6 +346,7 @@ class TestExtremeMagnitudes:
     @example(text=OVERFLOWING_INDEX_CSV, sigma_ref=None)
     @example(text=UNIT_ZETA_CSV, sigma_ref=1e300)
     @example(text=OLS_SCALE_OVERFLOW_CSV, sigma_ref=None)
+    @example(text=HP_OVERFLOW_CSV, sigma_ref=None)
     def test_every_function_returns_finite_records_or_a_typed_error(self, text, sigma_ref):
         # the library contract without analyze: each function checks its own record
         series = parse_csv(text)
@@ -561,6 +570,9 @@ class TestWindowSelection:
             sliced = series.slice(window)
             assert sliced == CreditSeries(kept)
             assert CreditSeries(*sliced) == sliced
+            # window_rates returns that cut with the points of the whole series'
+            # rates whose interval ends inside the window
+            assert window_rates(series, window) == (sliced, selected)
             # analyze rates the window the slice accepts, and refuses every other
             report = analyze(series, window)
             assert report.rates_in == selected
@@ -568,7 +580,8 @@ class TestWindowSelection:
             assert outside_window(series, window) == tuple(
                 p for p, keep in zip(full.points, inside) if not keep)
             return
-        for cut in (lambda: series.slice(window), lambda: analyze(series, window)):
+        for cut in (lambda: series.slice(window), lambda: window_rates(series, window),
+                    lambda: analyze(series, window)):
             with pytest.raises(WindowError) as info:
                 cut()
             assert str(info.value) == message
