@@ -13,9 +13,12 @@ evaluated with each second difference correctly rounded, and refinement
 continues past the 1e-8 relative tolerance for as long as that residual
 still falls; the iterate with the smallest residual is returned. For
 extreme lam, where the tolerance is not representable in double
-precision, an iterate at the machine floor is accepted instead. A
-non-positive pivot or a residual that reaches neither bound raises
-EstimationError, and ``series.floats`` refuses a non-finite input.
+precision, an iterate at the machine floor is accepted instead. As that
+floor grows with lam, a trend must also hold each linear moment of y - tau,
+sum(k^j (y_k - tau_k)) for j = 0, 1, within 1% of sum(k^j |y_k|); the
+exact trend zeroes both for every lam. A non-positive pivot, a residual
+that reaches neither bound, or a lost moment raises EstimationError, and
+``series.floats`` refuses a non-finite input.
 The buffer add-on is 0 at or below ``gap_low`` percentage points,
 ``buffer_max`` at or above ``gap_high``, and linear in between.
 """
@@ -23,6 +26,7 @@ The buffer add-on is 0 at or below ``gap_low`` percentage points,
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import NamedTuple, Sequence
 
@@ -31,6 +35,8 @@ from .series import CreditSeries, Quarter, floats, number, validated
 
 _RESID_TOL = 1e-8
 _MAX_REFINEMENTS = 12
+# up to lam 1e12 the largest moment ratio seen was 2e-3 (one spike); wrong trends reach 1
+_MOMENT_TOL = 1e-2
 
 
 @validated
@@ -170,12 +176,20 @@ def hp_filter(y: Sequence[float], lam: float) -> list[float]:
     # double-precision vector can meet the strict tolerance past this point
     eps = sys.float_info.epsilon
     floor = 8.0 * eps * (scale + 16.0 * lam * math.hypot(*best))
-    if math.isfinite(best_norm) and best_norm <= max(target, floor):
-        try:
-            return [math.ldexp(v, shift) for v in best]
-        except OverflowError:  # the trend overshoots a series near the float limit
-            raise EstimationError("HP trend leaves the float range") from None
-    raise EstimationError("HP normal-equation residual did not converge")
+    if not (math.isfinite(best_norm) and best_norm <= max(target, floor)):
+        raise EstimationError("HP normal-equation residual did not converge")
+    # D maps every linear sequence to zero, so the exact trend keeps both
+    # linear moments of y for any lam, while the floor can exceed ||y|| itself
+    lost, ks = list(map(operator.sub, ys, best)), range(1, n + 1)
+    if (abs(math.fsum(lost)) > _MOMENT_TOL * sum(map(abs, ys))
+            or abs(math.fsum(map(operator.mul, ks, lost)))
+            > _MOMENT_TOL * sum(map(operator.mul, ks, map(abs, ys)))):
+        raise EstimationError("HP trend lost a linear moment of the series; "
+                              "the smoothing parameter is too large for this series")
+    try:
+        return [math.ldexp(v, shift) for v in best]
+    except OverflowError:  # the trend overshoots a series near the float limit
+        raise EstimationError("HP trend leaves the float range") from None
 
 
 def buffer_add_on(gap: float, cfg: GapConfig = GapConfig()) -> float:
@@ -197,12 +211,13 @@ def credit_gap(series: CreditSeries, cfg: GapConfig = GapConfig()) -> GapReport:
     """Credit-to-GDP ratio, its trend, the gap, and the buffer per quarter.
 
     The ratio uses annualized GDP (4 times the quarterly figure) and is
-    expressed in percent. Every quarter must carry a GDP value.
+    expressed in percent, computed as 25 * tcu / gdp so that no GDP overflows
+    on the way. Every quarter must carry a GDP value.
     """
     missing = [o.quarter for o in series.observations if o.gdp is None]
     if missing:
         raise ColumnAbsentError(f"gdp column absent at {missing[0]}")
-    ratio = [100.0 * o.tcu / (4.0 * o.gdp) for o in series.observations]
+    ratio = [25.0 * o.tcu / o.gdp for o in series.observations]
     trend = hp_filter(ratio, cfg.lam)
     rows = []
     for o, r, t in zip(series.observations, ratio, trend):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import stat
 import sys
@@ -269,7 +270,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Exit with ``main``'s code, the collector frozen first, so the exit-time
+    collections skip every object then alive; ``atexit`` handlers and the
+    final flush still run. ``main`` itself never freezes."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

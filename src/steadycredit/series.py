@@ -33,7 +33,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from numbers import Number
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContiguityError, EstimationError, InvariantError, ParseError, WindowError
@@ -109,6 +108,7 @@ def floats(values: Iterable[float], message: str) -> list[float]:
         raise EstimationError(message) from None
     if set(map(type, xs)) <= {float} and all(map(math.isfinite, xs)):
         return xs
+    from numbers import Number  # here, so that the all-float samples of every command skip it
     for i, v in enumerate(xs):
         if isinstance(v, Number) and not isinstance(v, (int, float)):  # numpy.int64, Fraction
             try:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -18,7 +19,7 @@ from steadycredit.basel import (
     hp_filter,
 )
 from steadycredit.errors import ColumnAbsentError, EstimationError, InvariantError
-from steadycredit.series import Quarter, Window, csv_text
+from steadycredit.series import CreditSeries, Quarter, Window, csv_text
 
 
 class TestHpFilter:
@@ -129,6 +130,15 @@ class TestHpFilter:
         with pytest.raises(EstimationError):
             hp_filter(y, lam)
 
+    @pytest.mark.parametrize("lam", [1e30, 1e100])
+    def test_trend_that_loses_a_linear_moment_is_refused(self, lam):
+        # here the residual floor exceeds ||y||, which let a trend of ~1e-13
+        # through for a ratio that lies between 51 and 56
+        ratio = [row.credit_to_gdp for row in credit_gap(canonical_series()).rows]
+        with pytest.raises(EstimationError, match="^HP trend lost a linear moment of the series; "
+                                                  "the smoothing parameter is too large"):
+            hp_filter(ratio, lam)
+
 
 def _two_sum_penalty_apply(v):
     """D'D v with D v formed by the two-sum oracle, the outer D' as the filter forms it."""
@@ -151,6 +161,17 @@ _SMOOTH = st.builds(
     st.floats(0.0, 10.0), st.floats(1.0, 20.0),
 )
 _NOISY = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.one_of(_SMOOTH, _NOISY, st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                             min_size=3, max_size=60)),
+       lam=st.floats(0.0, 1e12))
+def test_no_trend_up_to_lam_1e12_loses_a_linear_moment(y, lam):
+    try:
+        hp_filter(y, lam)
+    except EstimationError as exc:
+        assert "linear moment" not in str(exc)
 
 
 class TestCorrectlyRoundedResidual:
@@ -210,6 +231,14 @@ class TestCreditGap:
         assert report.rows[0].credit_to_gdp == pytest.approx(
             100.0 * first.tcu / (4.0 * first.gdp), rel=1e-12
         )
+
+    def test_ratio_of_a_gdp_near_the_float_limit_is_correctly_rounded(self):
+        # the product 4 * gdp would overflow to inf and make the ratio 0.0
+        obs = list(canonical_series().observations)
+        obs[20] = dataclasses.replace(obs[20], gdp=1e308)
+        row = credit_gap(CreditSeries(tuple(obs))).rows[20]
+        assert row.credit_to_gdp == float(25 * Fraction(obs[20].tcu) / Fraction(1e308))
+        assert row.credit_to_gdp > 0.0
 
     def test_gap_is_exact_difference(self):
         report = credit_gap(self._series_with_gdp())

@@ -1,5 +1,6 @@
 import codecs
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -452,6 +453,13 @@ class TestOtherCommands:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: ")
 
+    def test_gap_with_a_smoothing_parameter_too_large_fails_cleanly(self, canonical_csv, capsys):
+        assert main(["gap", "--input", str(canonical_csv), "--lambda", "1e30"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: HP trend lost a linear moment of the series; "
+                                "the smoothing parameter is too large for this series\n")
+
     @pytest.mark.parametrize("flag", ["--buffer-max=inf", "--gap-low=-inf", "--gap-high=inf",
                                       "--lambda=nan", "--lambda=inf"])
     def test_non_finite_gap_setting_rejected(self, canonical_csv, flag, capsys):
@@ -727,6 +735,15 @@ class TestOtherCommands:
         assert doc["gap"] is None
         assert [e["stage"] for e in doc["errors"]] == ["gap"]
 
+    def test_analyze_records_a_smoothing_parameter_too_large_as_gap_stage_error(
+            self, canonical_csv, capsys):
+        assert main(["analyze", "--input", str(canonical_csv), "--lambda", "1e30"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["gap"] is None
+        assert [e["stage"] for e in doc["errors"]] == ["gap"]
+
     def test_render_scatter(self, canonical_csv, tmp_path):
         out = tmp_path / "chart.svg"
         assert main(["render", "--input", str(canonical_csv), "--window", "crisis",
@@ -962,6 +979,33 @@ class TestInstalledEntryPoint:
         # only simulate imports the simulator, and the writer quotes without json
         assert ("steadycredit.synth" in modules) == (command == "simulate")
         assert "json" not in tops
+        # only a sample that is not all finite floats needs numbers.Number
+        assert "numbers" not in tops
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", "--input", "{csv}"], 0),
+        (["gap", "--input", "{csv}", "--lambda", "1e30"], 1),
+        (["rates", "--input"], 2),
+    ], ids=["ok", "data-error", "usage-error"])
+    def test_entrypoint_freezes_the_collector_once_main_returns(self, canonical_csv, argv, code,
+                                                                capsys):
+        argv = [arg.format(csv=canonical_csv) for arg in argv]
+        child = ("import atexit, gc, sys\n"
+                 "from steadycredit import cli\n"
+                 "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+                 "cli.entrypoint()\n")
+        proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True)
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        err, _, frozen = proc.stderr.rpartition("frozen ")
+        # the atexit handler ran, after a freeze that covers the objects alive then
+        assert int(frozen) > 0
+        assert (proc.returncode, proc.stdout, err) == (code, expected.out, expected.err)
+
+    def test_main_leaves_the_collector_as_it_was(self, canonical_csv, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["analyze", "--input", str(canonical_csv)]) == 0
+        assert gc.get_freeze_count() == frozen
 
 
 _ODD_CELLS = st.one_of(
