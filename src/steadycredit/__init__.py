@@ -20,7 +20,7 @@ from .errors import (
     WindowError,
 )
 from .ols import OlsFit, fit
-from .rates import RatePoint, RateSeries, RatesConfig, credit_growth_rates, select_window
+from .rates import RatePoint, RateSeries, credit_growth_rates, select_window
 from .report import AnalysisReport, analyze, render_svg, to_json
 from .series import (
     CreditObservation,
@@ -59,7 +59,6 @@ __all__ = [
     "Quarter",
     "RatePoint",
     "RateSeries",
-    "RatesConfig",
     "Scenario",
     "SspEstimate",
     "SteadyCreditError",

@@ -31,7 +31,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .errors import ColumnAbsentError, EstimationError, InvariantError
-from .series import CreditSeries, Quarter, floats, number, validated
+from .series import CreditSeries, Quarter, floats, number, typed, validated
 
 _RESID_TOL = 1e-8
 _MAX_REFINEMENTS = 12
@@ -195,6 +195,7 @@ def hp_filter(y: Sequence[float], lam: float) -> list[float]:
 def buffer_add_on(gap: float, cfg: GapConfig = GapConfig()) -> float:
     """Countercyclical add-on for a gap in percentage points."""
     number("gap", gap)
+    typed("cfg", cfg, GapConfig)
     return _add_on(gap, cfg)
 
 
@@ -214,6 +215,8 @@ def credit_gap(series: CreditSeries, cfg: GapConfig = GapConfig()) -> GapReport:
     expressed in percent, computed as 25 * tcu / gdp so that no GDP overflows
     on the way. Every quarter must carry a GDP value.
     """
+    typed("series", series, CreditSeries)
+    typed("cfg", cfg, GapConfig)
     missing = [o.quarter for o in series.observations if o.gdp is None]
     if missing:
         raise ColumnAbsentError(f"gdp column absent at {missing[0]}")

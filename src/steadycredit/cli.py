@@ -27,7 +27,7 @@ from . import cycles as cycles_mod
 from . import report as report_mod
 from .basel import GapConfig, GapRow, credit_gap
 from .errors import SteadyCreditError
-from .rates import MODE_FORCE_BALANCE, MODE_PREFER_LOANS, RatePoint, RatesConfig, outside_window
+from .rates import F_MODES, MODE_PREFER_LOANS, RatePoint, outside_window
 from .series import CreditSeries, Quarter, Window, csv_text, emit_csv, parse_csv
 
 NAMED_WINDOWS = {
@@ -118,7 +118,7 @@ def _analyze(args: argparse.Namespace, series: CreditSeries,
     """The one analysis behind every view, with the default gap settings and
     chi-squared scale where the command has no flags for them."""
     gap_cfg = _gap_cfg(args) if "lam" in args else GapConfig()
-    return report_mod.analyze(series, window, RatesConfig(f_mode=args.f_mode), gap_cfg,
+    return report_mod.analyze(series, window, args.f_mode, gap_cfg,
                               getattr(args, "sigma_ref", None))
 
 
@@ -178,7 +178,7 @@ def _cmd_render(args: argparse.Namespace) -> list[tuple[str, str]]:
     # only a scatter that can be drawn takes the rates outside the window, so that
     # a bad one there never replaces the error analyze or the scatter would give
     drawn = args.kind == report_mod.KIND_SCATTER and rep.trajectory is not None
-    out = outside_window(series, window, RatesConfig(f_mode=args.f_mode)) if drawn else ()
+    out = outside_window(series, window, args.f_mode) if drawn else ()
     return [(args.out, report_mod.render_svg(rep, args.kind, out))]
 
 
@@ -210,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     window.add_argument("--inclusive-to", dest="to_inclusive",
                         action=argparse.BooleanOptionalAction,
                         help="include the end quarter (default: include)")
-    f_mode = _flag("--f-mode", choices=[MODE_PREFER_LOANS, MODE_FORCE_BALANCE],
-                   default=MODE_PREFER_LOANS)
+    f_mode = _flag("--f-mode", choices=list(F_MODES), default=MODE_PREFER_LOANS)
     sigma_ref = _flag("--sigma-ref", type=float, default=None,
                       help="reference residual scale for the chi-squared statistic")
     gap_default = GapConfig()

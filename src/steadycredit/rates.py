@@ -15,6 +15,9 @@ just before its interval, and no other lag is offered.
 cut: the one rate sample of a window, taken by ``analyze`` and every CLI
 view of the analysis. ``select_window`` is the public rule that sample
 keeps: the points of a rate series whose interval ends inside the window.
+``f_mode``, one of ``F_MODES``, names the f formula; ``credit_growth_rates`` alone
+reads it, and ``window_rates``, ``outside_window`` and ``analyze`` pass it on. It
+was the one field of the former ``RatesConfig`` record.
 """
 
 from __future__ import annotations
@@ -29,18 +32,7 @@ F_SOURCE_BALANCE = "balance-identity"
 
 MODE_PREFER_LOANS = "prefer-loans"
 MODE_FORCE_BALANCE = "force-balance-identity"
-
-
-@validated
-class RatesConfig(NamedTuple):
-    """Rate computation options: which formula supplies f."""
-
-    f_mode: str = MODE_PREFER_LOANS
-
-    def _checked(self):
-        if self.f_mode not in (MODE_PREFER_LOANS, MODE_FORCE_BALANCE):
-            raise InvariantError(f"unknown f_mode {self.f_mode!r}")
-        return self
+F_MODES = (MODE_PREFER_LOANS, MODE_FORCE_BALANCE)
 
 
 @validated
@@ -93,20 +85,23 @@ class RateSeries(NamedTuple):
         return [p.f for p in self.points]
 
 
-def credit_growth_rates(series: CreditSeries, cfg: RatesConfig = RatesConfig()) -> RateSeries:
+def credit_growth_rates(series: CreditSeries, f_mode: str = MODE_PREFER_LOANS) -> RateSeries:
     """Per-interval (d, f) pairs, tagging each point with the f formula used.
 
     Under ``prefer-loans`` the loans formula is used wherever the loans
     column is present and the balance identity elsewhere;
     ``force-balance-identity`` uses the identity throughout.
     """
+    typed("series", series, CreditSeries)
+    if f_mode not in F_MODES:
+        raise InvariantError(f"unknown f_mode {f_mode!r}")
     points = []
     for prev, cur in zip(series.observations, series.observations[1:]):
         d = cur.abd / prev.tcu
         surviving = prev.tcu * (1.0 - d)
         if surviving <= 0.0:
             raise EstimationError(f"{cur.quarter}: surviving credit base is not positive")
-        if cfg.f_mode == MODE_PREFER_LOANS and cur.loans is not None:
+        if f_mode == MODE_PREFER_LOANS and cur.loans is not None:
             f = cur.loans / surviving
             source = F_SOURCE_LOANS
         else:
@@ -124,6 +119,8 @@ def select_window(rates: RateSeries, window: Window) -> RateSeries:
     quarter's credit stock as denominator, so a window of n quarters drawn
     from a longer series yields an n-point sample.
     """
+    typed("rates", rates, RateSeries)
+    typed("window", window, Window)
     points = rates.points
     kept = points[window.positions(points[0].interval_end.index)]
     if not kept:
@@ -132,21 +129,25 @@ def select_window(rates: RateSeries, window: Window) -> RateSeries:
 
 
 def window_rates(series: CreditSeries, window: Window,
-                 cfg: RatesConfig = RatesConfig()) -> tuple[CreditSeries, RateSeries]:
+                 f_mode: str = MODE_PREFER_LOANS) -> tuple[CreditSeries, RateSeries]:
     """The cut ``series.slice(window)`` and its rate sample: one point per cut
     quarter, the first rated against the series' look-back quarter before it
     (none at the series' start), so every point ends inside the window."""
+    typed("series", series, CreditSeries)
+    typed("window", window, Window)
     cut = series.slice(window)
     start = cut.first_quarter.index - series.first_quarter.index
     # rate point k spans observations k and k + 1 ([-1:0] is empty at the series'
     # start); a contiguous run of a checked series is valid as it is
     rated = tuple.__new__(CreditSeries, (series.observations[start - 1:start] + cut.observations,))
-    return cut, credit_growth_rates(rated, cfg)
+    return cut, credit_growth_rates(rated, f_mode)
 
 
 def outside_window(series: CreditSeries, window: Window,
-                   cfg: RatesConfig = RatesConfig()) -> tuple[RatePoint, ...]:
+                   f_mode: str = MODE_PREFER_LOANS) -> tuple[RatePoint, ...]:
     """The series' rate points whose interval ends outside the window."""
+    typed("series", series, CreditSeries)
+    typed("window", window, Window)
     cut = window.positions(series.first_quarter.index + 1)  # the first point's end
-    points = credit_growth_rates(series, cfg).points
+    points = credit_growth_rates(series, f_mode).points
     return points[:cut.start] + points[cut.stop:]

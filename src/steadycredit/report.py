@@ -38,8 +38,8 @@ from . import ols as ols_mod
 from . import steady_state
 from .basel import GapConfig, GapReport, credit_gap
 from .errors import SteadyCreditError
-from .rates import RatePoint, RateSeries, RatesConfig, window_rates
-from .series import CreditSeries, Quarter, Window
+from .rates import MODE_PREFER_LOANS, RatePoint, RateSeries, window_rates
+from .series import CreditSeries, Quarter, Window, number_text, typed
 
 DEFAULT_PRECISION = 6
 PRECISION_ENV = "STEADYCREDIT_PRECISION"
@@ -64,7 +64,7 @@ class AnalysisReport(NamedTuple):
 def analyze(
     series: CreditSeries,
     window: Window | None = None,
-    rates_cfg: RatesConfig = RatesConfig(),
+    f_mode: str = MODE_PREFER_LOANS,
     gap_cfg: GapConfig = GapConfig(),
     sigma_ref: float | None = None,
 ) -> AnalysisReport:
@@ -79,9 +79,11 @@ def analyze(
     chi-squared reference of both steady-state estimators, so OLS is fit
     once; otherwise each estimator picks its default scale itself.
     """
+    typed("series", series, CreditSeries)
+    typed("gap_cfg", gap_cfg, GapConfig)
     if window is None:
         window = Window(series.first_quarter, series.last_quarter)
-    sliced, rates_in = window_rates(series, window, rates_cfg)
+    sliced, rates_in = window_rates(series, window, f_mode)
 
     errors: list[tuple[str, str]] = []
 
@@ -117,7 +119,7 @@ def analyze(
 def resolve_precision() -> int:
     raw = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION))
     try:
-        value = int(raw)
+        value = int(number_text(raw))
     except ValueError:
         raise SteadyCreditError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
     if value < 1:
@@ -128,6 +130,7 @@ def resolve_precision() -> int:
 
 def to_json_dict(report: AnalysisReport) -> dict:
     """The report as a document for ``dump_json``, its records as they are."""
+    typed("report", report, AnalysisReport)
     return {
         "schema": "steadycredit-analysis/1",
         "window": {
@@ -256,6 +259,7 @@ def render_svg(report: AnalysisReport, kind: str, rates_out: tuple[RatePoint, ..
     in-window markers, hollow markers for ``rates_out`` (the series' points
     ``rates.outside_window``), and segments stroked by rising or falling growth.
     """
+    typed("report", report, AnalysisReport)
     from . import svg  # loaded here only, so that analyze never imports it
     if kind == KIND_SCATTER:
         return svg.scatter(report, rates_out)

@@ -8,7 +8,8 @@ a frozen dataclass, so ``dataclasses.replace`` validates anew, and the other
 types are named tuples under ``@validated``, which run their ``_checked``
 method on every construction, ``_make`` and ``_replace`` included.
 ``number`` is the one rule for a record's float field and for every number a
-public function takes, and ``typed`` for int, bool and ``Quarter`` fields;
+public function takes, ``typed`` for an int, bool or ``Quarter`` field and a
+record or text argument, and ``number_text`` for a number in text (ASCII, no ``_``).
 ``shown`` is the one text of a value in a message, an int past ``str``'s limit too.
 ``floats`` reads an estimator's sample by ``number``, value by value: text,
 bytes or a non-iterable is the caller's EstimationError, another kind of
@@ -74,10 +75,18 @@ def number(name: str, value, where=None) -> None:
 
 
 def typed(name: str, value, kind: type) -> None:
-    """Refuse a field that is not a ``kind``; a bool, an int subclass, is one only of bool."""
+    """Refuse a field or argument not a ``kind``; a bool, an int subclass, is one only of bool."""
     if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
-        article = {int: "an integer", bool: "a bool"}.get(kind, f"a {kind.__name__}")
+        article = {int: "an integer", bool: "a bool"}.get(
+            kind, f"a{'n' * (kind.__name__[0] in 'AEIOU')} {kind.__name__}")
         raise InvariantError(f"{name} must be {article}, got {shown(value, repr)}")
+
+
+def number_text(text: str) -> str:
+    """The text, or ValueError if ``float``/``int`` would read a ``_`` or non-ASCII digit in it."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return text
 
 
 def fsum(values: Iterable[float]) -> float:
@@ -295,7 +304,7 @@ def _parse_amount(field: str, column: str, required: bool) -> float | None:
             raise ParseError(f"column {column} must not be empty")
         return None
     try:
-        return float(text)
+        return float(number_text(text))
     except ValueError:
         raise ParseError(f"column {column}: not a number: {text!r}") from None
 
@@ -308,6 +317,7 @@ def parse_csv(text: str) -> CreditSeries:
     ``gdp_eur`` may be empty. A header or record error, the csv module's own
     too, names the physical line it stopped on (line 1 for an empty input).
     """
+    typed("text", text, str)
     reader = csv.reader(io.StringIO(text, newline=""))
     observations = []
     try:
@@ -349,6 +359,7 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 def emit_csv(series: CreditSeries) -> str:
     """The series as CSV, which ``parse_csv`` reads back to every stored float bit-exactly."""
+    typed("series", series, CreditSeries)
     return csv_text(CSV_HEADER, [
         [o.quarter] + [v if v is None else float(v) for v in (o.tcu, o.abd, o.loans, o.gdp)]
         for o in series.observations

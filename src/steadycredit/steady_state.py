@@ -189,6 +189,7 @@ def _finalize(rates: RateSeries, zeta: float, method: str,
 
 def ssp_least_squares(rates: RateSeries, sigma_ref: float | None = None) -> SspEstimate:
     """Steady-state parameter minimizing the squared expected-growth residuals."""
+    typed("rates", rates, RateSeries)
     if len(rates) < 2:
         raise EstimationError(f"need at least 2 rate points, got {len(rates)}")
     d = rates.d_values()
@@ -269,6 +270,7 @@ def _irr_root(factors: list[float]) -> float:
 
 def ssp_irr_root(rates: RateSeries, sigma_ref: float | None = None) -> SspEstimate:
     """Steady-state parameter from the discounted credit-stock root equation."""
+    typed("rates", rates, RateSeries)
     if len(rates) < 2:
         raise EstimationError(f"need at least 2 rate points, got {len(rates)}")
     s = _irr_root([(1.0 + p.f) * (1.0 - p.d) for p in rates.points])
@@ -283,6 +285,7 @@ def trajectory(rates: RateSeries, zeta: float) -> tuple[TrajectoryPoint, ...]:
     prod_{j<=k} (1 + f_j)(1 - d_j) / (1 + zeta); it stays at 1 when the
     observed rates follow the steady state exactly.
     """
+    typed("rates", rates, RateSeries)
     number("zeta", zeta)
     points = []
     index = 1.0

@@ -25,7 +25,8 @@ from typing import NamedTuple, get_type_hints
 from . import _pcg64
 from .errors import InvariantError, ParseError
 from .rates import F_SOURCE_BALANCE, F_SOURCE_LOANS, RatePoint, RateSeries
-from .series import CreditObservation, CreditSeries, Quarter, number, shown, typed, validated
+from .series import (CreditObservation, CreditSeries, Quarter, number, number_text, shown,
+                     typed, validated)
 
 HYPOTHESIS_NULL = "H0"
 HYPOTHESIS_STEADY_STATE = "H1"
@@ -80,6 +81,7 @@ _KINDS = get_type_hints(Scenario)
 
 def generate(sc: Scenario) -> tuple[CreditSeries, RateSeries]:
     """Build the series and the ground-truth rates it encodes."""
+    typed("sc", sc, Scenario)
     zeta = sc.zeta_true if sc.hypothesis == HYPOTHESIS_STEADY_STATE else 0.0
     n_intervals = sc.n_quarters - 1
     if sc.noise_sigma > 0.0:
@@ -118,6 +120,7 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
     in the text or as the argument (the argument wins). A line ends at a
     line feed, a carriage return, or the two in turn, and at nothing else.
     """
+    typed("text", text, str)
     values: dict[str, object] = {}
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
@@ -132,7 +135,9 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
         try:
             if key not in _KINDS:
                 raise ParseError(f"unknown scenario key {key!r}")
-            values[key] = Quarter.parse(value) if _KINDS[key] is Quarter else _KINDS[key](value)
+            kind = _KINDS[key]
+            values[key] = (Quarter.parse(value) if kind is Quarter
+                           else value if kind is str else kind(number_text(value)))
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from None
         except ValueError:

@@ -344,6 +344,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("digits, message", [
         ("0", "STEADYCREDIT_PRECISION must be >= 1, got 0"),
         ("x", "STEADYCREDIT_PRECISION must be an integer, got 'x'"),
+        # int() reads these as 17; an integer text is ASCII without digit separators
+        ("1_7", "STEADYCREDIT_PRECISION must be an integer, got '1_7'"),
+        ("\uff117", "STEADYCREDIT_PRECISION must be an integer, got '\uff117'"),
     ])
     def test_unusable_precision_is_a_one_line_error(self, canonical_csv, digits, message,
                                                     monkeypatch, capsys):

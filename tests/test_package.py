@@ -17,12 +17,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import steadycredit
-from steadycredit.basel import GapConfig, buffer_add_on, hp_filter
+from steadycredit.basel import GapConfig, buffer_add_on, credit_gap, hp_filter
 from steadycredit.cycles import cycle_stats
 from steadycredit.errors import ContiguityError, InvariantError, SteadyCreditError, WindowError
 from steadycredit.ols import fit
-from steadycredit.rates import RatePoint, RateSeries, RatesConfig
-from steadycredit.series import CreditObservation, CreditSeries, Quarter, Window
+from steadycredit.rates import (
+    RatePoint,
+    RateSeries,
+    credit_growth_rates,
+    outside_window,
+    select_window,
+    window_rates,
+)
+from steadycredit.report import analyze, render_svg, to_json
+from steadycredit.series import (
+    CreditObservation,
+    CreditSeries,
+    Quarter,
+    Window,
+    emit_csv,
+    parse_csv,
+)
 from steadycredit.steady_state import (
     chi2_p_value,
     chi_squared,
@@ -31,7 +46,7 @@ from steadycredit.steady_state import (
     ssp_least_squares,
     trajectory,
 )
-from steadycredit.synth import Scenario, parse_scenario
+from steadycredit.synth import Scenario, generate, parse_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "steadycredit"
@@ -53,7 +68,7 @@ def test_the_simulator_names_resolve_on_first_use():
     # analysis never imports steadycredit.synth; its exports resolve through __getattr__
     from steadycredit import synth
 
-    assert len(steadycredit.__all__) == 42
+    assert len(steadycredit.__all__) == 41
     for name in ("Scenario", "generate", "parse_scenario"):
         assert getattr(steadycredit, name) is getattr(synth, name)
     with pytest.raises(AttributeError, match="^module 'steadycredit' has no attribute 'nope'$"):
@@ -209,8 +224,6 @@ _BAD_ARGUMENTS = [
      InvariantError, "series needs at least 2 observations, got 1"),
     (CreditSeries, dict(observations=_OBS[:2]), "observations", _OBS[::2],
      ContiguityError, "missing quarter 2008-Q2 before 2008-Q3"),
-    (RatesConfig, dict(f_mode="prefer-loans"), "f_mode", "nope",
-     InvariantError, "unknown f_mode 'nope'"),
     (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "d", 1.0,
      InvariantError, "2008-Q1: d must be in [0,1), got 1.0"),
     (RatePoint, dict(interval_end=_Q, d=0.01, f=0.02, f_source="loans-formula"), "f", -1.0,
@@ -420,6 +433,10 @@ _HUGE_RATES = RateSeries((RatePoint(_Q, 0.5, 1e300, "loans-formula"),
                           RatePoint(_Q.shift(1), 0.0, 1e300, "loans-formula")))
 # one point whose expected growth (0.5 + 1e308) / 0.5 leaves the float range
 _HALF_RATES = RateSeries((RatePoint(_Q, 0.5, 0.01, "loans-formula"),))
+_SERIES = CreditSeries(tuple(_OBS))
+_GDP_SERIES = CreditSeries(tuple(CreditObservation(o.quarter, 100.0, 1.0, None, 400.0)
+                                 for o in _OBS))
+_WINDOW = Window(_Q, _Q.shift(2))
 
 
 # calls that once returned NaN or an infinity, read text or flags as numbers, or
@@ -453,16 +470,56 @@ _HALF_RATES = RateSeries((RatePoint(_Q, 0.5, 0.01, "loans-formula"),))
     (trajectory, (_HALF_RATES, 1e308)),
     (cycle_stats, ([1.0, 3.0, 2.0], iter([_Q, _Q.shift(1), _Q.shift(2)]))),
     (hp_filter, ([1e-300] * 4 + [_MAX] * 4, 1600.0)),
+    (analyze, (_OBS,)),
+    (analyze, (_SERIES, "crisis")),
+    (analyze, (_GDP_SERIES, None, "prefer-loans", "x")),  # not a gap stage error
+    (analyze, (_SERIES, None, None)),
+    (credit_growth_rates, (_OBS,)),
+    (credit_growth_rates, (_SERIES, "nope")),
+    (window_rates, (_OBS, _WINDOW)),
+    (outside_window, (_OBS, _WINDOW)),
+    (credit_gap, (_GDP_SERIES, {})),
+    (buffer_add_on, (3.0, None)),
+    (ssp_least_squares, (list(_RATES.points),)),
+    (ssp_irr_root, (list(_RATES.points),)),
+    (trajectory, (list(_RATES.points), 0.001)),
+    (select_window, (_RATES, "crisis")),
+    (to_json, ({},)),
+    (render_svg, ({}, "exhibit1")),
+    (emit_csv, (_OBS,)),
+    (generate, ({},)),
+    (parse_csv, (b"quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n",)),
+    (parse_scenario, (b"n_quarters=8\n",)),
 ], ids=["fit-nan", "chi-squared-nan", "cycles-text", "fit-digits", "hp-flags", "hp-nan-lam",
         "fit-huge", "cycles-letters", "trajectory-text", "p-value-dof-cap",
         "p-value-dof-huge", "buffer-text", "buffer-nan", "growth-text", "growth-nan",
         "fit-numpy-bool", "fit-bytes", "hp-bytearray", "cycles-memoryview",
         "fit-scale-overflow", "fit-slope-overflow", "cycles-amplitude-overflow",
         "irr-root-sigma-overflow", "least-squares-sigma-overflow", "growth-overflow",
-        "trajectory-growth-overflow", "cycles-quarter-iterator", "hp-trend-overflow"])
-def test_a_bad_number_argument_is_a_typed_error(fn, args):
+        "trajectory-growth-overflow", "cycles-quarter-iterator", "hp-trend-overflow",
+        "analyze-list", "analyze-window-text", "analyze-gap-cfg-text", "analyze-f-mode-none",
+        "rates-list", "rates-f-mode-unknown", "window-rates-list", "outside-window-list",
+        "gap-cfg-dict", "buffer-cfg-none", "least-squares-list", "irr-root-list",
+        "trajectory-list", "select-window-text", "to-json-dict", "render-dict", "emit-list",
+        "generate-dict", "parse-csv-bytes", "parse-scenario-bytes"])
+def test_a_bad_argument_is_a_typed_error(fn, args):
     with pytest.raises(SteadyCreditError):
         fn(*args)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (analyze, (_SERIES, (_Q, _Q.shift(2))), "window must be a Window, got "),
+    (analyze, (_GDP_SERIES, _WINDOW, "prefer-loans", None), "gap_cfg must be a GapConfig, got None"),
+    (analyze, (_SERIES, _WINDOW, None), "unknown f_mode None"),
+    (select_window, (_RATES.points, _WINDOW), "rates must be a RateSeries, got "),
+    (to_json, (None,), "report must be an AnalysisReport, got None"),
+    (parse_csv, (None,), "text must be a str, got None"),
+], ids=["analyze-window-tuple", "analyze-gap-cfg-none", "analyze-f-mode-none",
+        "select-window-points", "to-json-none", "parse-csv-none"])
+def test_a_record_or_text_argument_of_another_kind_is_named(fn, args, message):
+    with pytest.raises(InvariantError) as info:
+        fn(*args)
+    assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize("convert", [
@@ -544,7 +601,6 @@ def test_make_and_replace_validate():
 def test_constructor_defaults():
     gap = GapConfig()
     assert (gap.lam, gap.gap_low, gap.gap_high, gap.buffer_max) == (400_000.0, 2.0, 10.0, 0.025)
-    assert RatesConfig().f_mode == "prefer-loans"
     window = Window(_Q, Quarter(2009, 1))
     assert window.start_inclusive is True and window.end_inclusive is True
     obs = CreditObservation(_Q, 100.0, 1.0)
@@ -555,8 +611,7 @@ def test_constructor_defaults():
         assert type(RateSeries(points).points) is tuple
 
 
-_VALIDATED = [Quarter, Window, CreditSeries, RatesConfig, RatePoint, RateSeries, GapConfig,
-              Scenario]
+_VALIDATED = [Quarter, Window, CreditSeries, RatePoint, RateSeries, GapConfig, Scenario]
 
 
 @pytest.mark.parametrize("cls", _VALIDATED, ids=[cls.__name__ for cls in _VALIDATED])

@@ -10,7 +10,6 @@ from steadycredit.rates import (
     F_SOURCE_LOANS,
     MODE_FORCE_BALANCE,
     RatePoint,
-    RatesConfig,
     credit_growth_rates,
     select_window,
 )
@@ -65,8 +64,7 @@ class TestCreditGrowthRates:
 
     def test_force_balance_ignores_loans(self):
         series = build_series([1000.0, 1010.0], abd=[0.0, 5.0], loans=[None, 20.0])
-        cfg = RatesConfig(f_mode=MODE_FORCE_BALANCE)
-        point = credit_growth_rates(series, cfg).points[0]
+        point = credit_growth_rates(series, MODE_FORCE_BALANCE).points[0]
         assert point.f_source == F_SOURCE_BALANCE
         assert point.f == 1010.0 / 995.0 - 1.0
 
@@ -90,15 +88,16 @@ class TestCreditGrowthRates:
 
     def test_balance_identity_consistency(self):
         series, _ = synth.generate(steady_scenario(noise_sigma=0.004, seed=5))
-        rates = credit_growth_rates(series, RatesConfig(f_mode=MODE_FORCE_BALANCE))
+        rates = credit_growth_rates(series, MODE_FORCE_BALANCE)
         obs = series.observations
         for point, prev, cur in zip(rates.points, obs, obs[1:]):
             rebuilt = prev.tcu * (1.0 - point.d) * (1.0 + point.f)
             assert abs(rebuilt - cur.tcu) <= 1e-12 * cur.tcu
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(InvariantError):
-            RatesConfig(f_mode="other")
+        series = build_series([1000.0, 1010.0], abd=[0.0, 5.0])
+        with pytest.raises(InvariantError, match="^unknown f_mode 'other'$"):
+            credit_growth_rates(series, "other")
 
 
 class TestWindowSelection:

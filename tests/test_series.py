@@ -204,6 +204,12 @@ class TestParseCsv:
         pytest.param(_HEADER + "2٠٠٨-Q1,1,0,,\n",
                      "line 2: bad quarter '2٠٠٨-Q1', expected YYYY-Qn",
                      id="non-ascii-digits"),
+        # float() reads these as 9e11; an amount is ASCII without digit separators
+        pytest.param(_HEADER + "2008-Q1,9_00e9,0,,\n",
+                     "line 2: column tcu_eur: not a number: '9_00e9'", id="digit-separator"),
+        pytest.param(_HEADER + "2008-Q1,\uff1900e9,0,,\n",
+                     "line 2: column tcu_eur: not a number: '\uff1900e9'",
+                     id="non-ascii-amount"),
     ])
     def test_errors_name_the_physical_line(self, text, message):
         with pytest.raises(ParseError) as info:

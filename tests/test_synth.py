@@ -214,9 +214,17 @@ class TestScenarioConfig:
         with pytest.raises(ParseError, match=r"^line 1: expected key=value, got 'n_quarters 8'$"):
             synth.parse_scenario("n_quarters 8\n")
 
-    def test_bad_value_reports_line(self):
-        with pytest.raises(ParseError, match="line 1"):
-            synth.parse_scenario("n_quarters=eighteen\n")
+    @pytest.mark.parametrize("line, message", [
+        ("n_quarters=eighteen", "line 1: bad value for n_quarters: 'eighteen'"),
+        # int() and float() read these; a number in text is ASCII without digit separators
+        ("n_quarters=3_4", "line 1: bad value for n_quarters: '3_4'"),
+        ("tcu0=\uff19.0e11", "line 1: bad value for tcu0: '\uff19.0e11'"),
+        ("zeta_true=0.002_45", "line 1: bad value for zeta_true: '0.002_45'"),
+    ], ids=["word", "digit-separator", "non-ascii-digit", "fraction-separator"])
+    def test_bad_value_reports_line(self, line, message):
+        with pytest.raises(ParseError) as info:
+            synth.parse_scenario(line + "\n")
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                            "\u2028", "\u2029"])
