@@ -33,7 +33,6 @@ from .series import (
 from .steady_state import (
     SspEstimate,
     chi2_p_value,
-    chi_squared,
     expected_growth,
     ssp_irr_root,
     ssp_least_squares,
@@ -67,7 +66,6 @@ __all__ = [
     "analyze",
     "buffer_add_on",
     "chi2_p_value",
-    "chi_squared",
     "credit_gap",
     "credit_growth_rates",
     "cycle_stats",

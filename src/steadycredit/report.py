@@ -258,8 +258,12 @@ def render_svg(report: AnalysisReport, kind: str, rates_out: tuple[RatePoint, ..
     ``exhibit2`` is the (d, f) scatter with the steady-state curve, filled
     in-window markers, hollow markers for ``rates_out`` (the series' points
     ``rates.outside_window``), and segments stroked by rising or falling growth.
+    Either kind refuses a ``rates_out`` that is not a tuple of ``RatePoint``.
     """
     typed("report", report, AnalysisReport)
+    typed("rates_out", rates_out, tuple)
+    for i, point in enumerate(rates_out):
+        typed(f"rate point at index {i}", point, RatePoint)
     from . import svg  # loaded here only, so that analyze never imports it
     if kind == KIND_SCATTER:
         return svg.scatter(report, rates_out)

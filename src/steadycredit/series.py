@@ -10,7 +10,8 @@ method on every construction, ``_make`` and ``_replace`` included.
 ``number`` is the one rule for a record's float field and for every number a
 public function takes, ``typed`` for an int, bool or ``Quarter`` field and a
 record or text argument, and ``number_text`` for a number in text (ASCII, no ``_``).
-``shown`` is the one text of a value in a message, an int past ``str``'s limit too.
+``shown`` is the one text of a value in a message, an int past ``str``'s limit too;
+``typed`` shows a refused value by a ``repr`` cut short, whatever its size.
 ``floats`` reads an estimator's sample by ``number``, value by value: text,
 bytes or a non-iterable is the caller's EstimationError, another kind of
 number (a numpy scalar, a Fraction, a Decimal, never a bool) is read by
@@ -77,9 +78,12 @@ def number(name: str, value, where=None) -> None:
 def typed(name: str, value, kind: type) -> None:
     """Refuse a field or argument not a ``kind``; a bool, an int subclass, is one only of bool."""
     if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
+        import reprlib  # used on this error path only
+        brief = reprlib.Repr()  # a list, tuple or dict shows its first items, two levels deep
+        brief.maxlevel, brief.maxlist, brief.maxtuple, brief.maxdict = 2, 3, 3, 2
         article = {int: "an integer", bool: "a bool"}.get(
             kind, f"a{'n' * (kind.__name__[0] in 'AEIOU')} {kind.__name__}")
-        raise InvariantError(f"{name} must be {article}, got {shown(value, repr)}")
+        raise InvariantError(f"{name} must be {article}, got {shown(value, brief.repr)}")
 
 
 def number_text(text: str) -> str:

@@ -27,7 +27,11 @@ Newton's method started at or right of the root falls monotonically onto
 it, and no bracket or bisection is needed. Each term is carried with its
 own power-of-two exponent, so no intermediate A_k under- or overflows.
 
-Both estimates are tested by chi-squared on dof = n - 1. The degrees of
+Both estimators first check their arguments: a ``RateSeries`` of at least
+2 points and, if given, a ``sigma_ref`` that is a positive float. Else the
+scale is the OLS ``s_for_residual`` of the sample, or the estimate's own
+(chi2 = n - 1). ``_finalize`` forms the residuals f - e once, for the
+residual sum of squares and for chi-squared on dof = n - 1. The degrees of
 freedom are an integer, so the upper-tail p-value is a finite sum of
 Poisson-like terms (plus one erfc for odd dof) and needs no iterative
 incomplete-gamma solver. ``SspEstimate`` carries the statistic and its
@@ -37,12 +41,12 @@ p-value, its fields named like the published steady-state table column.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import ols
 from .errors import EstimationError
 from .rates import RateSeries
-from .series import Quarter, finite, floats, fsum, number, shown, typed
+from .series import Quarter, finite, fsum, number, shown, typed
 
 METHOD_LEAST_SQUARES = "least-squares"
 METHOD_IRR_ROOT = "irr-root"
@@ -84,26 +88,6 @@ def expected_growth(d: float, zeta: float) -> float:
     if not math.isfinite(growth):
         raise EstimationError(f"expected growth is not finite, got {growth}")
     return growth
-
-
-def chi_squared(
-    observed: Sequence[float], expected: Sequence[float], sigma_ref: float
-) -> tuple[float, int]:
-    """Sum of squared standardized deviations and its degrees of freedom n - 1."""
-    shape_message = "observed and expected must be one-dimensional, equal length"
-    obs, exp = floats(observed, shape_message), floats(expected, shape_message)
-    if len(obs) != len(exp):
-        raise EstimationError(shape_message)
-    if len(obs) < 2:
-        raise EstimationError(f"need at least 2 values, got {len(obs)}")
-    number("sigma_ref", sigma_ref)
-    if not sigma_ref > 0.0:
-        raise EstimationError(f"sigma_ref must be positive, got {sigma_ref}")
-    z = [(o - e) / sigma_ref for o, e in zip(obs, exp)]
-    chi2 = fsum(v * v for v in z)
-    if chi2 == math.inf:
-        raise EstimationError("chi-squared statistic overflows the float range")
-    return chi2, len(obs) - 1
 
 
 def chi2_p_value(chi2: float, dof: int) -> float:
@@ -148,18 +132,30 @@ def _expected_growths(rates: RateSeries, zeta: float) -> list[float]:
     return expected
 
 
+def _check_arguments(rates: RateSeries, sigma_ref: float | None) -> None:
+    """The estimators' one entry check: at least 2 rate points and, if given, a
+    chi-squared scale that is a positive float."""
+    typed("rates", rates, RateSeries)
+    if len(rates) < 2:
+        raise EstimationError(f"need at least 2 rate points, got {len(rates)}")
+    if sigma_ref is not None:
+        number("sigma_ref", sigma_ref)
+        if not sigma_ref > 0.0:
+            raise EstimationError(f"sigma_ref must be positive, got {sigma_ref}")
+
+
 def _finalize(rates: RateSeries, zeta: float, method: str,
               sigma_ref: float | None) -> SspEstimate:
     d = rates.d_values()
     f = rates.f_values()
     n = len(d)
-    expected = _expected_growths(rates, zeta)
-    sse = fsum((fi - ei) * (fi - ei) for fi, ei in zip(f, expected))
+    resid = [fi - ei for fi, ei in zip(f, _expected_growths(rates, zeta))]
+    sse = fsum(r * r for r in resid)
     s_for_residual = math.sqrt(sse / (n - 1))
     # The default scale is the OLS s_for_residual of the sample, else (fewer than 3
     # points, constant d, a non-finite field) the estimate's own, so chi2 = n - 1.
-    # chi_squared rejects an explicit scale that is not a positive float; only a
-    # default scale may be zero, and then only for an exact fit.
+    # An explicit scale is a positive float; only a default one may be zero, and
+    # then only for an exact fit.
     ref = sigma_ref
     if ref is None:
         if not math.isfinite(sse):  # the overflow is not the default scale's fault
@@ -168,10 +164,12 @@ def _finalize(rates: RateSeries, zeta: float, method: str,
             ref = ols.fit(d, f).s_for_residual
         except EstimationError:
             ref = s_for_residual
-    if sigma_ref is not None or ref > 0.0:
-        chi2, dof = chi_squared(f, expected, ref)
+    if ref > 0.0:
+        chi2 = fsum(z * z for z in [r / ref for r in resid])
+        if chi2 == math.inf:
+            raise EstimationError("chi-squared statistic overflows the float range")
     elif sse == 0.0:
-        chi2, dof = 0.0, n - 1  # perfect fit, zero scale: deviation is identically zero
+        chi2 = 0.0  # perfect fit, zero scale: deviation is identically zero
     else:
         raise EstimationError("reference residual scale is zero but residuals are not")
     return finite(SspEstimate(
@@ -182,16 +180,14 @@ def _finalize(rates: RateSeries, zeta: float, method: str,
         sigma=math.sqrt(sse / n),
         s_for_residual=s_for_residual,
         chi2=chi2,
-        dof=dof,
-        p_value=chi2_p_value(chi2, dof),
+        dof=n - 1,
+        p_value=chi2_p_value(chi2, n - 1),
     ))
 
 
 def ssp_least_squares(rates: RateSeries, sigma_ref: float | None = None) -> SspEstimate:
     """Steady-state parameter minimizing the squared expected-growth residuals."""
-    typed("rates", rates, RateSeries)
-    if len(rates) < 2:
-        raise EstimationError(f"need at least 2 rate points, got {len(rates)}")
+    _check_arguments(rates, sigma_ref)
     d = rates.d_values()
     f = rates.f_values()
     w = [1.0 / ((1.0 - di) * (1.0 - di)) for di in d]
@@ -270,9 +266,7 @@ def _irr_root(factors: list[float]) -> float:
 
 def ssp_irr_root(rates: RateSeries, sigma_ref: float | None = None) -> SspEstimate:
     """Steady-state parameter from the discounted credit-stock root equation."""
-    typed("rates", rates, RateSeries)
-    if len(rates) < 2:
-        raise EstimationError(f"need at least 2 rate points, got {len(rates)}")
+    _check_arguments(rates, sigma_ref)
     s = _irr_root([(1.0 + p.f) * (1.0 - p.d) for p in rates.points])
     return _finalize(rates, 1.0 / s - 1.0, METHOD_IRR_ROOT, sigma_ref)
 

@@ -56,7 +56,7 @@ class TestFindExtrema:
         assert e.quarter == Quarter(2008, 2)
 
     def test_values_that_are_not_numbers_rejected(self):
-        # the indexed error of ols.fit, hp_filter and chi_squared, not float()'s TypeError
+        # the indexed error of ols.fit and hp_filter, not float()'s TypeError
         message = r"^value at index 0 must be a number, got \[1.0\]$"
         with pytest.raises(InvariantError, match=message):
             cycle_stats([[1.0], [2.0], [3.0]])

@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import steadycredit
+from conftest import canonical_series
 from steadycredit.basel import GapConfig, buffer_add_on, credit_gap, hp_filter
 from steadycredit.cycles import cycle_stats
 from steadycredit.errors import ContiguityError, InvariantError, SteadyCreditError, WindowError
@@ -40,7 +41,6 @@ from steadycredit.series import (
 )
 from steadycredit.steady_state import (
     chi2_p_value,
-    chi_squared,
     expected_growth,
     ssp_irr_root,
     ssp_least_squares,
@@ -68,7 +68,7 @@ def test_the_simulator_names_resolve_on_first_use():
     # analysis never imports steadycredit.synth; its exports resolve through __getattr__
     from steadycredit import synth
 
-    assert len(steadycredit.__all__) == 41
+    assert len(steadycredit.__all__) == 40
     for name in ("Scenario", "generate", "parse_scenario"):
         assert getattr(steadycredit, name) is getattr(synth, name)
     with pytest.raises(AttributeError, match="^module 'steadycredit' has no attribute 'nope'$"):
@@ -381,7 +381,6 @@ _RATES = RateSeries(tuple(RatePoint(_Q.shift(k), 0.002 * k, 0.003 * k * k, "loan
 # (analyze records a bad sigma_ref as a stage error, so it is not listed)
 _NUMBER_ARGUMENTS = [
     (fit, ([0.0, 1.0, 2.0], [1.0, 2.0, 4.0]), {0: "each", 1: "each"}),
-    (chi_squared, ([1.0, 2.0], [1.5, 2.5], 0.5), {0: "each", 1: "each", 2: "scalar"}),
     (chi2_p_value, (3.0, 4), {0: "scalar", 1: "scalar"}),
     (expected_growth, (0.01, 0.002), {0: "scalar", 1: "scalar"}),
     (trajectory, (_RATES, 0.002), {1: "scalar"}),
@@ -437,13 +436,13 @@ _SERIES = CreditSeries(tuple(_OBS))
 _GDP_SERIES = CreditSeries(tuple(CreditObservation(o.quarter, 100.0, 1.0, None, 400.0)
                                  for o in _OBS))
 _WINDOW = Window(_Q, _Q.shift(2))
+_REPORT = analyze(_SERIES)
 
 
 # calls that once returned NaN or an infinity, read text or flags as numbers, or
 # raised a bare error
 @pytest.mark.parametrize("fn, args", [
     (fit, ([math.nan, 1, 2], [1, 2, 3])),
-    (chi_squared, ([math.nan, 1.0], [1.0, 1.0], 1.0)),
     (cycle_stats, (["1", "3", "2", "4"],)),
     (fit, ("123", "124")),
     (hp_filter, ([True, False, True], 1600.0)),
@@ -486,11 +485,17 @@ _WINDOW = Window(_Q, _Q.shift(2))
     (select_window, (_RATES, "crisis")),
     (to_json, ({},)),
     (render_svg, ({}, "exhibit1")),
+    (render_svg, (_REPORT, "exhibit1", "x")),
+    (render_svg, (_REPORT, "exhibit1", [1, 2])),
+    (render_svg, (_REPORT, "exhibit1", (None,))),
+    (render_svg, (_REPORT, "exhibit2", "x")),
+    (render_svg, (_REPORT, "exhibit2", [1, 2])),
+    (render_svg, (_REPORT, "exhibit2", (None,))),
     (emit_csv, (_OBS,)),
     (generate, ({},)),
     (parse_csv, (b"quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n",)),
     (parse_scenario, (b"n_quarters=8\n",)),
-], ids=["fit-nan", "chi-squared-nan", "cycles-text", "fit-digits", "hp-flags", "hp-nan-lam",
+], ids=["fit-nan", "cycles-text", "fit-digits", "hp-flags", "hp-nan-lam",
         "fit-huge", "cycles-letters", "trajectory-text", "p-value-dof-cap",
         "p-value-dof-huge", "buffer-text", "buffer-nan", "growth-text", "growth-nan",
         "fit-numpy-bool", "fit-bytes", "hp-bytearray", "cycles-memoryview",
@@ -500,7 +505,10 @@ _WINDOW = Window(_Q, _Q.shift(2))
         "analyze-list", "analyze-window-text", "analyze-gap-cfg-text", "analyze-f-mode-none",
         "rates-list", "rates-f-mode-unknown", "window-rates-list", "outside-window-list",
         "gap-cfg-dict", "buffer-cfg-none", "least-squares-list", "irr-root-list",
-        "trajectory-list", "select-window-text", "to-json-dict", "render-dict", "emit-list",
+        "trajectory-list", "select-window-text", "to-json-dict", "render-dict",
+        "render-panel-rates-out-text", "render-panel-rates-out-list",
+        "render-panel-rates-out-none", "render-scatter-rates-out-text",
+        "render-scatter-rates-out-list", "render-scatter-rates-out-none", "emit-list",
         "generate-dict", "parse-csv-bytes", "parse-scenario-bytes"])
 def test_a_bad_argument_is_a_typed_error(fn, args):
     with pytest.raises(SteadyCreditError):
@@ -514,12 +522,27 @@ def test_a_bad_argument_is_a_typed_error(fn, args):
     (select_window, (_RATES.points, _WINDOW), "rates must be a RateSeries, got "),
     (to_json, (None,), "report must be an AnalysisReport, got None"),
     (parse_csv, (None,), "text must be a str, got None"),
+    (render_svg, (_REPORT, "exhibit1", [1, 2]), "rates_out must be a tuple, got [1, 2]"),
+    (render_svg, (_REPORT, "exhibit2", (None,)),
+     "rate point at index 0 must be a RatePoint, got None"),
 ], ids=["analyze-window-tuple", "analyze-gap-cfg-none", "analyze-f-mode-none",
-        "select-window-points", "to-json-none", "parse-csv-none"])
+        "select-window-points", "to-json-none", "parse-csv-none", "render-rates-out-list",
+        "render-rates-out-none"])
 def test_a_record_or_text_argument_of_another_kind_is_named(fn, args, message):
     with pytest.raises(InvariantError) as info:
         fn(*args)
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("copies", [1, 600])
+def test_the_message_of_a_refused_argument_is_short_whatever_its_size(copies):
+    # the canonical observations as a list, not a series; 600 copies give 20,400 items
+    observations = list(canonical_series().observations) * copies
+    with pytest.raises(InvariantError) as info:
+        analyze(observations)
+    message = str(info.value)
+    assert message.startswith("series must be a CreditSeries, got [CreditObserva")
+    assert len(message) <= 200
 
 
 @pytest.mark.parametrize("convert", [
@@ -533,7 +556,6 @@ def test_a_sample_of_other_real_numbers_is_read_by_float(convert):
     assert fit(convert(xs), convert(ys)) == fit(floats, [float(y) for y in ys])
     assert hp_filter(convert(xs), 1600.0) == hp_filter(floats, 1600.0)
     assert cycle_stats(convert(ys)) == cycle_stats([float(y) for y in ys])
-    assert chi_squared(convert(xs), floats, 1.0) == chi_squared(floats, floats, 1.0)
 
 
 # a record and the kind of each of its int, bool and Quarter fields

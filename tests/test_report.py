@@ -128,6 +128,12 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# (d, f) = (0, 0), (0.25, 0.5), (0.5, 1): the OLS line fits exactly, so its scale is
+# zero, while the steady-state residuals are not
+_EXACT_OLS_CSV = ("quarter,tcu_eur,abd_eur,loans_eur,gdp_eur\n"
+                  "2008-Q1,1,0,,\n2008-Q2,1,0,0,\n2008-Q3,1,0.25,0.375,\n2008-Q4,1,0.5,0.5,\n")
+
+
 def canonical_report():
     return analyze(canonical_series(), CRISIS)
 
@@ -257,6 +263,35 @@ class TestAnalyze:
             p.interval_end for p in late.rates_in.points
         }
         assert len(covered) == 66
+
+    @pytest.mark.parametrize("text", [None, OVERFLOWING_INDEX_CSV, UNIT_ZETA_CSV,
+                                      OLS_SCALE_OVERFLOW_CSV, HP_OVERFLOW_CSV, _EXACT_OLS_CSV],
+                             ids=["canonical", "overflowing-index", "unit-zeta", "ols-scale",
+                                  "hp-overflow", "exact-ols"])
+    def test_the_ols_scale_analyze_passes_on_is_the_estimators_own_default(self, text):
+        # analyze hands a positive OLS scale to both estimators as sigma_ref to spare
+        # them a refit; on every window each estimate, or its error text, is that of
+        # the estimator called on the window's rates with its default scale
+        series = canonical_series() if text is None else parse_csv(text)
+        quarters = series.quarters()
+
+        def direct(estimator, rates):
+            try:
+                return estimator(rates)
+            except SteadyCreditError as exc:
+                return str(exc)
+
+        for i, start in enumerate(quarters):
+            for end in quarters[i + 1:]:
+                window = Window(start, end)
+                report = analyze(series, window)
+                rates = window_rates(series, window)[1]
+                errors = dict(report.errors)
+                for stage, estimate, estimator in (
+                        ("ssp-least-squares", report.ssp_ls, ssp_least_squares),
+                        ("ssp-irr-root", report.ssp_irr, ssp_irr_root)):
+                    expected = direct(estimator, rates)
+                    assert (errors[stage] if estimate is None else estimate) == expected, window
 
 
 # an amount anywhere from 1e-300 to 1e300, drawn by its exponent, and a factor

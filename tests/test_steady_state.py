@@ -23,7 +23,6 @@ from steadycredit.steady_state import (
     METHOD_IRR_ROOT,
     METHOD_LEAST_SQUARES,
     chi2_p_value,
-    chi_squared,
     expected_growth,
     ssp_irr_root,
     ssp_least_squares,
@@ -69,55 +68,37 @@ class TestExpectedGrowth:
 
 
 class TestChiSquared:
+    # the statistic of an estimate with an explicit scale: sum_k ((f_k - e_k) / sigma_ref)^2
     def test_zero_residuals(self):
-        chi2, dof = chi_squared([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 0.5)
-        assert chi2 == 0.0
-        assert dof == 2
+        # d = 0 and a constant f: the least-squares zeta is f, so every residual is 0
+        est = ssp_least_squares(rate_series([0.0] * 3, [0.5] * 3), sigma_ref=0.5)
+        assert (est.zeta, est.chi2, est.dof, est.p_value) == (0.5, 0.0, 2, 1.0)
 
     def test_unit_standardized_residuals_sum_to_n(self):
-        n = 7
-        obs = [1.0 + 0.25] * n
-        exp = [1.0] * n
-        chi2, dof = chi_squared(obs, exp, 0.25)
-        assert chi2 == pytest.approx(float(n), rel=1e-12)
-        assert dof == n - 1
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(EstimationError):
-            chi_squared([1.0, 2.0], [1.0, 2.0], 0.0)
-
-    def test_rejects_infinite_scale(self):
-        with pytest.raises(InvariantError, match="must be finite"):
-            chi_squared([1.0, 2.0], [1.0, 2.0], math.inf)
-
-    @pytest.mark.parametrize("sigma_ref, message", [
-        ("0.1", "sigma_ref must be a number, got '0.1'"),
-        (True, "sigma_ref must be a number, got True"),
-        (None, "sigma_ref must be a number, got None"),
-        (10**400, f"sigma_ref must be finite, got {10**400}"),
-        (-10**5000, "sigma_ref must be finite, got a negative int of 16610 bits"),
-    ], ids=["str", "bool", "none", "huge", "past-str-limit"])
-    def test_rejects_a_scale_that_is_no_float(self, sigma_ref, message):
-        with pytest.raises(InvariantError) as info:
-            chi_squared([1.0, 2.0], [1.0, 2.0], sigma_ref)
-        assert type(info.value) is InvariantError and str(info.value) == message
+        # d = 0 and f alternating 0.5 +- 0.25: zeta = 0.5, each residual is +-0.25
+        n = 8
+        est = ssp_least_squares(rate_series([0.0] * n, [0.75, 0.25] * (n // 2)),
+                                sigma_ref=0.25)
+        assert (est.zeta, est.chi2, est.dof) == (0.5, float(n), n - 1)
 
     def test_overflowing_statistic_is_an_estimation_error(self):
-        with pytest.raises(EstimationError, match="overflows"):
-            chi_squared([1.0, 2.0], [0.0, 0.0], 1e-300)
+        # residuals of ~0.25 over a scale of 1e-300 square past the float range
+        rates = rate_series([0.0, 0.0], [0.5, 1.0])
+        for estimator in (ssp_least_squares, ssp_irr_root):
+            with pytest.raises(EstimationError,
+                               match="^chi-squared statistic overflows the float range$"):
+                estimator(rates, sigma_ref=1e-300)
 
-    @pytest.mark.parametrize("observed, expected, error, message", [
-        (1.0, [1.0, 2.0], EstimationError,
-         "observed and expected must be one-dimensional, equal length"),
-        ([[1.0], [2.0]], [1.0, 2.0], InvariantError,
-         r"value at index 0 must be a number, got \[1.0\]"),
-        ([1.0, 2.0], [1.0, 2.0, 3.0], EstimationError,
-         "observed and expected must be one-dimensional, equal length"),
-        ([1.0], [1.0], EstimationError, "need at least 2 values, got 1"),
-    ], ids=["scalar", "nested", "unequal", "single"])
-    def test_rejects_samples_of_the_wrong_shape(self, observed, expected, error, message):
-        with pytest.raises(error, match=f"^{message}$"):
-            chi_squared(observed, expected, 1.0)
+    def test_a_bad_scale_is_refused_before_the_solve(self):
+        # on these rates both solves fail; an explicit scale is checked first
+        rates = credit_growth_rates(parse_csv(UNIT_ZETA_CSV))
+        for estimator, solve_error in ((ssp_least_squares, "zeta is -1"),
+                                       (ssp_irr_root, "discount-factor root is above")):
+            with pytest.raises(InvariantError) as info:
+                estimator(rates, sigma_ref="1")
+            assert str(info.value) == "sigma_ref must be a number, got '1'"
+            with pytest.raises(EstimationError, match=f"^{solve_error}"):
+                estimator(rates, sigma_ref=1.0)
 
 
 def test_fsum_of_both_infinities_is_an_estimation_error():
@@ -264,22 +245,26 @@ class TestLeastSquares:
         assert est.chi2 < 0.01
 
     @pytest.mark.parametrize("sigma_ref, error, message", [
-        (math.inf, InvariantError, "must be finite"),
-        (math.nan, InvariantError, "must be finite"),
-        (0.0, EstimationError, "must be positive"),
-        ("0.1", InvariantError, "must be a number"),
-        (True, InvariantError, "must be a number"),
-    ])
+        (math.inf, InvariantError, "sigma_ref must be finite, got inf"),
+        (math.nan, InvariantError, "sigma_ref must be finite, got nan"),
+        (0.0, EstimationError, "sigma_ref must be positive, got 0.0"),
+        (-1, EstimationError, "sigma_ref must be positive, got -1"),
+        ("0.1", InvariantError, "sigma_ref must be a number, got '0.1'"),
+        (True, InvariantError, "sigma_ref must be a number, got True"),
+        (10**400, InvariantError, f"sigma_ref must be finite, got {10**400}"),
+        (-10**5000, InvariantError, "sigma_ref must be finite, got a negative int of 16610 bits"),
+    ], ids=["inf", "nan", "zero", "negative", "str", "bool", "huge", "past-str-limit"])
     def test_rejects_reference_scale_outside_the_positive_floats(self, sigma_ref, error,
                                                                  message):
         d = np.linspace(0.002, 0.008, 10)
         for estimator in (ssp_least_squares, ssp_irr_root):
-            with pytest.raises(error, match=message):
+            with pytest.raises(error) as info:
                 estimator(rate_series(d, d / (1 - d)), sigma_ref=sigma_ref)
+            assert type(info.value) is error and str(info.value) == message
 
     def test_expected_growth_leaving_the_float_range_is_an_estimation_error(self):
         # zeta is finite (~1e295), but at d = 1 - 1e-16 it gives an expected growth
-        # near 1e311; the explicit scale would pass it on to chi_squared
+        # near 1e311; the explicit scale would take it on to the chi-squared statistic
         rates = rate_series([1.0 - 1e-16, 0.0, 0.0], [1e300] * 3)
         for estimator in (ssp_least_squares, ssp_irr_root):
             with pytest.raises(EstimationError,
