@@ -2,23 +2,19 @@
 
 The trend tau minimizes
 
-    sum (y_t - tau_t)^2 + lam * sum (tau_{t+1} - 2 tau_t + tau_{t-1})^2,
+    sum (y_t - tau_t)^2 + lam * sum (tau_{t+1} - 2 tau_t + tau_{t-1})^2.
 
-solved through the symmetric pentadiagonal normal equations
-(I + lam * D'D) tau = y. The matrix is factored once per call as L D L'
-(L unit lower triangular with two sub-diagonals, D the positive pivots),
-and the same factor solves for the first trend and for every correction of
-the iterative refinement that follows. The normal-equation residual is
-evaluated with each second difference correctly rounded, and refinement
-continues past the 1e-8 relative tolerance for as long as that residual
-still falls; the iterate with the smallest residual is returned. For
-extreme lam, where the tolerance is not representable in double
-precision, an iterate at the machine floor is accepted instead. As that
-floor grows with lam, a trend must also hold each linear moment of y - tau,
-sum(k^j (y_k - tau_k)) for j = 0, 1, within 1% of sum(k^j |y_k|); the
-exact trend zeroes both for every lam. A non-positive pivot, a residual
-that reaches neither bound, or a lost moment raises EstimationError, and
-``series.floats`` refuses a non-finite input.
+With D the (n-2) x n second difference it is solved in the dual form
+tau = y - D'u, (I / lam + D D') u = D y: a Toeplitz pentadiagonal matrix
+(6 + 1 / lam, -4, 1) whose condition number grows with n but not with lam.
+It is factored once as L D L', which solves for u and for one refinement
+whose residual entries, like those of tau, are each one correctly rounded
+sum of exact terms (u / lam enters as a quotient and its remainder). D'
+maps onto sequences whose sums with weights 1 and k vanish, so tau keeps
+both linear moments of y. The refinement's change to the trend estimates
+the error of the first solve: above 1e-5 of max |y|, or at a non-positive
+pivot, EstimationError refuses the smoothing parameter as too large for
+the series. ``series.floats`` refuses a non-finite input.
 The buffer add-on is 0 at or below ``gap_low`` percentage points,
 ``buffer_max`` at or above ``gap_high``, and linear in between.
 """
@@ -26,17 +22,12 @@ The buffer add-on is 0 at or below ``gap_low`` percentage points,
 from __future__ import annotations
 
 import math
-import operator
-import sys
 from typing import NamedTuple, Sequence
 
 from .errors import ColumnAbsentError, EstimationError, InvariantError
 from .series import CreditSeries, Quarter, floats, number, typed, validated
 
-_RESID_TOL = 1e-8
-_MAX_REFINEMENTS = 12
-# up to lam 1e12 the largest moment ratio seen was 2e-3 (one spike); wrong trends reach 1
-_MOMENT_TOL = 1e-2
+_CORRECTION_BOUND = 1e-5
 
 
 @validated
@@ -73,24 +64,14 @@ class GapReport(NamedTuple):
     config: GapConfig
 
 
-def _penalty_apply(v: list[float]) -> list[float]:
-    """D'D v for the (n-2) x n second-difference matrix D.
-
-    Each entry of D v is one correctly rounded sum: for a smooth trend the
-    plain expression cancels almost completely, so its rounding error
-    (eps * |v|) can dwarf the true value, and after scaling by a large
-    smoothing parameter that noise would make the normal-equation residual
-    unmeasurable.
-    """
-    # hp_filter scales every value below 1 first, so no term or sum overflows
-    z = [math.fsum((a, -2.0 * mid, c)) for a, mid, c in zip(v[2:], v[1:-1], v)]
-    pad = [0.0, 0.0]
-    # row i collects z[i] - 2 z[i-1] + z[i-2], the terms past either end zero
-    return [a - 2.0 * b + c for a, b, c in zip(z + pad, [0.0] + z + [0.0], pad + z)]
+def _second_difference(v: list[float]) -> list[float]:
+    """D v, each entry correctly rounded: for a smooth series the plain expression
+    cancels almost completely, so its rounding error (eps * |v|) could dwarf it."""
+    return [math.fsum((a, -2.0 * mid, c)) for a, mid, c in zip(v, v[1:], v[2:])]
 
 
-def _ldl_factor(diag: list[float], super1: list[float], super2: list[float]):
-    """L D L' factor of the symmetric pentadiagonal matrix with the given bands.
+def _ldl_factor(diag: float, m: int):
+    """L D L' factor of the m-square Toeplitz pentadiagonal matrix with bands (diag, -4, 1).
 
     Returns the pivots d and the two sub-diagonals of the unit lower
     triangular L, led by one and two zeros: l1[i] = L[i, i-1] and
@@ -100,11 +81,11 @@ def _ldl_factor(diag: list[float], super1: list[float], super2: list[float]):
     l1, l2 = [0.0], [0.0, 0.0]
     d_1 = d_2 = 0.0  # pivots of rows i-1 and i-2
     m1 = m2 = m2_next = 0.0  # L[i, i-1], L[i, i-2] and L[i+1, i-1]
-    for a, b, c in zip(diag, super1 + [0.0], super2 + [0.0, 0.0]):
-        pivot = a - m1 * m1 * d_1 - m2 * m2 * d_2
+    for b, c in zip([-4.0] * (m - 1) + [0.0], [1.0] * (m - 2) + [0.0, 0.0]):
+        pivot = diag - m1 * m1 * d_1 - m2 * m2 * d_2
         if not pivot > 0.0:
             raise EstimationError(
-                f"HP normal equations lost positive definiteness at row {len(d)} "
+                f"HP dual equations lost positive definiteness at row {len(d)} "
                 f"(pivot {pivot!r}); the smoothing parameter is too large for this series"
             )
         m1 = (b - m2_next * m1 * d_1) / pivot
@@ -142,52 +123,41 @@ def hp_filter(y: Sequence[float], lam: float) -> list[float]:
     number("lam", lam)
     if lam < 0.0:
         raise EstimationError(f"smoothing parameter must be >= 0, got {lam}")
-    if lam == 0.0:
+    if lam == 0.0 or 1.0 / lam == math.inf:  # the trend rounds to y
         return ys
     # the trend is linear in y, so solving for y scaled by a power of two is
     # exact and keeps the residual arithmetic clear of overflow for any input
     shift = math.frexp(max(abs(v) for v in ys))[1]
     ys = [math.ldexp(v, -shift) for v in ys]
-
-    # bands of the SPD matrix I + lam * D'D, D the (n-2) x n second difference
-    dtd_diag = [1.0, 5.0] + [6.0] * (n - 4) + [5.0, 1.0] if n > 3 else [1.0, 4.0, 1.0]
-    dtd_super1 = [-2.0] + [-4.0] * (n - 3) + [-2.0]
-    factor = _ldl_factor(
-        [1.0 + lam * v for v in dtd_diag],
-        [lam * v for v in dtd_super1],
-        [lam] * (n - 2),
-    )
-    scale = math.hypot(*ys)
-    target = _RESID_TOL * scale
-    trend = _ldl_solve(factor, ys)
-    best = trend
-    best_norm = math.inf
-    for _ in range(_MAX_REFINEMENTS):
-        resid = [(v - t) - lam * p for v, t, p in zip(ys, trend, _penalty_apply(trend))]
-        norm = math.hypot(*resid)
-        if norm < best_norm:
-            best, best_norm = trend, norm
-        elif best_norm <= target:
-            # past the tolerance, refine only while the residual still falls
-            break
-        trend = [t + c for t, c in zip(trend, _ldl_solve(factor, resid))]
-    # representational floor: perturbing the trend by one ulp per component
-    # already moves the residual by ~eps * (||y|| + 16 lam ||trend||), so no
-    # double-precision vector can meet the strict tolerance past this point
-    eps = sys.float_info.epsilon
-    floor = 8.0 * eps * (scale + 16.0 * lam * math.hypot(*best))
-    if not (math.isfinite(best_norm) and best_norm <= max(target, floor)):
-        raise EstimationError("HP normal-equation residual did not converge")
-    # D maps every linear sequence to zero, so the exact trend keeps both
-    # linear moments of y for any lam, while the floor can exceed ||y|| itself
-    lost, ks = list(map(operator.sub, ys, best)), range(1, n + 1)
-    if (abs(math.fsum(lost)) > _MOMENT_TOL * sum(map(abs, ys))
-            or abs(math.fsum(map(operator.mul, ks, lost)))
-            > _MOMENT_TOL * sum(map(operator.mul, ks, map(abs, ys)))):
-        raise EstimationError("HP trend lost a linear moment of the series; "
+    factor = _ldl_factor(6.0 + 1.0 / lam, n - 2)
+    u = _ldl_solve(factor, _second_difference(ys))
+    pad = [0.0, 0.0, *u, 0.0, 0.0]  # pad[i + 2] = u[i], zero past either end
+    # v / lam = q + r / lam, where r = v - q lam sums the exact products of the halves
+    # of q and lam (Veltkamp's split by 2^27 + 1; lam's by its significand, not to overflow)
+    significand, exponent = math.frexp(lam)
+    k = 134217729.0 * significand
+    lam_hi = math.ldexp(k - (k - significand), exponent)
+    lam_lo = lam - lam_hi
+    resid = []
+    for a, b, c, u_2, u_1, v, v1, v2 in zip(ys, ys[1:], ys[2:], pad, pad[1:], u, pad[3:], pad[4:]):
+        q = v / lam
+        k = 134217729.0 * q
+        q_hi = k - (k - q)
+        r = math.fsum((v, -q_hi * lam_hi, -q_hi * lam_lo, (q_hi - q) * lam_hi, (q_hi - q) * lam_lo))
+        # D y - D D' u - u / lam, with 6 u = 4 u + 2 u exact
+        resid.append(math.fsum((a, -2.0 * b, c, -u_2, 4.0 * u_1, -4.0 * v, -2.0 * v,
+                                4.0 * v1, -v2, -q, -r / lam)))
+    fix = [0.0, 0.0, *_ldl_solve(factor, resid), 0.0, 0.0]
+    # D' fix, the refinement's change to the trend: (D' v)[k] = v[k] - 2 v[k-1] + v[k-2]
+    change = [a - 2.0 * b + c for a, b, c in zip(fix[2:], fix[1:], fix)]
+    # weighed against max |ys| in [1/2, 1): the trend itself is near 0 for some series
+    if max(map(abs, change)) > _CORRECTION_BOUND:
+        raise EstimationError("HP trend is not accurate to working precision; "
                               "the smoothing parameter is too large for this series")
+    trend = [math.fsum((v, -a, 2.0 * b, -c, -d))
+             for v, a, b, c, d in zip(ys, pad[2:], pad[1:], pad, change)]
     try:
-        return [math.ldexp(v, shift) for v in best]
+        return [math.ldexp(v, shift) for v in trend]
     except OverflowError:  # the trend overshoots a series near the float limit
         raise EstimationError("HP trend leaves the float range") from None
 

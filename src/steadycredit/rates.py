@@ -16,8 +16,7 @@ cut: the one rate sample of a window, taken by ``analyze`` and every CLI
 view of the analysis. ``select_window`` is the public rule that sample
 keeps: the points of a rate series whose interval ends inside the window.
 ``f_mode``, one of ``F_MODES``, names the f formula; ``credit_growth_rates`` alone
-reads it, and ``window_rates``, ``outside_window`` and ``analyze`` pass it on. It
-was the one field of the former ``RatesConfig`` record.
+reads it, and ``window_rates``, ``outside_window`` and ``analyze`` pass it on.
 """
 
 from __future__ import annotations

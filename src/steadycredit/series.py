@@ -79,11 +79,16 @@ def typed(name: str, value, kind: type) -> None:
     """Refuse a field or argument not a ``kind``; a bool, an int subclass, is one only of bool."""
     if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
         import reprlib  # used on this error path only
-        brief = reprlib.Repr()  # a list, tuple or dict shows its first items, two levels deep
+
+        class Brief(reprlib.Repr):
+            def repr_int(self, x, level):  # an int past the decimal-text limit shows its size
+                return shown(x, lambda v: reprlib.Repr.repr_int(self, v, level))
+
+        brief = Brief()  # a list, tuple or dict shows its first items, two levels deep
         brief.maxlevel, brief.maxlist, brief.maxtuple, brief.maxdict = 2, 3, 3, 2
         article = {int: "an integer", bool: "a bool"}.get(
             kind, f"a{'n' * (kind.__name__[0] in 'AEIOU')} {kind.__name__}")
-        raise InvariantError(f"{name} must be {article}, got {shown(value, brief.repr)}")
+        raise InvariantError(f"{name} must be {article}, got {brief.repr(value)}")
 
 
 def number_text(text: str) -> str:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from steadycredit.ols import OlsFit
@@ -124,6 +125,16 @@ def canonical_series() -> CreditSeries:
         for i, obs in enumerate(series.observations)
     )
     return CreditSeries(observations)
+
+
+def long_walk() -> list[float]:
+    """A random walk of 20,001 quarters, shifted to stay above 50.
+
+    At this length the HP dual equations are far worse conditioned than at
+    the paper's 67 quarters: a smoothing parameter of 1e16 is refused.
+    """
+    walk = np.random.default_rng(0).normal(0.0, 1.0, 20_001).cumsum()
+    return list(walk - walk.min() + 50.0)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import operator
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -8,8 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import dense_hp_oracle, exact_hp_oracle, two_sum_second_difference
-from conftest import build_series, canonical_series
+from _oracles import (
+    decimal_hp_oracle,
+    dense_hp_oracle,
+    exact_hp_oracle,
+    two_sum_second_difference,
+)
+from conftest import build_series, canonical_series, long_walk
 from steadycredit import basel
 from steadycredit.basel import (
     GapConfig,
@@ -118,34 +125,42 @@ class TestHpFilter:
             hp_filter(y, 1600.0)
         assert type(info.value) is InvariantError and str(info.value) == message
 
-    @pytest.mark.parametrize(
-        "y, lam",
-        [
-            ([1.0, 2.0, 3.0], 1e30),
-            ([1.0, 2.0, 4.0], 1e30),
-            ([1e300, 1e-300, 5.0, 7.0], 1e30),
-        ],
-    )
-    def test_degenerate_problem_raises_estimation_error(self, y, lam):
-        with pytest.raises(EstimationError):
-            hp_filter(y, lam)
+    @pytest.mark.parametrize("y, lam", [
+        ([1.0, 2.0, 3.0], 1e30),
+        ([1.0, 2.0, 4.0], 1e30),
+        ([1e300, 1e-300, 5.0, 7.0], 1e30),
+        ("ratio", 1e30),
+        ("ratio", 1e100),
+        # primal normal equations accepted at their residual floor are 1.9e-6 off here
+        ([1.0] + [0.0] * 51, 1e12),
+    ], ids=["line", "bent", "spike", "ratio-1e30", "ratio-1e100", "impulse-1e12"])
+    def test_huge_lambda_trend_matches_exact_oracle(self, y, lam):
+        if y == "ratio":  # lies between 51 and 56
+            y = [row.credit_to_gdp for row in credit_gap(canonical_series()).rows]
+        exact = exact_hp_oracle(y, lam)
+        bound = 1e-13 * max(map(abs, y))
+        assert all(abs(t - float(tau)) <= bound for t, tau in zip(hp_filter(y, lam), exact))
 
-    @pytest.mark.parametrize("lam", [1e30, 1e100])
-    def test_trend_that_loses_a_linear_moment_is_refused(self, lam):
-        # here the residual floor exceeds ||y||, which let a trend of ~1e-13
-        # through for a ratio that lies between 51 and 56
-        ratio = [row.credit_to_gdp for row in credit_gap(canonical_series()).rows]
-        with pytest.raises(EstimationError, match="^HP trend lost a linear moment of the series; "
-                                                  "the smoothing parameter is too large"):
-            hp_filter(ratio, lam)
+    @pytest.mark.parametrize("lam", [5e-324, 1e-310])
+    def test_lambda_whose_reciprocal_overflows_returns_the_series(self, lam):
+        y = [1.0, -2.5, 3.25, 0.125, 7.0]
+        assert [v.hex() for v in hp_filter(y, lam)] == [v.hex() for v in y]
 
 
-def _two_sum_penalty_apply(v):
-    """D'D v with D v formed by the two-sum oracle, the outer D' as the filter forms it."""
-    z = two_sum_second_difference(v)
-    pad = [0.0, 0.0]
-    return [a - 2.0 * b + c for a, b, c in zip(z + pad, [0.0] + z + [0.0], pad + z)]
+    def test_degenerate_problem_raises_estimation_error(self):
+        # the refinement's change to the trend is 7e-4 of max |y| here
+        with pytest.raises(EstimationError, match="^HP trend is not accurate to working "
+                                                  "precision; the smoothing parameter is too large"):
+            hp_filter(long_walk(), 1e16)
 
+    def test_long_series_trend_at_lambda_1e12_matches_decimal_oracle(self):
+        # the refinement's change is 2.4e-6 of max |y| and the trend 1.8e-10 of its maximum
+        # off; one refinement leaves about 30 times the change squared
+        y = long_walk()
+        trend = hp_filter(y, 1e12)
+        reference = decimal_hp_oracle(y, 1e12)
+        error = max(abs(float(Decimal(t) - tau)) for t, tau in zip(trend, reference))
+        assert error <= 1e-9 * max(map(abs, trend))
 
 def _trend_bits(y, lam):
     try:
@@ -168,17 +183,26 @@ _NOISY = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=60)
                                              min_size=3, max_size=60)),
        lam=st.floats(0.0, 1e12))
 def test_no_trend_up_to_lam_1e12_loses_a_linear_moment(y, lam):
+    # D maps every linear sequence to zero, so the exact trend keeps sum(k^j (y_k - tau_k))
+    # = 0 for j = 0, 1; a wrong trend misses it by up to sum(k^j |y_k|)
     try:
-        hp_filter(y, lam)
+        trend = hp_filter(y, lam)
     except EstimationError as exc:
-        assert "linear moment" not in str(exc)
+        assert str(exc) == "HP trend leaves the float range"
+        return
+    lost, ks = [Fraction(v) - Fraction(t) for v, t in zip(y, trend)], range(1, len(y) + 1)
+    assert 100 * abs(sum(lost)) <= sum(map(abs, map(Fraction, y)))
+    assert 100 * abs(sum(map(operator.mul, ks, lost))) <= sum(k * abs(Fraction(v))
+                                                               for k, v in zip(ks, y))
 
 
 class TestCorrectlyRoundedResidual:
+    # with u / lam rounded in the refinement's residual, the trend's 7th value moved one ulp
+    @example(y=[0.0] * 10 + [957384.7088062854, -999999.0, -5.657328265608422e-229], lam=1600.0)
     @settings(max_examples=200, deadline=None)
     @given(y=st.one_of(_SMOOTH, _NOISY), lam=st.sampled_from([1600.0, 4e5, 1e12]))
     def test_trend_bits_equal_those_of_the_two_sum_residual(self, y, lam):
-        with mock.patch.object(basel, "_penalty_apply", _two_sum_penalty_apply):
+        with mock.patch.object(basel, "_second_difference", two_sum_second_difference):
             expected = _trend_bits(y, lam)
         assert _trend_bits(y, lam) == expected
 
@@ -186,9 +210,9 @@ class TestCorrectlyRoundedResidual:
     @example(a=-7.473496561871182e-216, mid=-0.0017656869460580173, c=-0.05823711509353713)
     @given(a=st.floats(-1.0, 1.0), mid=st.floats(-1.0, 1.0), c=st.floats(-1.0, 1.0))
     def test_second_difference_is_correctly_rounded(self, a, mid, c):
-        # hp_filter scales every value into [-1, 1] before forming the residual
+        # hp_filter scales every value into [-1, 1] before forming D y
         exact = Fraction(a) - 2 * Fraction(mid) + Fraction(c)
-        assert basel._penalty_apply([a, mid, c])[0] == float(exact)
+        assert basel._second_difference([a, mid, c]) == [float(exact)]
 
 
 class TestBufferMapping:

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from conftest import (
     UNIT_ZETA_CSV,
     build_series,
     canonical_series,
+    long_walk,
     scenario_to_text,
     steady_scenario,
 )
@@ -51,6 +53,18 @@ HUGE_CSV = (
     "2008-Q2,1.7e308,0,,\n"
     "2008-Q3,1e8,0,,\n"
 )
+
+
+@pytest.fixture(scope="module")
+def long_walk_csv(tmp_path_factory) -> Path:
+    """20,001 quarters from 1000-Q1 whose credit-to-GDP ratio is ``long_walk``, with
+    a default rate that varies; its HP trend at --lambda 1e16 is refused."""
+    ratio = long_walk()
+    abd = [0.004 * v * (1.0 + 0.5 * math.sin(i / 4)) for i, v in enumerate(ratio)]
+    series = build_series(ratio, abd=abd, gdp=[25.0] * len(ratio), start=Quarter(1000, 1))
+    path = tmp_path_factory.mktemp("long") / "long_walk.csv"
+    path.write_text(emit_csv(series), encoding="utf-8")
+    return path
 
 
 @pytest.fixture
@@ -408,7 +422,7 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("command, digest", [
         ("rates", "c8e66503041c189f6cddd5b676655159"),
-        ("gap", "089ade89463470aafc6ffa2881fe38de"),
+        ("gap", "fd7e07f078e90d81220edf4937f7f48a"),
         ("cycles", "ae5622e6eea88e13c972a27335a04ad2"),
     ])
     def test_csv_output_matches_committed_digest(self, canonical_csv, tmp_path, command,
@@ -422,9 +436,9 @@ class TestOtherCommands:
         assert hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest() == digest
 
     @pytest.mark.parametrize("digits, digest", [
-        ("15", "a0f64918496338e3e017ba842afd8741"),
-        ("16", "875080727a3a4df5f19cf58ca59f129d"),
-        ("17", "602e7dceb106dc9d4f88f26b0f499cd6"),
+        ("15", "14988de0db4cc125c08d6ff31355fd3d"),
+        ("16", "017211053506a17c0ea3cee4bb31efdc"),
+        ("17", "0ab5c0418cbcd41e42afef3d30f04e71"),
     ])
     def test_analyze_json_at_full_precision_matches_committed_digest(
             self, canonical_csv, digits, digest, monkeypatch, capsys):
@@ -456,11 +470,11 @@ class TestOtherCommands:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: ")
 
-    def test_gap_with_a_smoothing_parameter_too_large_fails_cleanly(self, canonical_csv, capsys):
-        assert main(["gap", "--input", str(canonical_csv), "--lambda", "1e30"]) == 1
+    def test_gap_with_a_smoothing_parameter_too_large_fails_cleanly(self, long_walk_csv, capsys):
+        assert main(["gap", "--input", str(long_walk_csv), "--lambda", "1e16"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: HP trend lost a linear moment of the series; "
+        assert captured.err == ("error: HP trend is not accurate to working precision; "
                                 "the smoothing parameter is too large for this series\n")
 
     @pytest.mark.parametrize("flag", ["--buffer-max=inf", "--gap-low=-inf", "--gap-high=inf",
@@ -739,8 +753,8 @@ class TestOtherCommands:
         assert [e["stage"] for e in doc["errors"]] == ["gap"]
 
     def test_analyze_records_a_smoothing_parameter_too_large_as_gap_stage_error(
-            self, canonical_csv, capsys):
-        assert main(["analyze", "--input", str(canonical_csv), "--lambda", "1e30"]) == 0
+            self, long_walk_csv, capsys):
+        assert main(["analyze", "--input", str(long_walk_csv), "--lambda", "1e16"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         doc = json.loads(captured.out)
@@ -987,7 +1001,7 @@ class TestInstalledEntryPoint:
 
     @pytest.mark.parametrize("argv, code", [
         (["validate", "--input", "{csv}"], 0),
-        (["gap", "--input", "{csv}", "--lambda", "1e30"], 1),
+        (["gap", "--input", "{csv}", "--lambda", "-1"], 1),
         (["rates", "--input"], 2),
     ], ids=["ok", "data-error", "usage-error"])
     def test_entrypoint_freezes_the_collector_once_main_returns(self, canonical_csv, argv, code,

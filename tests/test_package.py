@@ -473,6 +473,9 @@ _REPORT = analyze(_SERIES)
     (analyze, (_SERIES, "crisis")),
     (analyze, (_GDP_SERIES, None, "prefer-loans", "x")),  # not a gap stage error
     (analyze, (_SERIES, None, None)),
+    (analyze, ([10**5000],)),
+    (analyze, ((-10**5000,),)),
+    (analyze, ({"tcu": 10**5000},)),
     (credit_growth_rates, (_OBS,)),
     (credit_growth_rates, (_SERIES, "nope")),
     (window_rates, (_OBS, _WINDOW)),
@@ -503,7 +506,7 @@ _REPORT = analyze(_SERIES)
         "irr-root-sigma-overflow", "least-squares-sigma-overflow", "growth-overflow",
         "trajectory-growth-overflow", "cycles-quarter-iterator", "hp-trend-overflow",
         "analyze-list", "analyze-window-text", "analyze-gap-cfg-text", "analyze-f-mode-none",
-        "rates-list", "rates-f-mode-unknown", "window-rates-list", "outside-window-list",
+        "analyze-huge-int-list", "analyze-huge-int-tuple", "analyze-huge-int-dict", "rates-list", "rates-f-mode-unknown", "window-rates-list", "outside-window-list",
         "gap-cfg-dict", "buffer-cfg-none", "least-squares-list", "irr-root-list",
         "trajectory-list", "select-window-text", "to-json-dict", "render-dict",
         "render-panel-rates-out-text", "render-panel-rates-out-list",
@@ -520,13 +523,14 @@ def test_a_bad_argument_is_a_typed_error(fn, args):
     (analyze, (_GDP_SERIES, _WINDOW, "prefer-loans", None), "gap_cfg must be a GapConfig, got None"),
     (analyze, (_SERIES, _WINDOW, None), "unknown f_mode None"),
     (select_window, (_RATES.points, _WINDOW), "rates must be a RateSeries, got "),
+    (analyze, ([10**5000],), "series must be a CreditSeries, got [an int of 16610 bits]"),
     (to_json, (None,), "report must be an AnalysisReport, got None"),
     (parse_csv, (None,), "text must be a str, got None"),
     (render_svg, (_REPORT, "exhibit1", [1, 2]), "rates_out must be a tuple, got [1, 2]"),
     (render_svg, (_REPORT, "exhibit2", (None,)),
      "rate point at index 0 must be a RatePoint, got None"),
 ], ids=["analyze-window-tuple", "analyze-gap-cfg-none", "analyze-f-mode-none",
-        "select-window-points", "to-json-none", "parse-csv-none", "render-rates-out-list",
+        "select-window-points", "analyze-huge-int-list", "to-json-none", "parse-csv-none", "render-rates-out-list",
         "render-rates-out-none"])
 def test_a_record_or_text_argument_of_another_kind_is_named(fn, args, message):
     with pytest.raises(InvariantError) as info:
