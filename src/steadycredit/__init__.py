@@ -58,7 +58,6 @@ __all__ = [
     "Quarter",
     "RatePoint",
     "RateSeries",
-    "Scenario",
     "SspEstimate",
     "SteadyCreditError",
     "Window",
@@ -72,10 +71,8 @@ __all__ = [
     "emit_csv",
     "expected_growth",
     "fit",
-    "generate",
     "hp_filter",
     "parse_csv",
-    "parse_scenario",
     "render_svg",
     "select_window",
     "ssp_irr_root",
@@ -84,9 +81,3 @@ __all__ = [
     "trajectory",
 ]
 
-
-def __getattr__(name: str):  # the simulator loads on first use, and analysis never uses it
-    if name not in ("Scenario", "generate", "parse_scenario"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import synth
-    return getattr(synth, name)

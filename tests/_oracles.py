@@ -2,7 +2,8 @@
 
 These deliberately avoid the closed forms used by the package: the OLS
 oracle locates the minimum purely by comparing objective values on a
-shrinking grid, the zeta oracle scans the residual objective on a fixed
+shrinking grid, the exact OLS oracle forms the uncentred moments in rational
+arithmetic, the zeta oracle scans the residual objective on a fixed
 grid, the root oracles use bisection only (one of them on log s, with
 every term held in logs), the chi-squared tail oracle integrates the
 density numerically, the exact HP oracle eliminates the dense normal
@@ -67,6 +68,21 @@ def ols_grid_oracle(x, y, rounds: int = 55, half: int = 4) -> tuple[float, float
         span_a *= 0.5
         span_b *= 0.5
     return a0 - b0 * xc, b0
+
+
+def exact_ols_oracle(x, y) -> tuple[Fraction, Fraction, Fraction | None]:
+    """(intercept, slope, x_intercept) of the float inputs, exactly, in ``Fraction``.
+
+    The slope is the uncentred moment ratio (n Sxy - Sx Sy) / (n Sxx - Sx^2), so
+    no rounded centred value enters; x_intercept is None for a zero slope.
+    """
+    xs = [Fraction(float(v)) for v in x]
+    ys = [Fraction(float(v)) for v in y]
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    slope = ((n * sum(a * b for a, b in zip(xs, ys)) - sx * sy)
+             / (n * sum(a * a for a in xs) - sx * sx))
+    intercept = (sy - slope * sx) / n
+    return intercept, slope, (-intercept / slope if slope else None)
 
 
 def zeta_grid_oracle(d, f, lo: float = -0.1, hi: float = 0.1,

@@ -75,6 +75,14 @@ def canonical_csv(tmp_path) -> Path:
 
 
 @pytest.fixture
+def no_gdp_csv(tmp_path) -> Path:
+    """The noiseless steady scenario of 18 quarters from 2008-Q1, without GDP."""
+    path = tmp_path / "nogdp.csv"
+    path.write_text(emit_csv(synth.generate(steady_scenario())[0]), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
 def tiny_gdp_csv(tmp_path) -> Path:
     """Canonical series with one GDP of 1e-300, whose credit-to-GDP ratio overflows."""
     obs = list(canonical_series().observations)
@@ -147,6 +155,19 @@ class TestValidate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: line 2: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("row, message", [
+        ("2\u0660\u0660\u0668-Q1,1,0,,",
+         "line 2: bad quarter '2\u0660\u0660\u0668-Q1', expected YYYY-Qn"),
+        # float() reads 9e11 here; an amount is ASCII without digit separators
+        ("2008-Q1,9_00e9,0,,", "line 2: column tcu_eur: not a number: '9_00e9'"),
+    ], ids=["non-ascii-digits", "digit-separator"])
+    def test_unreadable_cell_is_a_one_line_error(self, tmp_path, row, message, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{','.join(CSV_HEADER)}\n{row}\n2008-Q2,9e11,1e9,,\n", encoding="utf-8")
+        assert main(["validate", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestUsageErrors:
@@ -247,6 +268,10 @@ class TestSimulatePipeline:
         # refused as a record, before generate makes a list of 10**20 - 1 noise values
         (f"n_quarters={10**20}\nnoise_sigma=0.0\n", "1",
          f"n_quarters from 2008-Q1 must be <= 31968, got {10**20}"),
+        ("hypothesis=H2\n", "1", "hypothesis must be H0 or H1, got 'H2'"),
+        # int() reads neither 8.5 nor, as a number in text, 3_4
+        ("n_quarters=8.5\n", "1", "line 11: bad value for n_quarters: '8.5'"),
+        ("n_quarters=3_4\n", "1", "line 11: bad value for n_quarters: '3_4'"),
     ])
     def test_bad_scenario_is_one_line_error(self, tmp_path, text, seed, message, capsys):
         scenario = tmp_path / "bad.cfg"
@@ -372,11 +397,16 @@ class TestAnalyze:
 
 
 class TestOtherCommands:
-    def test_rates_csv(self, canonical_csv, capsys):
+    def test_rates_csv(self, canonical_csv, tmp_path, capsys):
         assert main(["rates", "--input", str(canonical_csv), "--window", "crisis"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
+        out = capsys.readouterr().out
+        lines = out.strip().splitlines()
         assert lines[0] == "interval_end,d,f,f_source"
         assert len(lines) == 18
+        path = tmp_path / "rates.csv"
+        assert main(["rates", "--input", str(canonical_csv), "--window", "crisis",
+                     "--out", str(path)]) == 0
+        assert capsys.readouterr().out == "" and path.read_text(encoding="utf-8") == out
 
     def test_rates_and_ols_print_the_sample_of_analyze(self, tmp_path, capsys):
         # tcu 1e-300 after 1e300 underflows f to -1.0 at 2008-Q2, which no
@@ -456,12 +486,18 @@ class TestOtherCommands:
         assert lines[0] == "quarter,credit_to_gdp,trend,gap,buffer_add_on"
         assert len(lines) == 35
 
-    def test_gap_without_gdp_fails_cleanly(self, tmp_path, capsys):
-        series, _ = synth.generate(steady_scenario())
-        path = tmp_path / "nogdp.csv"
-        path.write_text(emit_csv(series), encoding="utf-8")
-        assert main(["gap", "--input", str(path)]) == 1
-        assert "gdp" in capsys.readouterr().err
+    def test_gap_without_gdp_fails_cleanly(self, no_gdp_csv, capsys):
+        for window, quarter in [([], "2008-Q1"), (["--window", "crisis"], "2008-Q2")]:
+            assert main(["gap", "--input", str(no_gdp_csv), *window]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: gdp column absent at {quarter}\n")
+
+    @pytest.mark.parametrize("command, value", [("gap", "nan"), ("analyze", "inf")])
+    def test_non_finite_lambda_is_refused_before_the_gdp_column_is_read(
+            self, no_gdp_csv, command, value, capsys):
+        assert main([command, "--input", str(no_gdp_csv), "--lambda", value]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: lam must be finite, got {value}\n")
 
     def test_gap_with_overflowing_ratio_fails_cleanly(self, tiny_gdp_csv, capsys):
         assert main(["gap", "--input", str(tiny_gdp_csv)]) == 1
@@ -612,6 +648,18 @@ class TestOtherCommands:
         assert main(["ssp", *args]) == 0
         assert capsys.readouterr().out == json.dumps(ssf, indent=2) + "\n"
 
+    @pytest.mark.parametrize("command, section", [("ols", "ols"), ("ssp", "ssf"),
+                                                  ("cycles", "cycles")])
+    def test_section_command_writes_its_section_of_analyze_to_a_file(
+            self, canonical_csv, tmp_path, command, section, capsys):
+        args = ["--input", str(canonical_csv), "--window", "crisis"]
+        assert main(["analyze", *args]) == 0
+        report = json.loads(capsys.readouterr().out)
+        path = tmp_path / f"{command}.json"
+        assert main([command, *args, "--json", str(path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert path.read_text(encoding="utf-8") == json.dumps(report[section], indent=2) + "\n"
+
     @pytest.mark.parametrize("window", [[], ["--window", "crisis"]])
     def test_cycles_prints_the_cycles_section_of_analyze(self, canonical_csv, window, capsys):
         args = ["--input", str(canonical_csv), *window]
@@ -633,6 +681,8 @@ class TestOtherCommands:
     @pytest.mark.parametrize("sigma_ref, message", [
         ("inf", "sigma_ref must be finite, got inf"),
         ("1e-300", "chi-squared statistic overflows the float range"),
+        ("0", "sigma_ref must be positive, got 0.0"),
+        ("nan", "sigma_ref must be finite, got nan"),
     ])
     def test_unusable_reference_scale_is_a_stage_error(self, canonical_csv, sigma_ref,
                                                        message, capsys):
@@ -760,6 +810,34 @@ class TestOtherCommands:
         doc = json.loads(captured.out)
         assert doc["gap"] is None
         assert [e["stage"] for e in doc["errors"]] == ["gap"]
+
+    def test_hp_trend_past_the_float_range_is_a_gap_stage_error(self, tmp_path, capsys):
+        path = tmp_path / "hp.csv"
+        path.write_text(HP_OVERFLOW_CSV, encoding="utf-8")
+        assert main(["analyze", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["errors"] == [
+            {"stage": "ols", "message": "x is constant; slope and correlation are undefined"},
+            {"stage": "gap", "message": "HP trend leaves the float range"},
+        ]
+        assert doc["gap"] is None
+        assert main(["gap", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: HP trend leaves the float range\n")
+
+    def test_huge_smoothing_parameter_on_the_canonical_series_is_no_error(self, canonical_csv,
+                                                                          capsys):
+        args = ["--input", str(canonical_csv), "--lambda", "1e30"]
+        assert main(["analyze", *args]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["errors"] == [] and len(doc["gap"]["rows"]) == 34
+        assert main(["gap", *args]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.splitlines()) == 35
 
     def test_render_scatter(self, canonical_csv, tmp_path):
         out = tmp_path / "chart.svg"
